@@ -70,7 +70,7 @@ pub fn run(ctx: &FigureContext) -> io::Result<()> {
         t.row(vec![
             e.pair.to_string(),
             fmt_f64(e.score, 4),
-            e.common_neighbors.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" "),
+            sims.common_neighbors(e).iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" "),
         ]);
     }
     t.emit(&ctx.csv_path("fig1_list.csv"))?;

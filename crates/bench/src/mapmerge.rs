@@ -15,9 +15,7 @@
 
 use std::sync::Arc;
 
-use linkclust_core::init::{
-    accumulate_pairs, entries_into_similarities, finalize_entries, vertex_norms_range, VertexNorms,
-};
+use linkclust_core::init::{accumulate_pairs, finalize_entries, vertex_norms_range, VertexNorms};
 use linkclust_core::PairSimilarities;
 use linkclust_graph::{VertexId, WeightedGraph};
 use linkclust_parallel::pool::partition_ranges;
@@ -71,9 +69,9 @@ pub fn compute_similarities_mapmerge(g: &WeightedGraph, threads: usize) -> PairS
     // Pass 3: finalize sequentially — pass 3 cost is shared by both
     // paths, and the A/B comparison targets pass 2.
     let index = linkclust_graph::EdgeIndex::for_graph(&*g);
-    let mut entries = acc.into_sorted_entries();
+    let (mut entries, common) = acc.into_similarities().into_parts();
     finalize_entries(&index, &norms, &mut entries);
-    entries_into_similarities(entries)
+    PairSimilarities::from_parts(entries, common)
 }
 
 #[cfg(test)]
@@ -91,21 +89,19 @@ mod tests {
             let base = compute_similarities_mapmerge(&g, threads);
             let sharded = compute_similarities_parallel(&g, threads);
             assert_eq!(base.len(), serial.len());
-            let mut se: Vec<_> = serial.entries().to_vec();
-            let mut be: Vec<_> = base.entries().to_vec();
-            let mut pe: Vec<_> = sharded.entries().to_vec();
-            se.sort_by_key(|e| e.pair);
-            be.sort_by_key(|e| e.pair);
-            pe.sort_by_key(|e| e.pair);
-            for ((a, b), c) in se.iter().zip(&be).zip(&pe) {
+            // All three lists are in key order, so they compare entry by
+            // entry.
+            let (se, be, pe) = (serial.entries(), base.entries(), sharded.entries());
+            for ((a, b), c) in se.iter().zip(be).zip(pe) {
                 assert_eq!(a.pair, b.pair);
-                assert_eq!(a.common_neighbors, b.common_neighbors);
+                assert_eq!(serial.common_neighbors(a), base.common_neighbors(b));
                 // The baseline merges per-thread partial sums, so its
                 // scores carry re-association error; the sharded path
                 // replays the serial order exactly.
                 assert!((a.score - b.score).abs() <= 1e-12, "baseline vs serial at {}", a.pair);
                 assert_eq!(a.score.to_bits(), c.score.to_bits(), "sharded vs serial");
             }
+            assert_eq!(serial, sharded, "whole lists, arena included");
         }
     }
 

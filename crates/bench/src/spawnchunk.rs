@@ -9,11 +9,12 @@
 //! only the execution strategy differs, which is what the chunk
 //! throughput comparison in `bench_smoke` and `pool_bench` isolates.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use linkclust_core::cluster_array::{partition_diff, MergeOutcome};
 use linkclust_core::coarse::{ChunkProcessor, SerialChunkProcessor};
-use linkclust_core::{ClusterArray, SimilarityEntry};
+use linkclust_core::{ClusterArray, PairSimilarities};
 use linkclust_graph::EdgeIndex;
 use linkclust_parallel::merge::merge_cluster_arrays;
 use linkclust_parallel::pool::{balanced_partition_by_weight, join_propagating};
@@ -79,14 +80,16 @@ impl ChunkProcessor for SpawnPerChunkProcessor {
         &mut self,
         index: &Arc<EdgeIndex>,
         slot_of_edge: &[u32],
-        entries: &[SimilarityEntry],
+        sorted: &PairSimilarities,
+        chunk: Range<usize>,
         c: &mut ClusterArray,
     ) -> Vec<MergeOutcome> {
-        if self.threads == 1 || entries.len() < self.threads * self.min_entries_per_thread {
-            return SerialChunkProcessor.process_entries(index, slot_of_edge, entries, c);
+        if self.threads == 1 || chunk.len() < self.threads * self.min_entries_per_thread {
+            return SerialChunkProcessor.process_entries(index, slot_of_edge, sorted, chunk, c);
         }
         let base = c.clone();
-        let weights: Vec<u64> = entries.iter().map(|e| e.pair_count() as u64).collect();
+        let weights: Vec<u64> =
+            sorted.entries()[chunk.clone()].iter().map(|e| e.pair_count() as u64).collect();
         let ranges = balanced_partition_by_weight(&weights, self.threads);
 
         // Step 1: one fresh scoped thread and one full array clone per
@@ -96,12 +99,14 @@ impl ChunkProcessor for SpawnPerChunkProcessor {
                 .into_iter()
                 .map(|r| {
                     let base = &base;
+                    let r = chunk.start + r.start..chunk.start + r.end;
                     s.spawn(move || {
                         let mut local = base.clone();
                         SerialChunkProcessor.process_entries(
                             index,
                             slot_of_edge,
-                            &entries[r],
+                            sorted,
+                            r,
                             &mut local,
                         );
                         local

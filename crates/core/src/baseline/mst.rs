@@ -65,7 +65,7 @@ impl MstClustering {
             Vec::with_capacity(sims.incident_pair_count() as usize);
         for entry in sims.entries() {
             let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in &entry.common_neighbors {
+            for &vk in sims.common_neighbors(entry) {
                 let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge");
                 let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge");
                 arcs.push((entry.score, e1.index() as u32, e2.index() as u32));

@@ -78,7 +78,7 @@ impl NbmClustering {
         let mut sim = vec![0.0f64; n * n];
         for entry in sims.entries() {
             let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in &entry.common_neighbors {
+            for &vk in sims.common_neighbors(entry) {
                 let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge").index();
                 let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge").index();
                 sim[e1 * n + e2] = entry.score;

@@ -27,6 +27,7 @@ pub mod machine;
 
 mod epoch;
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use linkclust_graph::{EdgeIndex, GraphView};
@@ -384,18 +385,24 @@ impl CoarseResult {
 /// passed as an [`Arc`] so multi-threaded processors can clone the
 /// handle into worker tasks without copying the table.
 ///
+/// A chunk is a range of entries of the sorted list, which is passed
+/// whole: a processor reads the chunk's common neighbors from the list's
+/// arena, and a multi-threaded one can share the list with its workers.
+///
 /// Implementations must bring `c` to the partition obtained by merging,
 /// for every entry and every common neighbor `vₖ`, the clusters of edges
 /// `(vᵢ, vₖ)` and `(vⱼ, vₖ)`. The returned outcomes must be a valid merge
 /// sequence producing that partition (one event per cluster-count
 /// decrement); their order is unspecified.
 pub trait ChunkProcessor {
-    /// Processes `entries` against `c`, returning the merge events.
+    /// Processes the entries `sorted.entries()[chunk]` against `c`,
+    /// returning the merge events.
     fn process_entries(
         &mut self,
         index: &Arc<EdgeIndex>,
         slot_of_edge: &[u32],
-        entries: &[crate::similarity::SimilarityEntry],
+        sorted: &PairSimilarities,
+        chunk: Range<usize>,
         c: &mut ClusterArray,
     ) -> Vec<MergeOutcome>;
 }
@@ -415,13 +422,14 @@ impl ChunkProcessor for SerialChunkProcessor {
         &mut self,
         index: &Arc<EdgeIndex>,
         slot_of_edge: &[u32],
-        entries: &[crate::similarity::SimilarityEntry],
+        sorted: &PairSimilarities,
+        chunk: Range<usize>,
         c: &mut ClusterArray,
     ) -> Vec<MergeOutcome> {
         let mut out = Vec::new();
-        for entry in entries {
+        for entry in &sorted.entries()[chunk] {
             let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in &entry.common_neighbors {
+            for &vk in sorted.common_neighbors(entry) {
                 let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
                 let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
                 let s1 = slot_of_edge[e1.index()] as usize;
@@ -564,7 +572,7 @@ pub fn coarse_sweep_instrumented<G: GraphView + ?Sized, P: ChunkProcessor>(
                 break;
             }
         }
-        let pending = processor.process_entries(&index, &slot_of_edge, &entries[p..q], &mut c);
+        let pending = processor.process_entries(&index, &slot_of_edge, sorted, p..q, &mut c);
         let beta_prime = c.cluster_count();
         let forced = q == p + 1 && xi_new >= big_delta + delta;
         let decision = transition(

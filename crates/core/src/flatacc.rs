@@ -9,15 +9,16 @@
 //! * an **open-addressed table** (linear probing, power-of-two capacity)
 //!   keyed by the pair packed into a `u64` (`i << 32 | j`, `i < j` — the
 //!   packed integers sort exactly like [`VertexPair`]s), holding the
-//!   running weight-product sum and the common-neighbor chain head/len
-//!   per slot; and
+//!   running weight-product sum and the common-neighbor chain head per
+//!   slot; and
 //! * a single shared **arena** of chained `(vertex, prev)` nodes that
 //!   every pair appends its common neighbors into — one `Vec` push per
 //!   record instead of one `Vec` per pair.
 //!
-//! [`into_sorted_entries`](FlatPairAccumulator::into_sorted_entries)
-//! materializes the same deterministic key-sorted [`RawPairEntry`] list
-//! as the map-based accumulator, in one pass over the occupied slots.
+//! [`into_similarities`](FlatPairAccumulator::into_similarities)
+//! materializes the same deterministic key-sorted list as the map-based
+//! accumulator, in one pass over the occupied slots, writing every
+//! chain into the [`PairSimilarities`] common-neighbor arena.
 //!
 //! The owner-sharded parallel pass 2 (`linkclust-parallel`) builds one
 //! accumulator per owner thread and feeds it pre-routed records via
@@ -28,8 +29,7 @@
 
 use linkclust_graph::{GraphView, VertexId};
 
-use crate::init::RawPairEntry;
-use crate::similarity::VertexPair;
+use crate::similarity::{PairSimilarities, VertexPair};
 
 /// Sentinel for an empty table slot. Unreachable as a real key: a packed
 /// key needs `i == u32::MAX` in the high half, and `i < j` leaves no
@@ -94,10 +94,10 @@ struct ArenaNode {
 /// for v in g.vertices() {
 ///     acc.process_vertex(&g, v);
 /// }
-/// let entries = acc.into_sorted_entries();
-/// assert_eq!(entries.len(), 1);
-/// assert!((entries[0].value - 6.0).abs() < 1e-12);
-/// assert_eq!(entries[0].common_neighbors, vec![VertexId::new(1)]);
+/// let sums = acc.into_similarities();
+/// assert_eq!(sums.len(), 1);
+/// assert!((sums.entries()[0].score - 6.0).abs() < 1e-12);
+/// assert_eq!(sums.common_neighbors(&sums.entries()[0]), &[VertexId::new(1)]);
 /// # Ok::<(), linkclust_graph::GraphError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -108,8 +108,6 @@ pub struct FlatPairAccumulator {
     sums: Vec<f64>,
     /// Per-slot head of the common-neighbor chain (most recent node).
     heads: Vec<u32>,
-    /// Per-slot chain length.
-    lens: Vec<u32>,
     /// The shared common-neighbor arena (one node per record).
     arena: Vec<ArenaNode>,
     /// Occupied slot count (K₁ once accumulation finishes).
@@ -133,7 +131,6 @@ impl FlatPairAccumulator {
             keys: vec![EMPTY; slots],
             sums: vec![0.0; slots],
             heads: vec![NIL; slots],
-            lens: vec![0; slots],
             arena: Vec::with_capacity(records),
             len: 0,
         }
@@ -220,7 +217,6 @@ impl FlatPairAccumulator {
         let mut keys = vec![EMPTY; new_slots];
         let mut sums = vec![0.0; new_slots];
         let mut heads = vec![NIL; new_slots];
-        let mut lens = vec![0; new_slots];
         for old in 0..self.keys.len() {
             let key = self.keys[old];
             if key == EMPTY {
@@ -230,12 +226,10 @@ impl FlatPairAccumulator {
             keys[slot] = key;
             sums[slot] = self.sums[old];
             heads[slot] = self.heads[old];
-            lens[slot] = self.lens[old];
         }
         self.keys = keys;
         self.sums = sums;
         self.heads = heads;
-        self.lens = lens;
     }
 
     /// Accrues one record: pair `key` gains `w` (the weight product
@@ -261,7 +255,6 @@ impl FlatPairAccumulator {
         assert!(node != NIL, "arena overflow: more than u32::MAX - 1 records");
         self.arena.push(ArenaNode { vertex: v, prev: self.heads[slot] });
         self.heads[slot] = node;
-        self.lens[slot] += 1;
     }
 
     /// Processes one vertex `v` (the body of the pass-2 loop): every
@@ -279,44 +272,45 @@ impl FlatPairAccumulator {
         }
     }
 
-    /// Materializes the key-sorted entry vector in one pass: occupied
-    /// slots are collected and sorted by packed key (== pair order),
-    /// then each chain is unrolled back-to-front — chains store records
-    /// newest-first, so backward filling recovers insertion order, which
-    /// every in-repo producer keeps ascending. A defensive sort covers
-    /// out-of-order external callers, at the cost of one is-sorted scan.
+    /// Materializes map `M` as a key-sorted, **unfinalized**
+    /// [`PairSimilarities`]: each entry's score holds its running sum
+    /// `Σ w_ik·w_jk` until pass 3 ([`finalize_entries`]) replaces it.
+    /// Occupied slots are sorted by packed key (== pair order), then each
+    /// chain is unrolled into the list's arena. Chains store records
+    /// newest-first, so the unrolled run is reversed back to insertion
+    /// order, which every in-repo producer keeps ascending; a defensive
+    /// sort covers out-of-order external callers.
+    ///
+    /// [`finalize_entries`]: crate::init::finalize_entries
     #[must_use]
-    pub fn into_sorted_entries(self) -> Vec<RawPairEntry> {
-        let mut slots: Vec<(u64, f64, u32, u32)> = Vec::with_capacity(self.len);
+    pub fn into_similarities(self) -> PairSimilarities {
+        let mut slots: Vec<(u64, f64, u32)> = Vec::with_capacity(self.len);
         for slot in 0..self.keys.len() {
             if self.keys[slot] != EMPTY {
-                slots.push((self.keys[slot], self.sums[slot], self.heads[slot], self.lens[slot]));
+                slots.push((self.keys[slot], self.sums[slot], self.heads[slot]));
             }
         }
         slots.sort_unstable_by_key(|&(key, ..)| key);
-        slots
-            .into_iter()
-            .map(|(key, value, head, len)| {
-                let (i, j) = unpack_pair(key);
-                let mut commons = vec![VertexId::new(0); len as usize];
-                let mut node = head;
-                for out in commons.iter_mut().rev() {
-                    debug_assert_ne!(node, NIL, "chain shorter than recorded length");
-                    let n = self.arena[node as usize];
-                    *out = VertexId::new(n.vertex as usize);
-                    node = n.prev;
-                }
-                debug_assert_eq!(node, NIL, "chain longer than recorded length");
-                if !commons.windows(2).all(|w| w[0] <= w[1]) {
-                    commons.sort_unstable();
-                }
-                RawPairEntry {
-                    pair: VertexPair::new(VertexId::new(i as usize), VertexId::new(j as usize)),
-                    value,
-                    common_neighbors: commons,
-                }
-            })
-            .collect()
+        let mut sims = PairSimilarities::with_capacity(slots.len(), self.arena.len());
+        let mut run = Vec::new();
+        for (key, sum, head) in slots {
+            run.clear();
+            let mut node = head;
+            while node != NIL {
+                // cast: u32 arena index to index, lossless on 32- and 64-bit.
+                let n = self.arena[node as usize];
+                run.push(VertexId::from(n.vertex));
+                node = n.prev;
+            }
+            run.reverse();
+            if !run.is_sorted() {
+                run.sort_unstable();
+            }
+            let (i, j) = unpack_pair(key);
+            let pair = VertexPair::new(VertexId::from(i), VertexId::from(j));
+            sims.push(pair, sum, run.iter().copied());
+        }
+        sims
     }
 }
 
@@ -339,18 +333,19 @@ mod tests {
         let flat = flat_over(g);
         let map: PairAccumulator = accumulate_pairs(g, g.vertices());
         assert_eq!(flat.len(), map.len());
-        let (fe, me) = (flat.into_sorted_entries(), map.into_sorted_entries());
-        assert_eq!(fe.len(), me.len());
-        for (a, b) in fe.iter().zip(&me) {
+        let (fs, ms) = (flat.into_similarities(), map.into_similarities());
+        assert_eq!(fs.len(), ms.len());
+        for (a, b) in fs.entries().iter().zip(ms.entries()) {
             assert_eq!(a.pair, b.pair);
             assert_eq!(
-                a.value.to_bits(),
-                b.value.to_bits(),
+                a.score.to_bits(),
+                b.score.to_bits(),
                 "sums must be bit-identical at {}",
                 a.pair
             );
-            assert_eq!(a.common_neighbors, b.common_neighbors);
+            assert_eq!(fs.common_neighbors(a), ms.common_neighbors(b));
         }
+        assert_eq!(fs, ms, "whole lists, arena included");
     }
 
     #[test]
@@ -384,7 +379,7 @@ mod tests {
         }
         let map = accumulate_pairs(&g, g.vertices());
         assert_eq!(acc.len(), map.len());
-        assert_eq!(acc.into_sorted_entries().len(), map.into_sorted_entries().len());
+        assert_eq!(acc.into_similarities(), map.into_similarities());
     }
 
     #[test]
@@ -402,7 +397,7 @@ mod tests {
         let acc = FlatPairAccumulator::default();
         assert!(acc.is_empty());
         assert_eq!(acc.records(), 0);
-        assert!(acc.into_sorted_entries().is_empty());
+        assert!(acc.into_similarities().is_empty());
     }
 
     #[test]
@@ -414,12 +409,12 @@ mod tests {
         acc.record(key, 1.0, 9);
         acc.record(key, 1.0, 4);
         acc.record(key, 1.0, 7);
-        let entries = acc.into_sorted_entries();
-        assert_eq!(entries.len(), 1);
+        let sums = acc.into_similarities();
+        assert_eq!(sums.len(), 1);
         assert_eq!(
-            entries[0].common_neighbors,
-            vec![VertexId::new(4), VertexId::new(7), VertexId::new(9)]
+            sums.common_neighbors(&sums.entries()[0]),
+            &[VertexId::new(4), VertexId::new(7), VertexId::new(9)]
         );
-        assert!((entries[0].value - 3.0).abs() < 1e-12);
+        assert!((sums.entries()[0].score - 3.0).abs() < 1e-12);
     }
 }

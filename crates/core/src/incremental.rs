@@ -32,7 +32,7 @@ use std::collections::HashMap;
 
 use linkclust_graph::{GraphBuilder, GraphError, VertexId, WeightedGraph};
 
-use crate::similarity::{PairSimilarities, SimilarityEntry, VertexPair};
+use crate::similarity::{PairSimilarities, VertexPair};
 
 /// Phase-I similarity state that tracks a mutable weighted graph.
 ///
@@ -254,35 +254,30 @@ impl IncrementalSimilarities {
                 .expect("pair state implies an edge the adjacency lists lack");
             list[pos].1
         };
-        let mut entries: Vec<SimilarityEntry> = self
-            .pairs
-            .iter()
-            .map(|(&(i, j), commons)| {
-                // cast: u32 ids to indices, lossless on 64-bit.
-                let (vi, vj) = (VertexId::new(i as usize), VertexId::new(j as usize));
-                let (h1i, h2i) = h(i as usize);
-                // cast: u32 id to index, lossless on 64-bit.
-                let (h1j, h2j) = h(j as usize);
-                // Pass-2 replay: commons is sorted ascending, matching
-                // the batch loop over hub vertices 0..n.
-                let mut value = 0.0;
-                for &c in commons {
-                    value += weight_of(c, i) * weight_of(c, j);
-                }
-                if let Some(w) = self.weight_between(vi, vj) {
-                    value += (h1i + h1j) * w;
-                }
-                let score = value / (h2i + h2j - value);
-                SimilarityEntry {
-                    pair: VertexPair::new(vi, vj),
-                    score,
-                    // cast: u32 id to index, lossless on 64-bit.
-                    common_neighbors: commons.iter().map(|&c| VertexId::new(c as usize)).collect(),
-                }
-            })
-            .collect();
-        entries.sort_unstable_by_key(|e| e.pair);
-        PairSimilarities::from_entries(entries)
+        // Key order, as the batch accumulator materializes map `M`.
+        let mut pairs: Vec<_> = self.pairs.iter().collect();
+        pairs.sort_unstable_by_key(|&(&key, _)| key);
+        let records = pairs.iter().map(|(_, commons)| commons.len()).sum();
+        let mut sims = PairSimilarities::with_capacity(pairs.len(), records);
+        for (&(i, j), commons) in pairs {
+            let (vi, vj) = (VertexId::from(i), VertexId::from(j));
+            // cast: u32 ids to indices, lossless on 64-bit.
+            let (h1i, h2i) = h(i as usize);
+            // cast: u32 id to index, lossless on 64-bit.
+            let (h1j, h2j) = h(j as usize);
+            // Pass-2 replay: commons is sorted ascending, matching
+            // the batch loop over hub vertices 0..n.
+            let mut value = 0.0;
+            for &c in commons {
+                value += weight_of(c, i) * weight_of(c, j);
+            }
+            if let Some(w) = self.weight_between(vi, vj) {
+                value += (h1i + h1j) * w;
+            }
+            let score = value / (h2i + h2j - value);
+            sims.push(VertexPair::new(vi, vj), score, commons.iter().copied().map(VertexId::from));
+        }
+        sims
     }
 
     /// Materializes the current graph as an immutable [`WeightedGraph`]
@@ -341,11 +336,9 @@ mod tests {
         let batch = compute_similarities(&g);
         let snap = inc.similarities();
         assert_eq!(snap.len(), batch.len(), "entry count");
-        let mut be: Vec<_> = batch.entries().to_vec();
-        be.sort_by_key(|e| e.pair);
-        for (a, b) in snap.entries().iter().zip(&be) {
+        for (a, b) in snap.entries().iter().zip(batch.entries()) {
             assert_eq!(a.pair, b.pair);
-            assert_eq!(a.common_neighbors, b.common_neighbors, "pair {}", a.pair);
+            assert_eq!(snap.common_neighbors(a), batch.common_neighbors(b), "pair {}", a.pair);
             assert_eq!(
                 a.score.to_bits(),
                 b.score.to_bits(),
@@ -355,6 +348,7 @@ mod tests {
                 b.score
             );
         }
+        assert_eq!(snap, batch, "whole lists, arena included");
     }
 
     #[test]

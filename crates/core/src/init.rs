@@ -80,19 +80,6 @@ pub fn vertex_norms<G: GraphView + ?Sized>(g: &G) -> VertexNorms {
     vertex_norms_range(g, 0..g.vertex_count())
 }
 
-/// A raw (unfinalized) entry of map `M`: the vertex pair key and the value
-/// tuple — running weight-product sum and common-neighbor list.
-#[derive(Clone, PartialEq, Debug)]
-pub struct RawPairEntry {
-    /// The vertex pair key.
-    pub pair: VertexPair,
-    /// Before [`finalize_entries`]: `Σ_k w_ik·w_jk` over common neighbors
-    /// `k`. After: the Tanimoto similarity.
-    pub value: f64,
-    /// The common neighbors accumulated so far.
-    pub common_neighbors: Vec<VertexId>,
-}
-
 /// The original map-based pass-2 accumulator: the map `M` keyed by
 /// vertex pair, one `HashMap` entry and one heap `Vec` per pair.
 ///
@@ -155,27 +142,22 @@ impl PairAccumulator {
         }
     }
 
-    /// Converts the map into a key-sorted entry vector (deterministic
-    /// order; common-neighbor lists sorted).
+    /// Converts the map into a key-sorted, **unfinalized**
+    /// [`PairSimilarities`] (deterministic order; common-neighbor lists
+    /// sorted): each entry's score holds its running sum until
+    /// [`finalize_entries`] replaces it.
     #[must_use]
-    pub fn into_sorted_entries(self) -> Vec<RawPairEntry> {
-        let mut entries: Vec<RawPairEntry> = self
-            .map
-            .into_iter()
-            .map(|((i, j), (value, mut commons))| {
-                commons.sort_unstable();
-                RawPairEntry {
-                    pair: VertexPair::new(VertexId::new(i as usize), VertexId::new(j as usize)),
-                    value,
-                    common_neighbors: commons
-                        .into_iter()
-                        .map(|c| VertexId::new(c as usize))
-                        .collect(),
-                }
-            })
-            .collect();
-        entries.sort_unstable_by_key(|e| e.pair);
-        entries
+    pub fn into_similarities(self) -> PairSimilarities {
+        let mut pairs: Vec<_> = self.map.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(key, _)| key);
+        let records = pairs.iter().map(|(_, (_, commons))| commons.len()).sum();
+        let mut sims = PairSimilarities::with_capacity(pairs.len(), records);
+        for ((i, j), (sum, mut commons)) in pairs {
+            commons.sort_unstable();
+            let pair = VertexPair::new(VertexId::from(i), VertexId::from(j));
+            sims.push(pair, sum, commons.into_iter().map(VertexId::from));
+        }
+        sims
     }
 }
 
@@ -193,7 +175,8 @@ where
     acc
 }
 
-/// Pass 3 over a slice of entries: applies the adjacency correction
+/// Pass 3 over a slice of entries whose scores hold their running sums
+/// `Σ_k w_ik·w_jk`: applies the adjacency correction
 /// (`+ (H₁[i]+H₁[j])·w_ij` for pairs that are themselves edges) and
 /// replaces each running sum with the final Tanimoto similarity
 /// `s / (H₂[i] + H₂[j] − s)`.
@@ -202,31 +185,16 @@ where
 /// entry instead of the per-query adjacency scans this pass used to
 /// issue. The parallel third pass calls this on disjoint sub-slices,
 /// sharing one index.
-pub fn finalize_entries(index: &EdgeIndex, norms: &VertexNorms, entries: &mut [RawPairEntry]) {
+pub fn finalize_entries(index: &EdgeIndex, norms: &VertexNorms, entries: &mut [SimilarityEntry]) {
     for e in entries {
         let (i, j) = (e.pair.first().index(), e.pair.second().index());
         if let Some(w) = index.weight_between(e.pair.first(), e.pair.second()) {
-            e.value += (norms.h1[i] + norms.h1[j]) * w;
+            e.score += (norms.h1[i] + norms.h1[j]) * w;
         }
-        let denom = norms.h2[i] + norms.h2[j] - e.value;
+        let denom = norms.h2[i] + norms.h2[j] - e.score;
         debug_assert!(denom > 0.0, "Tanimoto denominator must be positive");
-        e.value /= denom;
+        e.score /= denom;
     }
-}
-
-/// Wraps finalized entries into [`PairSimilarities`].
-#[must_use]
-pub fn entries_into_similarities(entries: Vec<RawPairEntry>) -> PairSimilarities {
-    PairSimilarities::from_entries(
-        entries
-            .into_iter()
-            .map(|e| SimilarityEntry {
-                pair: e.pair,
-                score: e.value,
-                common_neighbors: e.common_neighbors,
-            })
-            .collect(),
-    )
 }
 
 /// The complete Phase I: all three passes, serially.
@@ -275,13 +243,12 @@ pub fn compute_similarities_with<G: GraphView + ?Sized>(
     };
     telemetry.add(Counter::PairsK1, acc.len() as u64);
     telemetry.observe(Gauge::TableOccupancy, acc.occupancy());
-    let mut entries = acc.into_sorted_entries();
+    let mut sims = acc.into_similarities();
     {
         let _span = telemetry.span(Phase::InitPass3);
         let index = EdgeIndex::for_graph(g);
-        finalize_entries(&index, &norms, &mut entries);
+        finalize_entries(&index, &norms, sims.entries_mut());
     }
-    let sims = entries_into_similarities(entries);
     telemetry.add(Counter::IncidentPairsK2, sims.incident_pair_count());
     sims
 }
@@ -322,7 +289,7 @@ mod tests {
         assert_eq!(sims.len(), 1);
         let e = &sims.entries()[0];
         assert_eq!(e.pair, VertexPair::new(v(0), v(2)));
-        assert_eq!(e.common_neighbors, vec![v(1)]);
+        assert_eq!(sims.common_neighbors(e), &[v(1)]);
         assert!((e.score - 1.0 / 3.0).abs() < 1e-12);
     }
 
@@ -336,7 +303,7 @@ mod tests {
         assert_eq!(sims.len(), 3);
         for e in sims.entries() {
             assert!((e.score - 1.0).abs() < 1e-12, "score {}", e.score);
-            assert_eq!(e.common_neighbors.len(), 1);
+            assert_eq!(sims.common_neighbors(e).len(), 1);
         }
     }
 
@@ -371,11 +338,11 @@ mod tests {
         let right = accumulate_pairs(&g, (20..40).map(v));
         left.merge(right);
         assert_eq!(whole.len(), left.len());
-        let (mut a, mut b) = (whole.into_sorted_entries(), left.into_sorted_entries());
-        for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+        let (a, b) = (whole.into_similarities(), left.into_similarities());
+        for (x, y) in a.entries().iter().zip(b.entries()) {
             assert_eq!(x.pair, y.pair);
-            assert!((x.value - y.value).abs() < 1e-9);
-            assert_eq!(x.common_neighbors, y.common_neighbors);
+            assert!((x.score - y.score).abs() < 1e-9);
+            assert_eq!(a.common_neighbors(x), b.common_neighbors(y));
         }
     }
 

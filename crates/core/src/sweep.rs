@@ -230,7 +230,7 @@ pub fn sweep_with<G: GraphView + ?Sized>(
             }
         }
         let (vi, vj) = (entry.pair.first(), entry.pair.second());
-        for &vk in &entry.common_neighbors {
+        for &vk in sorted.common_neighbors(entry) {
             let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
             let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
             let s1 = slot_of_edge[e1.index()] as usize;
@@ -308,7 +308,7 @@ pub fn fixed_chunk_sweep<G: GraphView + ?Sized>(
     let mut pairs_in_chunk = 0u64;
     for entry in sorted.entries() {
         let (vi, vj) = (entry.pair.first(), entry.pair.second());
-        for &vk in &entry.common_neighbors {
+        for &vk in sorted.common_neighbors(entry) {
             let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
             let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
             let s1 = slot_of_edge[e1.index()] as usize;

@@ -18,11 +18,12 @@
 //! ([`crate::merge::merge_cluster_arrays_flawed`]) while the corrected
 //! one ([`crate::merge::merge_cluster_arrays`]) passes every schedule.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use linkclust_core::coarse::ChunkProcessor;
 use linkclust_core::coarse::SerialChunkProcessor;
-use linkclust_core::{ClusterArray, SimilarityEntry};
+use linkclust_core::{ClusterArray, PairSimilarities};
 use linkclust_graph::{EdgeIndex, GraphView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -158,11 +159,12 @@ where
     Ok(ScheduleReport { orders_checked: orders.len(), exhaustive })
 }
 
-/// Replays one chunk of the parallel sweep under permuted combination
-/// schedules: splits `entries` into `threads` weight-balanced ranges,
+/// Replays one chunk of the parallel sweep — the entries
+/// `sorted.entries()[chunk]` — under permuted combination schedules:
+/// splits the chunk into `threads` weight-balanced ranges,
 /// processes each range serially on its own copy of `base` (exactly as
 /// [`crate::sweep::ParallelChunkProcessor`] does, minus the threads),
-/// computes the serial join by processing all entries in order on a
+/// computes the serial join by processing the whole chunk in order on a
 /// single copy, and then checks every combination order of the
 /// per-thread copies against it with the **corrected** merge scheme.
 ///
@@ -182,25 +184,28 @@ where
 pub fn replay_chunk_schedules<G: GraphView + ?Sized>(
     g: &G,
     slot_of_edge: &[u32],
-    entries: &[SimilarityEntry],
+    sorted: &PairSimilarities,
+    chunk: Range<usize>,
     base: &ClusterArray,
     threads: usize,
     seed: u64,
 ) -> Result<ScheduleReport, Box<ScheduleViolation>> {
     let index = Arc::new(EdgeIndex::for_graph(g));
-    let weights: Vec<u64> = entries.iter().map(|e| e.pair_count() as u64).collect();
+    let weights: Vec<u64> =
+        sorted.entries()[chunk.clone()].iter().map(|e| e.pair_count() as u64).collect();
     let ranges = balanced_partition_by_weight(&weights, threads);
     let copies: Vec<ClusterArray> = ranges
         .into_iter()
         .map(|r| {
             let mut local = base.clone();
+            let r = chunk.start + r.start..chunk.start + r.end;
             let _ =
-                SerialChunkProcessor.process_entries(&index, slot_of_edge, &entries[r], &mut local);
+                SerialChunkProcessor.process_entries(&index, slot_of_edge, sorted, r, &mut local);
             local
         })
         .collect();
     let mut serial = base.clone();
-    let _ = SerialChunkProcessor.process_entries(&index, slot_of_edge, entries, &mut serial);
+    let _ = SerialChunkProcessor.process_entries(&index, slot_of_edge, sorted, chunk, &mut serial);
     check_schedules_with(&copies, &serial, seed, merge_cluster_arrays)
 }
 
@@ -374,12 +379,12 @@ mod tests {
 
     fn replay_family(g: &WeightedGraph, label: &str) {
         let sims = compute_similarities(g).into_sorted();
-        let entries: Vec<SimilarityEntry> = sims.entries().to_vec();
         let slot_of_edge: Vec<u32> = (0..g.edge_count() as u32).collect();
         let base = ClusterArray::new(g.edge_count());
         for threads in 2..=4 {
-            let report = replay_chunk_schedules(g, &slot_of_edge, &entries, &base, threads, 7)
-                .unwrap_or_else(|v| panic!("{label} with {threads} threads: {v}"));
+            let report =
+                replay_chunk_schedules(g, &slot_of_edge, &sims, 0..sims.len(), &base, threads, 7)
+                    .unwrap_or_else(|v| panic!("{label} with {threads} threads: {v}"));
             assert!(report.exhaustive, "{label}: T = {threads} must be exhaustive");
             assert!(report.orders_checked >= 2, "{label}: no orders replayed");
         }
@@ -413,19 +418,15 @@ mod tests {
         // Replay from a non-trivial base partition (a chunk mid-sweep).
         let g = gnm(36, 90, WeightMode::Unit, 17);
         let sims = compute_similarities(&g).into_sorted();
-        let entries: Vec<SimilarityEntry> = sims.entries().to_vec();
         let slot_of_edge: Vec<u32> = (0..g.edge_count() as u32).collect();
         let mut base = ClusterArray::new(g.edge_count());
-        let half = entries.len() / 2;
+        let half = sims.len() / 2;
         let index = Arc::new(EdgeIndex::for_graph(&g));
-        let _ = SerialChunkProcessor.process_entries(
-            &index,
-            &slot_of_edge,
-            &entries[..half],
-            &mut base,
-        );
-        let report = replay_chunk_schedules(&g, &slot_of_edge, &entries[half..], &base, 4, 29)
-            .unwrap_or_else(|v| panic!("mid-chunk replay: {v}"));
+        let _ =
+            SerialChunkProcessor.process_entries(&index, &slot_of_edge, &sims, 0..half, &mut base);
+        let report =
+            replay_chunk_schedules(&g, &slot_of_edge, &sims, half..sims.len(), &base, 4, 29)
+                .unwrap_or_else(|v| panic!("mid-chunk replay: {v}"));
         assert!(report.exhaustive);
     }
 
@@ -438,7 +439,7 @@ mod tests {
         let mut ops = Vec::new();
         for (ei, entry) in sims.entries().iter().enumerate() {
             let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in &entry.common_neighbors {
+            for &vk in sims.common_neighbors(entry) {
                 let e1 = index.edge_between(vi, vk).unwrap();
                 let e2 = index.edge_between(vj, vk).unwrap();
                 ops.push(Candidate {
@@ -496,10 +497,9 @@ mod tests {
     fn sampled_mode_kicks_in_above_the_exhaustive_limit() {
         let g = gnm(30, 70, WeightMode::Unit, 41);
         let sims = compute_similarities(&g).into_sorted();
-        let entries: Vec<SimilarityEntry> = sims.entries().to_vec();
         let slot_of_edge: Vec<u32> = (0..g.edge_count() as u32).collect();
         let base = ClusterArray::new(g.edge_count());
-        let report = replay_chunk_schedules(&g, &slot_of_edge, &entries, &base, 6, 13)
+        let report = replay_chunk_schedules(&g, &slot_of_edge, &sims, 0..sims.len(), &base, 6, 13)
             .unwrap_or_else(|v| panic!("sampled replay: {v}"));
         assert!(!report.exhaustive);
         assert_eq!(report.orders_checked, SAMPLED_ORDERS + 1);

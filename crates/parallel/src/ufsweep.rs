@@ -120,7 +120,7 @@ pub fn ufsweep_with<G: GraphView + ?Sized>(
                 let slot_of_edge = Arc::clone(&slot_of_edge);
                 let telemetry = telemetry.clone();
                 Box::new(move || {
-                    local_candidates(sorted.entries(), range, &index, &slot_of_edge, m, &telemetry)
+                    local_candidates(&sorted, range, &index, &slot_of_edge, m, &telemetry)
                 }) as Task<Vec<Candidate>>
             })
             .collect(),
@@ -163,7 +163,7 @@ pub fn ufsweep_with<G: GraphView + ?Sized>(
 /// in `index` — that would mean the similarity phase and the edge index
 /// disagree about the graph.
 fn local_candidates(
-    entries: &[SimilarityEntry],
+    sorted: &PairSimilarities,
     range: Range<usize>,
     index: &EdgeIndex,
     slot_of_edge: &[u32],
@@ -174,9 +174,9 @@ fn local_candidates(
     let mut uf = UnionFind::new(m);
     let mut out = Vec::new();
     for ei in range {
-        let entry = &entries[ei];
+        let entry = &sorted.entries()[ei];
         let (vi, vj) = (entry.pair.first(), entry.pair.second());
-        for &vk in &entry.common_neighbors {
+        for &vk in sorted.common_neighbors(entry) {
             let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
             let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
             let s1 = slot_of_edge[e1.index()];

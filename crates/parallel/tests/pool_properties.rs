@@ -1,9 +1,9 @@
 //! Property tests for the persistent worker pool: every pooled phase
 //! must match its serial counterpart for any thread count — including
 //! more threads than CPUs — the pool must survive task panics with the
-//! original payload re-raised, and nested submissions (the sort
-//! re-entering the pool from inside a pooled task, as happens when one
-//! pool serves a whole clustering run) must not deadlock.
+//! original payload re-raised, and one pool must serve every phase of a
+//! clustering run. (Nested submission from inside a pooled task is
+//! covered by the pool's own unit tests.)
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -11,10 +11,11 @@ use std::sync::Arc;
 use linkclust_core::coarse::{coarse_sweep, CoarseConfig};
 use linkclust_core::init::compute_similarities;
 use linkclust_core::reference::canonical_labels;
+use linkclust_core::Telemetry;
 use linkclust_graph::generate::{gnm, WeightMode};
 use linkclust_parallel::compute_similarities_parallel;
 use linkclust_parallel::pool::{Task, WorkerPool};
-use linkclust_parallel::sort::{parallel_into_sorted, parallel_sort_pooled};
+use linkclust_parallel::sort::parallel_into_sorted_pooled;
 use linkclust_parallel::{parallel_coarse_sweep, parallel_coarse_sweep_shared};
 use proptest::prelude::*;
 
@@ -38,13 +39,12 @@ proptest! {
         for threads in THREADS {
             let par = compute_similarities_parallel(&g, threads);
             prop_assert_eq!(par.len(), serial.len(), "threads {}", threads);
-            let mut se: Vec<_> = serial.entries().to_vec();
-            let mut pe: Vec<_> = par.entries().to_vec();
-            se.sort_by_key(|e| e.pair);
-            pe.sort_by_key(|e| e.pair);
-            for (a, b) in se.iter().zip(&pe) {
+            // Both lists are in key order, so they compare entry by entry.
+            for (a, b) in serial.entries().iter().zip(par.entries()) {
                 prop_assert_eq!(a.pair, b.pair);
-                prop_assert_eq!(&a.common_neighbors, &b.common_neighbors, "pair {}", a.pair);
+                prop_assert_eq!(
+                    serial.common_neighbors(a), par.common_neighbors(b), "pair {}", a.pair
+                );
                 // The sharded fold replays the serial accumulation order,
                 // so scores are bit-identical, not merely within 1e-12.
                 prop_assert_eq!(
@@ -52,6 +52,7 @@ proptest! {
                     "pair {} threads {}", a.pair, threads
                 );
             }
+            prop_assert_eq!(&par, &serial, "threads {}", threads);
         }
     }
 
@@ -60,9 +61,11 @@ proptest! {
         let g = gnm(n, n * 3, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
         let serial = compute_similarities(&g).into_sorted();
         for threads in THREADS {
-            let pooled = parallel_into_sorted(compute_similarities(&g), threads);
+            let pool = WorkerPool::new(threads);
+            let pooled =
+                parallel_into_sorted_pooled(&pool, compute_similarities(&g), &Telemetry::disabled());
             prop_assert!(pooled.is_sorted());
-            prop_assert_eq!(serial.entries(), pooled.entries(), "threads {}", threads);
+            prop_assert_eq!(&serial, &pooled, "threads {}", threads);
         }
     }
 
@@ -82,31 +85,6 @@ proptest! {
                 canon(&par.output().edge_assignments()),
                 "threads {}", threads
             );
-        }
-    }
-}
-
-/// A pooled task that itself submits a sort to the same pool — the
-/// shape a clustering run produces when one pool serves every phase.
-/// The nested call must drain the queue inline rather than deadlock,
-/// even with a single worker (threads == 2).
-#[test]
-fn sort_nested_inside_a_pool_task_does_not_deadlock() {
-    for threads in [2usize, 4, 8] {
-        let pool = Arc::new(WorkerPool::new(threads));
-        let tasks: Vec<Task<Vec<u64>>> = (0..threads + 2)
-            .map(|t| {
-                let pool = Arc::clone(&pool);
-                Box::new(move || {
-                    let items: Vec<u64> = (0..500).map(|i| (i * 7919 + t as u64) % 1009).collect();
-                    parallel_sort_pooled(&pool, items, |a, b| a.cmp(b))
-                }) as Task<Vec<u64>>
-            })
-            .collect();
-        let results = pool.run_tasks(tasks);
-        assert_eq!(results.len(), threads + 2, "threads {threads}");
-        for sorted in results {
-            assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "threads {threads}");
         }
     }
 }
@@ -227,16 +205,17 @@ fn concurrent_queue_wait_records_are_never_lost() {
     assert_eq!(report.phase_histogram(Phase::PoolQueueWait).count(), expected);
 }
 
-/// Standalone `parallel_coarse_sweep` (buffered entry path, lazily
-/// created pool) must agree with the `Arc`-shared zero-copy path.
+/// Standalone `parallel_coarse_sweep` (which copies the list into an
+/// `Arc` of its own, lazily created pool) must agree with the path over
+/// the caller's `Arc`-shared list.
 #[test]
-fn buffered_and_shared_entry_paths_agree() {
+fn copied_and_shared_list_paths_agree() {
     let g = gnm(40, 170, WeightMode::Uniform { lo: 0.3, hi: 1.6 }, 3);
     let sims = Arc::new(compute_similarities(&g).into_sorted());
     let cfg = CoarseConfig { phi: 4, initial_chunk: 8, ..Default::default() };
     for threads in [2usize, 4] {
-        let buffered = parallel_coarse_sweep(&g, &sims, cfg, threads);
+        let copied = parallel_coarse_sweep(&g, &sims, cfg, threads);
         let shared = parallel_coarse_sweep_shared(&g, &sims, cfg, threads);
-        assert_eq!(buffered.levels(), shared.levels(), "threads {threads}");
+        assert_eq!(copied.levels(), shared.levels(), "threads {threads}");
     }
 }

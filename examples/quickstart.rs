@@ -27,9 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let result = LinkClustering::new().run(&g).unwrap();
 
-    println!("similarity list L ({} vertex pairs):", result.similarities().len());
-    for e in result.similarities().entries() {
-        println!("  {}  S = {:.4}  common: {:?}", e.pair, e.score, e.common_neighbors);
+    let sims = result.similarities();
+    println!("similarity list L ({} vertex pairs):", sims.len());
+    for e in sims.entries() {
+        println!("  {}  S = {:.4}  common: {:?}", e.pair, e.score, sims.common_neighbors(e));
     }
 
     println!("\ndendrogram ({} merges):", result.dendrogram().merge_count());

@@ -116,8 +116,6 @@ pub use linkclust_corpus::{AssocNetwork, AssocNetworkBuilder, TextPipeline};
 pub use linkclust_graph::{
     CsrGraph, EdgeId, EdgeIndex, GraphBuilder, GraphError, GraphView, VertexId, WeightedGraph,
 };
-#[allow(deprecated)]
-pub use linkclust_parallel::ParallelLinkClustering;
 pub use linkclust_parallel::{
     compute_similarities_parallel, parallel_coarse_sweep, LinkClustering,
 };

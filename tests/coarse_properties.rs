@@ -120,7 +120,7 @@ fn theorem2_change_bound_holds_empirically() {
         let mut c = linkclust::ClusterArray::new(g.edge_count());
         for entry in sims.entries() {
             let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in &entry.common_neighbors {
+            for &vk in sims.common_neighbors(entry) {
                 let e1 = index.edge_between(vi, vk).unwrap();
                 let e2 = index.edge_between(vj, vk).unwrap();
                 c.merge(e1.index(), e2.index());

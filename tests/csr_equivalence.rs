@@ -61,6 +61,7 @@ fn csr_similarities_are_bit_identical_at_every_thread_count() {
                     a.pair
                 );
             }
+            assert_eq!(sims, sorted, "{name} t={threads}: whole lists, arena included");
         }
     }
 }

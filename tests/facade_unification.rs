@@ -133,14 +133,6 @@ fn bad_configurations_are_errors_not_panics() {
         CoarseConfig::builder().gamma(f64::NAN).build(),
         Err(ConfigError::InvalidGamma(gamma)) if gamma.is_nan()
     ));
-
-    #[allow(deprecated)]
-    {
-        assert_eq!(
-            linkclust::ParallelLinkClustering::new(0).map(|p| p.threads()),
-            Err(ConfigError::ZeroThreads)
-        );
-    }
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Property tests: the multi-threaded implementation computes exactly
 //! the same results as the serial one, for any thread count.
 
+use std::sync::Arc;
+
 use linkclust::core::coarse::coarse_sweep_with;
 use linkclust::graph::generate::{gnm, WeightMode};
 use linkclust::parallel::merge::{merge_cluster_arrays, merge_cluster_arrays_reference};
@@ -26,15 +28,13 @@ proptest! {
         let serial = compute_similarities(&g);
         let parallel = compute_similarities_parallel(&g, threads);
         prop_assert_eq!(serial.len(), parallel.len());
-        let mut se: Vec<_> = serial.entries().to_vec();
-        let mut pe: Vec<_> = parallel.entries().to_vec();
-        se.sort_by_key(|e| e.pair);
-        pe.sort_by_key(|e| e.pair);
-        for (a, b) in se.iter().zip(&pe) {
+        // Both lists are in key order, so they compare entry by entry.
+        for (a, b) in serial.entries().iter().zip(parallel.entries()) {
             prop_assert_eq!(a.pair, b.pair);
             prop_assert!((a.score - b.score).abs() < 1e-10);
-            prop_assert_eq!(&a.common_neighbors, &b.common_neighbors);
+            prop_assert_eq!(serial.common_neighbors(a), parallel.common_neighbors(b));
         }
+        prop_assert_eq!(&serial, &parallel);
     }
 
     #[test]
@@ -43,10 +43,13 @@ proptest! {
         threads in 2usize..6,
         chunk in 2u64..32,
     ) {
-        let sims = compute_similarities(&g).into_sorted();
+        let sims = Arc::new(compute_similarities(&g).into_sorted());
         let cfg = CoarseConfig { phi: 2, initial_chunk: chunk, ..Default::default() };
         let serial = coarse_sweep(&g, &sims, cfg);
-        let mut proc = ParallelChunkProcessor::new(threads).unwrap().min_entries_per_thread(1);
+        let mut proc = ParallelChunkProcessor::new(threads)
+            .unwrap()
+            .min_entries_per_thread(1)
+            .shared_entries(Arc::clone(&sims));
         let parallel = coarse_sweep_with(&g, &sims, cfg, &mut proc);
         prop_assert_eq!(serial.levels(), parallel.levels());
         // Same final partition (labels may be identical here because the
@@ -88,11 +91,14 @@ proptest! {
 #[test]
 fn thread_count_does_not_change_results_on_a_real_workload() {
     let g = gnm(60, 500, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 9);
-    let sims = compute_similarities(&g).into_sorted();
+    let sims = Arc::new(compute_similarities(&g).into_sorted());
     let cfg = CoarseConfig { phi: 5, initial_chunk: 16, ..Default::default() };
     let reference = coarse_sweep(&g, &sims, cfg);
     for threads in [1, 2, 3, 4, 6, 8] {
-        let mut proc = ParallelChunkProcessor::new(threads).unwrap().min_entries_per_thread(1);
+        let mut proc = ParallelChunkProcessor::new(threads)
+            .unwrap()
+            .min_entries_per_thread(1)
+            .shared_entries(Arc::clone(&sims));
         let r = coarse_sweep_with(&g, &sims, cfg, &mut proc);
         assert_eq!(reference.levels(), r.levels(), "threads = {threads}");
         assert_eq!(
