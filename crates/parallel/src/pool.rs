@@ -11,7 +11,7 @@
 //! *helps*: while waiting for its tasks it drains the queue and executes
 //! jobs inline, so a pool with `threads == n` delivers `n`-way
 //! parallelism with `n - 1` workers, `threads == 1` never spawns at all,
-//! and nested submissions (a pooled sort inside a pooled sweep) cannot
+//! and nested submissions (a pooled phase started from a pooled task) cannot
 //! deadlock — the nested caller simply executes its own tasks.
 //!
 //! Panics inside tasks are contained on the worker (so the pool stays
