@@ -86,6 +86,7 @@ pub mod flatacc;
 pub mod incremental;
 pub mod init;
 pub mod invariants;
+pub mod json;
 pub mod model;
 pub mod reference;
 pub mod sweep;

@@ -392,7 +392,7 @@ mod tests {
         assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::Sort)));
         assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::Sweep)));
         trace::check_events(&events).unwrap();
-        trace::validate_json(&collector.to_chrome_json()).unwrap();
+        crate::json::parse(&collector.to_chrome_json()).unwrap();
         // Tracing plus stats: the report exists and the serial run (deep
         // rings, few events) dropped nothing.
         let collector = Arc::new(TraceCollector::new());

@@ -3,9 +3,8 @@
 //! The binaries in this workspace are long-running services
 //! (`linkclustd`) and batch tools (`linkclust`, the bench drivers);
 //! both need machine-parseable event logs without taking on a logging
-//! framework. A [`Logger`] writes one strict-JSON object per line —
-//! the same dependency-free serialization discipline as the serve
-//! protocol — to stderr or a file:
+//! framework. A [`Logger`] writes one strict-JSON object per line,
+//! through the writers of [`crate::json`], to stderr or a file:
 //!
 //! ```text
 //! {"ts_ms":1738000000123,"level":"info","event":"conn_open","peer":"127.0.0.1:9","fd_queries":3}
@@ -29,6 +28,8 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+use crate::json;
 
 /// Default cap on events written per one-second window.
 pub const DEFAULT_EVENTS_PER_SEC: u32 = 200;
@@ -312,10 +313,10 @@ fn unix_millis() -> u64 {
 fn render_line(ts_ms: u64, level: Level, event: &str, fields: &[(&str, Value<'_>)]) -> String {
     let mut s = String::with_capacity(96);
     let _ = write!(s, "{{\"ts_ms\":{ts_ms},\"level\":\"{}\",\"event\":", level.name());
-    push_json_string(&mut s, event);
+    json::write_escaped(&mut s, event);
     for (key, value) in fields {
         s.push(',');
-        push_json_string(&mut s, key);
+        json::write_escaped(&mut s, key);
         s.push(':');
         match *value {
             Value::U64(v) => {
@@ -324,42 +325,15 @@ fn render_line(ts_ms: u64, level: Level, event: &str, fields: &[(&str, Value<'_>
             Value::I64(v) => {
                 let _ = write!(s, "{v}");
             }
-            Value::F64(v) => {
-                if v.is_finite() {
-                    let _ = write!(s, "{v:?}");
-                } else {
-                    s.push_str("null");
-                }
-            }
+            Value::F64(v) => json::write_f64(&mut s, v),
             Value::Bool(v) => {
                 let _ = write!(s, "{v}");
             }
-            Value::Str(v) => push_json_string(&mut s, v),
+            Value::Str(v) => json::write_escaped(&mut s, v),
         }
     }
     s.push('}');
     s
-}
-
-/// Appends `text` as a JSON string literal (RFC 8259 escaping).
-fn push_json_string(out: &mut String, text: &str) {
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            // cast: char scalar values are at most 0x10FFFF, lossless in u32
-            c if (c as u32) < 0x20 => {
-                // cast: same lossless char-to-u32 widening as the guard above
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Writes one line and flushes; I/O errors are swallowed — logging must
@@ -385,7 +359,6 @@ fn write_line(sink: &mut Sink, line: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::trace::validate_json;
 
     #[test]
     fn disabled_logger_is_inert() {
@@ -410,7 +383,7 @@ mod tests {
         );
         let text = log.buffer();
         let line = text.lines().next().expect("one line written");
-        validate_json(line).expect("log line is strict JSON");
+        json::parse(line).expect("log line is strict JSON");
         assert!(line.contains("\"level\":\"info\""));
         assert!(line.contains("\"event\":\"conn_open\""));
         assert!(line.contains("\"peer\":\"127.0.0.1:9\""));
@@ -428,7 +401,7 @@ mod tests {
         log.warn("we\"ird\nevent", &[("k\\ey", "va\tl\u{1}ue".into())]);
         let text = log.buffer();
         let line = text.lines().next().expect("one line written");
-        validate_json(line).expect("escaped line is strict JSON");
+        json::parse(line).expect("escaped line is strict JSON");
         assert!(line.contains("\\u0001"));
     }
 

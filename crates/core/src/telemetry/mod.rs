@@ -728,18 +728,19 @@ impl RunReport {
             }
             first = false;
             let st = self.gauge(g);
-            s.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\
-                 \"p50\":{},\"p90\":{},\"p99\":{}}}",
-                g.name(),
-                st.count,
-                json_f64(st.min),
-                json_f64(st.max),
-                json_f64(st.mean()),
-                json_f64(self.gauge_quantile(g, 0.5)),
-                json_f64(self.gauge_quantile(g, 0.9)),
-                json_f64(self.gauge_quantile(g, 0.99)),
-            ));
+            s.push_str(&format!("\"{}\":{{\"count\":{}", g.name(), st.count));
+            for (key, x) in [
+                ("min", st.min),
+                ("max", st.max),
+                ("mean", st.mean()),
+                ("p50", self.gauge_quantile(g, 0.5)),
+                ("p90", self.gauge_quantile(g, 0.9)),
+                ("p99", self.gauge_quantile(g, 0.99)),
+            ] {
+                s.push_str(&format!(",\"{key}\":"));
+                crate::json::write_f64(&mut s, x);
+            }
+            s.push('}');
         }
         s.push_str("},\"thread_items\":[");
         for (i, items) in self.thread_items.iter().enumerate() {
@@ -776,15 +777,6 @@ impl RunReport {
                 self.thread_items[thread] += items;
             }
         }
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        // `{:?}` is the shortest representation that round-trips.
-        format!("{x:?}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -1046,7 +1038,7 @@ mod tests {
         assert!(json.contains("\"chunk_size\":{\"count\":1,\"min\":3.5,\"max\":3.5,\"mean\":3.5,"));
         assert!(json.contains("\"p50\":3.5"));
         assert!(json.contains("\"thread_items\":[9]"));
-        trace::validate_json(&json).unwrap();
+        crate::json::parse(&json).unwrap();
         // Every name appears exactly once.
         for p in Phase::ALL {
             assert_eq!(json.matches(&format!("\"{}\"", p.name())).count(), 1);
@@ -1112,7 +1104,7 @@ mod tests {
         assert!(r.gauge_quantile(Gauge::TableOccupancy, 0.5).is_nan());
         let json = r.to_json();
         assert!(json.contains("\"table_occupancy\":{\"count\":0,\"min\":0.0,\"max\":0.0,\"mean\":0.0,\"p50\":null,\"p90\":null,\"p99\":null}"));
-        trace::validate_json(&json).unwrap();
+        crate::json::parse(&json).unwrap();
     }
 
     #[test]

@@ -349,9 +349,10 @@ impl TraceCollector {
             first = false;
             s.push_str(&format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(name)
+                 \"args\":{{\"name\":"
             ));
+            crate::json::write_escaped(&mut s, name);
+            s.push_str("}}");
         }
         for e in events {
             if !first {
@@ -385,20 +386,6 @@ impl TraceCollector {
 /// precision in the unit Chrome traces use.
 fn nanos_to_micros(nanos: u64) -> String {
     format!("{}.{:03}", nanos / 1000, nanos % 1000)
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Structural validation of a drained event list (the acceptance bar
@@ -449,187 +436,6 @@ pub fn check_events(events: &[TraceEvent]) -> Result<(), String> {
         }
         stack.push(*e);
         prev = Some(*e);
-    }
-    Ok(())
-}
-
-/// Minimal JSON well-formedness check (RFC 8259 grammar, no semantics):
-/// used by the tests to prove the hand-rolled writers never emit
-/// unparseable output — e.g. a bare `NaN` from a non-finite gauge.
-///
-/// # Errors
-///
-/// Returns `Err` with a byte offset and reason for the first syntax
-/// error.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Ok(())
-    } else {
-        Err(format!("trailing data at byte {pos}"))
-    }
-}
-
-/// Recursion guard for [`parse_value`]; deeper documents are rejected
-/// rather than overflowing the stack.
-const MAX_JSON_DEPTH: usize = 512;
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(&b) = bytes.get(*pos) {
-        if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    if depth > MAX_JSON_DEPTH {
-        return Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {}", *pos));
-    }
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => parse_string(bytes, pos),
-        Some(b't') => parse_literal(bytes, pos, "true"),
-        Some(b'f') => parse_literal(bytes, pos, "false"),
-        Some(b'n') => parse_literal(bytes, pos, "null"),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        Some(&b) => Err(format!("unexpected byte {b:#04x} at {}", *pos)),
-        None => Err(format!("unexpected end of input at byte {}", *pos)),
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // consume '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key string at byte {}", *pos));
-        }
-        parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        parse_value(bytes, pos, depth + 1)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // consume '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        parse_value(bytes, pos, depth + 1)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume opening '"'
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => match bytes.get(*pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                Some(b'u') => {
-                    let hex = bytes
-                        .get(*pos + 2..*pos + 6)
-                        .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                    if !hex.iter().all(u8::is_ascii_hexdigit) {
-                        return Err(format!("invalid \\u escape at byte {}", *pos));
-                    }
-                    *pos += 6;
-                }
-                _ => return Err(format!("invalid escape at byte {}", *pos)),
-            },
-            0x00..=0x1f => return Err(format!("raw control byte in string at {}", *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |bytes: &[u8], pos: &mut usize| {
-        let d0 = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > d0
-    };
-    // Integer part: a lone 0, or a nonzero-led digit run.
-    match bytes.get(*pos) {
-        Some(b'0') => *pos += 1,
-        Some(b'1'..=b'9') => {
-            digits(bytes, pos);
-        }
-        _ => return Err(format!("invalid number at byte {start}")),
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(bytes, pos) {
-            return Err(format!("invalid number at byte {start}"));
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(bytes, pos) {
-            return Err(format!("invalid number at byte {start}"));
-        }
     }
     Ok(())
 }
@@ -769,7 +575,7 @@ mod tests {
         c.record(TraceLabel::Phase(Phase::InitPass1), t0, 1500);
         c.record(TraceLabel::PoolTask { seq: 3 }, t0 + Duration::from_nanos(2000), 700);
         let json = c.to_chrome_json();
-        validate_json(&json).unwrap();
+        crate::json::parse(&json).unwrap();
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"ph\":\"X\""));
@@ -783,37 +589,7 @@ mod tests {
     fn empty_collector_emits_valid_json() {
         let c = TraceCollector::new();
         let json = c.to_chrome_json();
-        validate_json(&json).unwrap();
+        crate::json::parse(&json).unwrap();
         assert!(json.contains("\"traceEvents\":[]"));
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        for ok in [
-            "null",
-            " true ",
-            "-0.5e+10",
-            "[]",
-            "{}",
-            "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\\u00e9\\n\"}",
-            "3",
-        ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("rejected {ok:?}: {e}"));
-        }
-        for bad in [
-            "",
-            "NaN",
-            "nul",
-            "[1,]",
-            "{\"a\":}",
-            "{a:1}",
-            "\"unterminated",
-            "01",
-            "1.",
-            "[1] trailing",
-            "{\"a\":1,}",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted {bad:?}");
-        }
     }
 }

@@ -1,14 +1,15 @@
-//! Property tests for the hand-rolled JSON emitters: whatever a run
-//! records — including NaN/infinite gauge observations and hostile
-//! thread names — `RunReport::to_json()` and the Chrome trace writer
-//! must produce parseable JSON (checked with the crate's own
-//! recursive-descent validator), and non-finite quantiles must
-//! serialize as `null`, never as bare `NaN`/`inf` tokens.
+//! Property tests for `linkclust_core::json` and the documents written
+//! with it: any string and any finite `f64` survive the writers and the
+//! parser (floats bit for bit), non-finite floats write `null`, a
+//! generated tree of arrays and objects parses back equal, and whatever
+//! a run records — NaN/infinite gauges, hostile thread names —
+//! `RunReport::to_json()` and the Chrome trace writer emit documents the
+//! parser accepts, with `null` for non-finite quantiles.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use linkclust_core::telemetry::trace::validate_json;
+use linkclust_core::json::{self, Json};
 use linkclust_core::telemetry::{
     Counter, Gauge, Phase, Recorder, RunRecorder, TraceCollector, TraceLabel,
 };
@@ -64,7 +65,7 @@ proptest! {
         }
         let report = rec.report();
         let json = report.to_json();
-        prop_assert!(validate_json(&json).is_ok(), "invalid JSON: {}\nfrom {:?}", json, ops);
+        prop_assert!(json::parse(&json).is_ok(), "invalid JSON: {}\nfrom {:?}", json, ops);
         // Non-finite numbers must never leak as bare tokens — RFC 8259
         // has no NaN/Infinity literals.
         prop_assert!(!json.contains("NaN"), "bare NaN in {json}");
@@ -89,7 +90,7 @@ proptest! {
             collector.record(label, epoch, dur);
         }
         let json = collector.to_chrome_json();
-        prop_assert!(validate_json(&json).is_ok(), "invalid JSON: {json}");
+        prop_assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
         prop_assert!(json.contains("\"traceEvents\""));
     }
 
@@ -108,7 +109,7 @@ proptest! {
             .expect("spawning a named thread");
         handle.join().expect("named thread runs to completion");
         let json = collector.to_chrome_json();
-        prop_assert!(validate_json(&json).is_ok(), "name {:?} broke the writer: {}", name, json);
+        prop_assert!(json::parse(&json).is_ok(), "name {:?} broke the writer: {}", name, json);
     }
 }
 
@@ -121,7 +122,139 @@ fn non_finite_gauge_quantiles_serialize_as_null() {
     rec.observe(Gauge::TableOccupancy, f64::NAN);
     rec.observe(Gauge::TableOccupancy, f64::INFINITY);
     let json = rec.report().to_json();
-    assert!(validate_json(&json).is_ok(), "invalid JSON: {json}");
+    assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
     assert!(json.contains("\"p50\":null"), "expected null quantiles in {json}");
     assert!(!json.contains("NaN") && !json.contains("inf"), "bare non-finite token in {json}");
+}
+
+/// Strings of quotes, backslashes, control characters, printable ASCII,
+/// the rest of the BMP around the surrogate block, and astral-plane
+/// characters.
+fn hostile_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u8..7, 0u32..0x10_0000), 0..24).prop_map(|picks| {
+        let code = |(class, v): (u8, u32)| match class {
+            0 => u32::from('"'),
+            1 => u32::from('\\'),
+            2 => v % 0x20,
+            3 => 0x20 + v % 0x5f,
+            4 => 0x7f + v % (0xd800 - 0x7f),
+            5 => 0xe000 + v % 0x2000,
+            _ => 0x1_0000 + v % 0x10_0000,
+        };
+        picks.into_iter().map(|p| char::from_u32(code(p)).expect("a scalar value")).collect()
+    })
+}
+
+fn written(x: f64) -> String {
+    let mut out = String::new();
+    json::write_f64(&mut out, x);
+    out
+}
+
+/// Folds `ops` into a tree of arrays and objects: each op appends a
+/// scalar to the outermost container, or wraps the tree so far in a new
+/// array or object beside a scalar.
+fn build_tree(ops: Vec<(u8, u64, String)>) -> Json {
+    ops.into_iter().fold(Json::Arr(Vec::new()), |tree, (kind, bits, text)| {
+        let scalar = match kind % 4 {
+            0 => Json::Null,
+            1 => Json::Bool(bits % 2 == 1),
+            2 => Json::Num(Some(f64::from_bits(bits)).filter(|x| x.is_finite()).unwrap_or(0.5)),
+            _ => Json::Str(text.clone()),
+        };
+        match (kind / 4, tree) {
+            (0, Json::Arr(mut items)) => {
+                items.push(scalar);
+                Json::Arr(items)
+            }
+            (0, Json::Obj(mut members)) => {
+                members.push((text, scalar));
+                Json::Obj(members)
+            }
+            (1, tree) => Json::Arr(vec![scalar, tree]),
+            (_, tree) => Json::Obj(vec![(text, tree), (String::new(), scalar)]),
+        }
+    })
+}
+
+/// Renders `value` with the module's two writers.
+fn render(value: &Json, out: &mut String) {
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Num(x) => json::write_f64(out, *x),
+        Json::Str(s) => json::write_escaped(out, s),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                out.push_str(if i == 0 { "" } else { "," });
+                render(item, out);
+            }
+            out.push(']');
+        }
+        Json::Obj(members) => {
+            out.push('{');
+            for (i, (key, item)) in members.iter().enumerate() {
+                out.push_str(if i == 0 { "" } else { "," });
+                json::write_escaped(out, key);
+                out.push(':');
+                render(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn any_string_survives_write_escaped_then_parse(s in hostile_string()) {
+        let mut out = String::new();
+        json::write_escaped(&mut out, &s);
+        prop_assert_eq!(json::parse(&out), Ok(Json::Str(s)));
+    }
+
+    #[test]
+    fn any_f64_round_trips_bit_for_bit_or_writes_null(class in 0u8..5, bits in 0u64..=u64::MAX) {
+        // Any bit pattern, then subnormals, the top binade (up to
+        // ±f64::MAX), whole numbers, and infinities and NaNs.
+        let x = match class {
+            0 => f64::from_bits(bits),
+            1 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+            2 => f64::from_bits((bits & 0x800f_ffff_ffff_ffff) | 0x7fe0_0000_0000_0000),
+            3 => (bits >> 11) as f64,
+            _ => f64::from_bits(bits | 0x7ff0_0000_0000_0000),
+        };
+        let out = written(x);
+        if x.is_finite() {
+            let back = json::parse(&out).map(|v| v.as_f64().map(f64::to_bits));
+            prop_assert_eq!(back, Ok(Some(x.to_bits())), "{}", out);
+        } else {
+            prop_assert_eq!(out, "null");
+        }
+    }
+
+    #[test]
+    fn a_generated_tree_parses_back_equal(
+        ops in proptest::collection::vec((0u8..12, 0u64..=u64::MAX, hostile_string()), 0..48),
+    ) {
+        let tree = build_tree(ops);
+        let mut out = String::new();
+        render(&tree, &mut out);
+        prop_assert_eq!(json::parse(&out), Ok(tree));
+    }
+}
+
+/// The edges of the format, each by name.
+#[test]
+fn f64_edges_round_trip_bit_for_bit() {
+    let edges = [0.0, -0.0, 5e-324, -5e-324, f64::MIN_POSITIVE, f64::MAX, -f64::MAX, 1e-7, 1e16];
+    for x in edges {
+        let back = json::parse(&written(x)).map(|v| v.as_f64().map(f64::to_bits));
+        assert_eq!(back, Ok(Some(x.to_bits())), "{x:e}");
+    }
+    for x in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(written(x), "null");
+    }
 }

@@ -139,46 +139,10 @@ impl WeightedGraph {
         &self.edges[e.index()]
     }
 
-    /// Binary search over the smaller adjacency list —
-    /// O(log min(d(u), d(v))).
-    fn edge_lookup(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
-        if u == v || u.index() >= self.vertex_count() || v.index() >= self.vertex_count() {
-            return None;
-        }
-        let (probe, key) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        let list = self.neighbors(probe);
-        list.binary_search_by(|n| n.vertex.cmp(&key)).ok().map(|i| list[i].edge)
-    }
-
-    /// Returns the id of the edge joining `u` and `v`, if any.
-    ///
-    /// Lookup is a binary search over the smaller adjacency list, so this
-    /// costs O(log min(d(u), d(v))).
-    #[deprecated(
-        since = "0.2.0",
-        note = "per-query scans are superseded in hot paths by a precomputed \
-                `EdgeIndex`; for occasional lookups use the `GraphView` trait method"
-    )]
-    #[must_use]
-    pub fn edge_between(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
-        self.edge_lookup(u, v)
-    }
-
-    /// Returns the weight of the edge joining `u` and `v`, if any.
-    #[deprecated(
-        since = "0.2.0",
-        note = "per-query scans are superseded in hot paths by a precomputed \
-                `EdgeIndex`; for occasional lookups use the `GraphView` trait method"
-    )]
-    #[must_use]
-    pub fn weight_between(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.edge_lookup(u, v).map(|e| self.edge(e).weight)
-    }
-
     /// Returns `true` if `u` and `v` are adjacent.
     #[must_use]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.edge_lookup(u, v).is_some()
+        crate::GraphView::has_edge(self, u, v)
     }
 
     /// Iterates over all vertex ids in increasing order.
@@ -341,10 +305,8 @@ impl<'a> Iterator for NeighborIter<'a> {
 impl ExactSizeIterator for NeighborIter<'_> {}
 
 #[cfg(test)]
-// The legacy per-query lookups stay covered until removal.
-#[allow(deprecated)]
 mod tests {
-    use crate::{GraphBuilder, VertexId};
+    use crate::{GraphBuilder, GraphView, VertexId};
 
     fn triangle() -> crate::WeightedGraph {
         GraphBuilder::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]).unwrap().build()

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use linkclust_core::coarse::{coarse_sweep_instrumented, CoarseConfig, CoarseResult};
-use linkclust_core::sweep::{sweep_with, EdgeOrder, SweepConfig};
+use linkclust_core::sweep::{EdgeOrder, SweepConfig};
 use linkclust_core::telemetry::{Counter, Recorder, Telemetry, TelemetrySink, TraceCollector};
 use linkclust_core::{ClusteringResult, ConfigError, PairSimilarities};
 use linkclust_graph::GraphView;
@@ -25,22 +25,6 @@ use crate::pool::WorkerPool;
 use crate::sort::parallel_into_sorted_pooled;
 use crate::sweep::ParallelChunkProcessor;
 use crate::ufsweep::ufsweep_with;
-
-/// Which Phase-II engine [`LinkClustering::run`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SweepEngine {
-    /// The default: the serial sweep at `threads == 1`, the exact
-    /// parallel union-find engine ([`crate::ufsweep`]) at `threads >= 2`.
-    #[default]
-    Auto,
-    /// Always the serial fine-grained sweep (Algorithm 2), even when
-    /// init runs on many threads — the pre-ufsweep behavior,
-    /// kept for A/B measurement.
-    Serial,
-    /// Always the union-find engine, even at `threads == 1` (useful for
-    /// testing the engine without a pool fan-out).
-    UnionFind,
-}
 
 /// End-to-end link clustering with a configurable thread count.
 ///
@@ -67,7 +51,6 @@ pub struct LinkClustering {
     threads: usize,
     edge_order: Option<EdgeOrder>,
     min_similarity: Option<f64>,
-    engine: SweepEngine,
     sink: TelemetrySink,
     tracer: Option<Arc<TraceCollector>>,
     trace_path: Option<PathBuf>,
@@ -79,7 +62,6 @@ impl Default for LinkClustering {
             threads: 1,
             edge_order: None,
             min_similarity: None,
-            engine: SweepEngine::Auto,
             sink: TelemetrySink::Off,
             tracer: None,
             trace_path: None,
@@ -118,16 +100,6 @@ impl LinkClustering {
     #[must_use]
     pub fn min_similarity(mut self, theta: f64) -> Self {
         self.min_similarity = Some(theta);
-        self
-    }
-
-    /// Selects the Phase-II engine for [`run`](Self::run). The default
-    /// ([`SweepEngine::Auto`]) uses the parallel union-find engine
-    /// whenever `threads >= 2`; every engine produces the identical
-    /// dendrogram, so this knob exists for A/B measurement and tests.
-    #[must_use]
-    pub fn sweep_engine(mut self, engine: SweepEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -306,10 +278,10 @@ impl LinkClustering {
 
     /// Runs both phases on `g`: initialization and the fine-grained
     /// sweep on the configured threads, with the serial sort between
-    /// them (the sweep runs the exact parallel union-find engine of
-    /// [`crate::ufsweep`] unless [`sweep_engine`](Self::sweep_engine)
-    /// says otherwise). Generic over the graph backend; adjacency-list
-    /// and CSR inputs — and every engine — produce bit-identical
+    /// them. One thread runs the serial pipeline; two or more run the
+    /// sweep on the exact parallel union-find engine of
+    /// [`crate::ufsweep`]. Generic over the graph backend; adjacency-list
+    /// and CSR inputs — at every thread count — produce bit-identical
     /// dendrograms.
     pub fn run<G>(&self, g: &G) -> Result<ClusteringResult, ConfigError>
     where
@@ -317,7 +289,7 @@ impl LinkClustering {
     {
         self.check_threads()?;
         let collector = self.active_collector();
-        if self.threads == 1 && self.engine != SweepEngine::UnionFind {
+        if self.threads == 1 {
             let result = self.serial(collector.as_ref()).run(g);
             self.write_trace_file(collector.as_ref())?;
             return Ok(result);
@@ -329,12 +301,7 @@ impl LinkClustering {
         };
         let (pool, g) = self.run_context(g, &telemetry);
         let sims = Arc::new(Self::sorted_similarities(&pool, &g, &telemetry));
-        let output = match self.engine {
-            SweepEngine::Serial => sweep_with(&*g, &sims, self.sweep_config(), &telemetry),
-            SweepEngine::Auto | SweepEngine::UnionFind => {
-                ufsweep_with(&*g, &sims, self.sweep_config(), &pool, &telemetry)
-            }
-        };
+        let output = ufsweep_with(&*g, &sims, self.sweep_config(), &pool, &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
         // All worker clones are gone once the pool tasks rendezvoused;
         // the unwrap only clones if a tracer/recorder still holds one.
@@ -485,6 +452,7 @@ mod tests {
 
     #[test]
     fn traced_run_produces_consistent_timeline_and_file() {
+        use linkclust_core::json;
         use linkclust_core::telemetry::{trace, TraceCollector, TraceLabel};
         let g = gnm(50, 220, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 9);
         // Caller-owned collector, parallel fine run.
@@ -496,7 +464,7 @@ mod tests {
         trace::check_events(&events).unwrap();
         assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::InitPass1)));
         assert!(events.iter().any(|e| matches!(e.label, TraceLabel::PoolTask { .. })));
-        trace::validate_json(&collector.to_chrome_json()).unwrap();
+        json::parse(&collector.to_chrome_json()).unwrap();
         // .trace(path): the file lands on disk and is well-formed.
         let dir = std::env::temp_dir().join("linkclust-facade-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -504,12 +472,12 @@ mod tests {
         let cfg = CoarseConfig { phi: 5, initial_chunk: 8, ..Default::default() };
         let _ = LinkClustering::new().threads(2).trace(&path).run_coarse(&g, cfg).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        trace::validate_json(&text).unwrap();
+        json::parse(&text).unwrap();
         assert!(text.contains("\"ph\":\"X\""));
         // threads(1) traces through the serial path too.
         let _ = LinkClustering::new().trace(&path).run(&g).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        trace::validate_json(&text).unwrap();
+        json::parse(&text).unwrap();
         assert!(text.contains("\"name\":\"sweep\""));
         std::fs::remove_dir_all(&dir).ok();
     }

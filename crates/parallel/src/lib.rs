@@ -50,7 +50,7 @@ pub mod sort;
 pub mod sweep;
 pub mod ufsweep;
 
-pub use facade::{LinkClustering, SweepEngine};
+pub use facade::LinkClustering;
 pub use init::compute_similarities_parallel;
 pub use pool::WorkerPool;
 pub use sweep::{parallel_coarse_sweep, parallel_coarse_sweep_shared, ParallelChunkProcessor};

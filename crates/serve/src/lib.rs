@@ -14,8 +14,8 @@
 //!   JSON over TCP, answering queries from the published index behind
 //!   an LRU [`cache::AnswerCache`] while *batch admissions* (full
 //!   reclusters) run on a worker pool and swap the index atomically;
-//! * [`json`] — the dependency-free strict JSON subset the protocol
-//!   uses;
+//! * [`json`] — the workspace's one strict JSON reader and writer,
+//!   re-exported from `linkclust-core`, which the protocol speaks;
 //! * [`metrics`] — live runtime observability: Prometheus text
 //!   exposition ([`Server::metrics_text`]), a runtime-gauge ticker, and
 //!   a plain-HTTP `GET /metrics` responder.
@@ -26,11 +26,11 @@
 
 pub mod cache;
 pub mod index;
-pub mod json;
 pub mod metrics;
 pub mod server;
 
 pub use cache::AnswerCache;
 pub use index::{DendrogramIndex, IndexError, TopCommunity};
+pub use linkclust_core::json;
 pub use metrics::{read_rss_bytes, spawn_http, spawn_ticker, RuntimeSample, TICK_INTERVAL};
 pub use server::{ServeGraph, Server, ServerConfig};

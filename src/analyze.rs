@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use linkclust_serve::json::{self, Json};
+use linkclust_core::json::{self, Json};
 
 /// One `ph: "X"` complete event loaded from a trace document.
 #[derive(Clone, Debug)]

@@ -106,7 +106,7 @@ fn stats_json_is_last_and_separated_from_the_table() {
     let last = lines.last().expect("stderr non-empty");
     assert!(last.starts_with('{') && last.ends_with('}'), "last line not JSON: {last}");
     assert_eq!(lines[lines.len() - 2], "", "no blank line before the JSON: {stderr}");
-    linkclust::core::telemetry::trace::validate_json(last).expect("stats JSON must be parseable");
+    linkclust::core::json::parse(last).expect("stats JSON must be parseable");
     // The human table appears before the JSON, never after.
     let table_pos = stderr.find("phase").expect("report table present");
     let json_pos = stderr.rfind(last).expect("json present");
@@ -119,8 +119,7 @@ fn stats_json_alone_is_a_single_json_line() {
     assert!(ok, "stderr: {stderr}");
     let json_lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with('{')).collect();
     assert_eq!(json_lines.len(), 1, "exactly one JSON line: {stderr}");
-    linkclust::core::telemetry::trace::validate_json(json_lines[0])
-        .expect("stats JSON must be parseable");
+    linkclust::core::json::parse(json_lines[0]).expect("stats JSON must be parseable");
 }
 
 #[test]
@@ -133,7 +132,7 @@ fn trace_flag_writes_chrome_trace_json() {
     assert!(ok, "stderr: {stderr}");
     let text = std::fs::read_to_string(&path).expect("trace file written");
     let _ = std::fs::remove_file(&path);
-    linkclust::core::telemetry::trace::validate_json(&text).expect("valid JSON");
+    linkclust::core::json::parse(&text).expect("valid JSON");
     assert!(text.contains("\"traceEvents\""), "chrome trace envelope: {text}");
     assert!(text.contains("\"ph\":\"X\""), "complete events: {text}");
 }

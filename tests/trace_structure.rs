@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 
-use linkclust::core::telemetry::trace::{check_events, validate_json};
+use linkclust::core::json;
+use linkclust::core::telemetry::trace::check_events;
 use linkclust::core::telemetry::{Phase, TraceCollector, TraceLabel};
 use linkclust::graph::generate::{gnm, WeightMode};
 use linkclust::{CoarseConfig, LinkClustering};
@@ -48,7 +49,7 @@ fn traced_acceptance_run_produces_valid_chrome_trace_and_quantiles() {
     // --- the artifact Perfetto loads ---
     let json = std::fs::read_to_string(&trace_path).expect("trace file written");
     let _ = std::fs::remove_file(&trace_path);
-    validate_json(&json).expect("trace file is well-formed JSON");
+    json::parse(&json).expect("trace file is well-formed JSON");
     assert!(json.contains("\"traceEvents\""), "chrome trace envelope");
     assert!(json.contains("\"ph\":\"X\""), "complete events");
     assert!(json.contains("\"thread_name\""), "thread-name metadata");

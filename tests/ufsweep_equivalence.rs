@@ -8,10 +8,12 @@
 
 use std::sync::Arc;
 
+use linkclust::core::sweep::{sweep_with, SweepConfig, SweepOutput};
+use linkclust::core::telemetry::Telemetry;
 use linkclust::core::unionfind::{ConcurrentUnionFind, UnionFind};
 use linkclust::graph::generate::{barabasi_albert, gnm, lfr_like, WeightMode};
 use linkclust::parallel::pool::{partition_ranges, Task, WorkerPool};
-use linkclust::parallel::SweepEngine;
+use linkclust::parallel::ufsweep::ufsweep_with;
 use linkclust::{CsrGraph, LinkClustering, WeightedGraph};
 use proptest::prelude::*;
 
@@ -27,32 +29,47 @@ fn workloads() -> Vec<(&'static str, WeightedGraph)> {
     ]
 }
 
+/// The facade's sweep at `threads >= 2`: the union-find engine.
+fn facade_output(g: &WeightedGraph, threads: usize) -> SweepOutput {
+    LinkClustering::new().threads(threads).run(g).unwrap().output().clone()
+}
+
+/// The union-find engine on a 1-thread pool, driven directly: the
+/// facade runs the serial sweep at `threads(1)`.
+fn ufsweep_on_one_thread(g: &WeightedGraph) -> SweepOutput {
+    let sims = Arc::new(LinkClustering::new().similarities(g).unwrap());
+    let pool = Arc::new(WorkerPool::new(1));
+    ufsweep_with(g, &sims, SweepConfig::default(), &pool, &Telemetry::disabled())
+}
+
+/// The serial sweep over the list a 4-thread Phase I built.
+fn serial_sweep_of_parallel_list(g: &WeightedGraph) -> SweepOutput {
+    let sims = LinkClustering::new().threads(4).similarities(g).unwrap();
+    sweep_with(g, &sims, SweepConfig::default(), &Telemetry::disabled())
+}
+
+fn score_bits(output: &SweepOutput) -> Vec<u64> {
+    output.merge_scores().iter().map(|s| s.to_bits()).collect()
+}
+
 #[test]
 fn ufsweep_dendrogram_is_bit_identical_to_serial_at_every_thread_count() {
     for (name, g) in workloads() {
         let serial = LinkClustering::new().run(&g).unwrap();
         for threads in THREADS {
-            // threads == 1 forces the engine explicitly (Auto would take
-            // the serial path); >= 2 exercises the default dispatch.
-            let facade = if threads == 1 {
-                LinkClustering::new().sweep_engine(SweepEngine::UnionFind)
-            } else {
-                LinkClustering::new().threads(threads)
-            };
-            let par = facade.run(&g).unwrap();
+            let par =
+                if threads == 1 { ufsweep_on_one_thread(&g) } else { facade_output(&g, threads) };
             assert_eq!(
                 serial.dendrogram(),
                 par.dendrogram(),
                 "{name} t={threads}: dendrogram diverged from the serial oracle"
             );
-            let sb: Vec<u64> = serial.output().merge_scores().iter().map(|s| s.to_bits()).collect();
-            let pb: Vec<u64> = par.output().merge_scores().iter().map(|s| s.to_bits()).collect();
-            assert_eq!(sb, pb, "{name} t={threads}: merge scores diverged");
             assert_eq!(
-                serial.output().slot_of_edge(),
-                par.output().slot_of_edge(),
-                "{name} t={threads}"
+                score_bits(serial.output()),
+                score_bits(&par),
+                "{name} t={threads}: merge scores diverged"
             );
+            assert_eq!(serial.output().slot_of_edge(), par.slot_of_edge(), "{name} t={threads}");
         }
     }
 }
@@ -77,17 +94,14 @@ fn ufsweep_is_bit_identical_on_the_csr_backend() {
 fn cuts_are_identical_across_engines_at_several_thresholds() {
     for (name, g) in workloads() {
         let serial = LinkClustering::new().run(&g).unwrap();
-        let engines = [
-            LinkClustering::new().threads(4).sweep_engine(SweepEngine::Serial),
-            LinkClustering::new().threads(4), // Auto: the ufsweep engine
-            LinkClustering::new().sweep_engine(SweepEngine::UnionFind),
-        ];
-        for (which, facade) in engines.iter().enumerate() {
-            let par = facade.run(&g).unwrap();
+        let engines =
+            [serial_sweep_of_parallel_list(&g), facade_output(&g, 4), ufsweep_on_one_thread(&g)];
+        for (which, par) in engines.iter().enumerate() {
+            assert_eq!(score_bits(serial.output()), score_bits(par), "{name} engine #{which}");
             for theta in [0.2, 0.35, 0.5, 0.7, 0.9] {
                 assert_eq!(
                     serial.output().edge_assignments_at_similarity(theta),
-                    par.output().edge_assignments_at_similarity(theta),
+                    par.edge_assignments_at_similarity(theta),
                     "{name} engine #{which} theta {theta}"
                 );
             }
@@ -95,7 +109,7 @@ fn cuts_are_identical_across_engines_at_several_thresholds() {
             for level in [0, levels / 2, levels] {
                 assert_eq!(
                     serial.output().edge_assignments_at_level(level as u32),
-                    par.output().edge_assignments_at_level(level as u32),
+                    par.edge_assignments_at_level(level as u32),
                     "{name} engine #{which} level {level}"
                 );
             }
@@ -115,9 +129,7 @@ fn min_similarity_configs_agree_across_engines() {
         let serial = LinkClustering::new().min_similarity(theta).run(&g).unwrap();
         let par = LinkClustering::new().threads(4).min_similarity(theta).run(&g).unwrap();
         assert_eq!(serial.dendrogram(), par.dendrogram(), "theta {theta}");
-        let sb: Vec<u64> = serial.output().merge_scores().iter().map(|s| s.to_bits()).collect();
-        let pb: Vec<u64> = par.output().merge_scores().iter().map(|s| s.to_bits()).collect();
-        assert_eq!(sb, pb, "theta {theta}");
+        assert_eq!(score_bits(serial.output()), score_bits(par.output()), "theta {theta}");
     }
 }
 

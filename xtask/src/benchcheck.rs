@@ -1,10 +1,9 @@
 //! Structural validation of the benchmark artifacts, for the
 //! `bench-ladder`, `bench-serve`, and `serve-smoke` gates.
 //!
-//! Re-parses each artifact with the harness's own JSON reader (shared
-//! with [`crate::tracecheck`]) so a bug in the bench crate's
-//! hand-rolled writers cannot hide behind the bench crate's own
-//! serializer.
+//! Re-parses each artifact with the workspace's strict JSON parser
+//! ([`linkclust_core::json`]), so a bench writer that emits non-JSON
+//! fails the gate, then checks the document's shape.
 //!
 //! For `BENCH_scale.json` (`linkclust-bench-scale/v2`): the document
 //! header, the hardware block (visible cores, optional cgroup quota,
@@ -26,7 +25,7 @@
 //! old-generation answers *while* the admission was in flight (the
 //! no-stall evidence).
 
-use crate::tracecheck::{parse, Json};
+use linkclust_core::json::{parse, Json};
 
 /// What a validated scale document contained, for the gate's log line.
 #[derive(Debug)]

@@ -21,7 +21,7 @@
 
 use std::path::Path;
 
-use crate::tracecheck::{parse, Json};
+use linkclust_core::json::{self, parse, Json};
 
 /// Relative slowdown required before a latency metric counts as a
 /// regression (new > old × this).
@@ -71,9 +71,9 @@ impl DiffReport {
     fn to_json(&self) -> String {
         let count = self.regressions().count();
         let mut out = String::from("{\"schema\":\"linkclust-bench-diff/v1\",\"artifact_schema\":");
-        push_json_str(&mut out, &self.artifact_schema);
+        json::write_escaped(&mut out, &self.artifact_schema);
         out.push_str(",\"threshold\":");
-        push_f64(&mut out, self.threshold);
+        json::write_f64(&mut out, self.threshold);
         out.push_str(",\"regressions\":");
         out.push_str(&count.to_string());
         out.push_str(",\"ok\":");
@@ -84,43 +84,19 @@ impl DiffReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            push_json_str(&mut out, &m.name);
+            json::write_escaped(&mut out, &m.name);
             out.push_str(",\"old\":");
-            push_f64(&mut out, m.old);
+            json::write_f64(&mut out, m.old);
             out.push_str(",\"new\":");
-            push_f64(&mut out, m.new);
+            json::write_f64(&mut out, m.new);
             out.push_str(",\"ratio\":");
-            push_f64(&mut out, if m.old > 0.0 { m.new / m.old } else { f64::NAN });
+            json::write_f64(&mut out, if m.old > 0.0 { m.new / m.old } else { f64::NAN });
             out.push_str(",\"regressed\":");
             out.push_str(if m.regressed { "true" } else { "false" });
             out.push('}');
         }
         out.push_str("]}\n");
         out
-    }
-}
-
-/// Minimal JSON string writer (metric names contain no exotic bytes,
-/// but escape defensively anyway).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Writes a finite number, or `null` for NaN/infinities (strict JSON).
-fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        out.push_str(&format!("{x:?}"));
-    } else {
-        out.push_str("null");
     }
 }
 

@@ -259,7 +259,7 @@ fn run_bench_build(root: &Path) -> Result<(), String> {
 }
 
 /// Runs a tiny traced clustering through the real CLI and validates the
-/// Chrome trace artifact with the harness's own JSON reader (see
+/// Chrome trace artifact with the workspace's strict JSON parser (see
 /// [`tracecheck`]). The artifact is left at
 /// `target/trace-smoke/trace.json` so CI can upload it.
 fn run_trace_smoke(root: &Path) -> Result<(), String> {
@@ -355,8 +355,8 @@ fn run_bench_smoke(root: &Path, extra: &[&str]) -> Result<(), String> {
 
 /// Builds and runs the `bench_ladder` binary in release mode, forwarding
 /// any extra CLI flags (`--smoke`, `--runs N`, `--out PATH`), then
-/// validates the artifact it wrote with the harness's own JSON reader
-/// (see [`benchcheck`]). A full (non-smoke) document must reach the
+/// validates the artifact it wrote with the workspace's strict JSON
+/// parser (see [`benchcheck`]). A full (non-smoke) document must reach the
 /// million-edge tier. With `--check-only` the (expensive) ladder run is
 /// skipped and an existing artifact is validated in place.
 fn run_bench_ladder(root: &Path, extra: &[&str]) -> Result<(), String> {

@@ -1,68 +1,18 @@
 //! Structural validation of Chrome trace-event JSON, for the
 //! `trace-smoke` gate.
 //!
-//! Dependency-free on purpose: the harness re-parses the artifact the
-//! `linkclust --trace` run wrote with its own tiny JSON reader, so a bug
-//! in the library's hand-rolled writer cannot hide behind the library's
-//! own validator. Checks the JSON Object Format of the Chrome
-//! trace-event spec: a top-level object with a `traceEvents` array,
-//! every event carrying a `ph` phase tag, complete (`"X"`) events
-//! carrying `name`/`ts`/`dur`/`pid`/`tid`, and per-`tid` timestamps
-//! monotone non-decreasing with properly nested (never partially
-//! overlapping) intervals.
+//! The artifact the `linkclust --trace` run wrote is parsed with the
+//! workspace's strict RFC 8259 parser ([`linkclust_core::json`]), so a
+//! writer bug that emits non-JSON fails here. Checks the JSON Object
+//! Format of the Chrome trace-event spec: a top-level object with a
+//! `traceEvents` array, every event carrying a `ph` phase tag, complete
+//! (`"X"`) events carrying `name`/`ts`/`dur`/`pid`/`tid`, and per-`tid`
+//! timestamps monotone non-decreasing with properly nested (never
+//! partially overlapping) intervals.
 
 use std::collections::HashMap;
 
-/// A parsed JSON value (just enough of RFC 8259 for the harness's
-/// artifacts; shared with the `bench-ladder` schema check in
-/// [`crate::benchcheck`]).
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, when it is one exactly.
-    #[allow(clippy::float_cmp, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub(crate) fn as_index(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.trunc() == *n && *n <= 2f64.powi(53) => Some(*n as u64),
-            _ => None,
-        }
-    }
-}
+use linkclust_core::json::{parse, Json};
 
 /// What a validated trace contained, for the gate's log line.
 #[derive(Debug)]
@@ -153,175 +103,6 @@ pub(crate) fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     Ok(TraceSummary { complete_events, threads: open.len(), dropped })
 }
 
-/// Parses `text` as a single JSON value (with nothing but whitespace
-/// after it).
-pub(crate) fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-const MAX_DEPTH: usize = 128;
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_DEPTH {
-        return Err("nesting too deep".to_string());
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".to_string());
-            }
-            Some(b'\\') => match bytes.get(*pos + 1) {
-                Some(b'u') => {
-                    // \uXXXX: keep the raw escape; the validator never
-                    // compares decoded non-ASCII text.
-                    let hex = bytes
-                        .get(*pos + 2..*pos + 6)
-                        .ok_or_else(|| "truncated \\u escape".to_string())?;
-                    if !hex.iter().all(u8::is_ascii_hexdigit) {
-                        return Err(format!("invalid \\u escape at byte {pos}"));
-                    }
-                    out.extend_from_slice(&bytes[*pos..*pos + 6]);
-                    *pos += 6;
-                }
-                Some(c @ (b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't')) => {
-                    out.push(match c {
-                        b'b' => 0x08,
-                        b'f' => 0x0c,
-                        b'n' => b'\n',
-                        b'r' => b'\r',
-                        b't' => b'\t',
-                        c => *c,
-                    });
-                    *pos += 2;
-                }
-                _ => return Err(format!("invalid escape at byte {pos}")),
-            },
-            Some(c) if *c < 0x20 => {
-                return Err(format!("unescaped control character at byte {pos}"))
-            }
-            Some(c) => {
-                out.push(*c);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while bytes
-        .get(*pos)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while bytes.get(*pos).is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r')) {
-        *pos += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,5 +140,17 @@ mod tests {
             {"name":"a","ph":"X","ts":0,"dur":10,"pid":1,"tid":0},
             {"name":"b","ph":"X","ts":5,"dur":10,"pid":1,"tid":0}]}"#;
         assert!(check_chrome_trace(overlap).unwrap_err().contains("overlaps"));
+    }
+
+    #[test]
+    fn rejects_traces_that_are_not_json() {
+        // A bare fraction is not an RFC 8259 number, and a lone high
+        // surrogate is not a Unicode scalar value; both documents are
+        // otherwise well-formed traces.
+        for (from, to) in [("\"ts\":2.000", "\"ts\":.5"), ("\"main\"", "\"\\ud800\"")] {
+            let broken = GOOD.replace(from, to);
+            assert_ne!(broken, GOOD);
+            assert!(check_chrome_trace(&broken).is_err(), "accepted {to}");
+        }
     }
 }
