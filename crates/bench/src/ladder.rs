@@ -228,13 +228,12 @@ pub fn build_workload(spec: RungSpec) -> (WeightedGraph, Option<PlantedPartition
 /// instrumented run never contaminates the wall-clock samples).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseSplit {
-    /// Initialization: passes 1–3 plus the parallel shard fold / map
-    /// merge, whichever the run used.
+    /// Initialization: passes 1–3 plus the parallel shard fold.
     pub init_ms: f64,
     /// Sorting the similarity list.
     pub sort_ms: f64,
     /// The sweep (outer span — for the ufsweep engine this contains the
-    /// local, stitch, and replay sub-phases).
+    /// local and replay sub-phases).
     pub sweep_ms: f64,
 }
 
@@ -247,7 +246,6 @@ impl PhaseSplit {
             init_ms: ms(Phase::InitPass1)
                 + ms(Phase::InitPass2)
                 + ms(Phase::InitShardFold)
-                + ms(Phase::InitMapMerge)
                 + ms(Phase::InitPass3),
             sort_ms: ms(Phase::Sort),
             sweep_ms: ms(Phase::Sweep),

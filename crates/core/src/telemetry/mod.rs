@@ -69,61 +69,53 @@ pub enum Phase {
     InitPass1 = 0,
     /// Initialization pass 2: pair-map accumulation.
     InitPass2 = 1,
-    /// Hierarchical merge of per-thread pair maps (parallel pass 2 only).
-    InitMapMerge = 2,
     /// Initialization pass 3: adjacency correction + final similarity.
-    InitPass3 = 3,
+    InitPass3 = 2,
     /// Sorting the similarity list `L`.
-    Sort = 4,
+    Sort = 3,
     /// The fine-grained sweeping phase (one span per sweep).
-    Sweep = 5,
+    Sweep = 4,
     /// One epoch of the coarse-grained sweep (one span per epoch,
     /// committed or rolled back).
-    CoarseEpoch = 6,
+    CoarseEpoch = 5,
     /// Per-thread chunk processing inside a parallel epoch.
-    ChunkProcess = 7,
+    ChunkProcess = 6,
     /// Chain-union combination of per-thread cluster arrays.
-    ChunkCombine = 8,
+    ChunkCombine = 7,
     /// Time a worker-pool task spent queued before a worker picked it up
     /// (one span per pooled task; high totals mean the pool is
     /// oversubscribed).
-    PoolQueueWait = 9,
+    PoolQueueWait = 8,
     /// Owner-thread fold of routed shard records into the flat
-    /// accumulators (parallel pass 2 only — replaces the hierarchical
-    /// map merge).
-    InitShardFold = 10,
+    /// accumulators (parallel pass 2 only).
+    InitShardFold = 9,
     /// Per-block local union-find candidate pass of the `ufsweep` engine
     /// (one span per block, recorded on the worker that ran it).
-    SweepLocal = 11,
-    /// Boundary-stitch phase of the `ufsweep` engine: the Borůvka-style
-    /// minimum-spanning-forest filter over block-local candidates.
-    SweepStitch = 12,
-    /// Exact serial replay of surviving unions into the dendrogram
-    /// (`ufsweep` engine).
-    SweepReplay = 13,
+    SweepLocal = 10,
+    /// Serial Kruskal pass of the `ufsweep` engine: filters the block
+    /// candidates and emits the dendrogram's merge records in one loop.
+    SweepReplay = 11,
     /// One light query answered by `linkclustd` (cut, membership, top-k,
     /// or profile — one span per request).
-    ServeQuery = 14,
+    ServeQuery = 12,
     /// One batch-admission job (full recluster) executed by the serve
     /// worker, from dequeue to fresh index built.
-    ServeAdmit = 15,
+    ServeAdmit = 13,
     /// The atomic index swap publishing a freshly built index to query
     /// traffic (one span per swap; should be nanoseconds).
-    ServeSwap = 16,
+    ServeSwap = 14,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 17] = [
+    pub const ALL: [Phase; 15] = [
         Phase::InitPass1,
         Phase::InitPass2,
         Phase::InitShardFold,
-        Phase::InitMapMerge,
         Phase::InitPass3,
         Phase::Sort,
         Phase::Sweep,
         Phase::SweepLocal,
-        Phase::SweepStitch,
         Phase::SweepReplay,
         Phase::CoarseEpoch,
         Phase::ChunkProcess,
@@ -140,7 +132,6 @@ impl Phase {
         match self {
             Phase::InitPass1 => "init_pass1",
             Phase::InitPass2 => "init_pass2",
-            Phase::InitMapMerge => "init_map_merge",
             Phase::InitPass3 => "init_pass3",
             Phase::Sort => "sort",
             Phase::Sweep => "sweep",
@@ -150,7 +141,6 @@ impl Phase {
             Phase::PoolQueueWait => "pool_queue_wait",
             Phase::InitShardFold => "init_shard_fold",
             Phase::SweepLocal => "sweep_local",
-            Phase::SweepStitch => "sweep_stitch",
             Phase::SweepReplay => "sweep_replay",
             Phase::ServeQuery => "serve_query",
             Phase::ServeAdmit => "serve_admit",

@@ -144,38 +144,22 @@ pub fn compute_similarities_parallel<G>(g: &G, threads: usize) -> PairSimilariti
 where
     G: GraphView + Clone + Send + Sync + 'static,
 {
-    compute_similarities_parallel_with(g, threads, &Telemetry::disabled())
-}
-
-/// [`compute_similarities_parallel`] with phase-level telemetry: each
-/// pass runs under its own span (the owner fold of pass 2 gets a
-/// separate [`Phase::InitShardFold`] span), the K₁/K₂ counters and the
-/// shard-exchange record volume ([`Counter::ShardRecords`]) are
-/// recorded, each owner's folded record count feeds the per-thread item
-/// counts for load-imbalance analysis, and every owner table's final
-/// load factor is sampled into [`Gauge::TableOccupancy`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-#[must_use]
-pub fn compute_similarities_parallel_with<G>(
-    g: &G,
-    threads: usize,
-    telemetry: &Telemetry,
-) -> PairSimilarities
-where
-    G: GraphView + Clone + Send + Sync + 'static,
-{
     assert!(threads > 0, "need at least one thread");
-    let pool = WorkerPool::new(threads).with_telemetry(telemetry.clone());
-    compute_similarities_pooled(&pool, &Arc::new(g.clone()), telemetry)
+    let pool = WorkerPool::new(threads);
+    compute_similarities_pooled(&pool, &Arc::new(g.clone()), &Telemetry::disabled())
 }
 
 /// Phase I on a caller-supplied [`WorkerPool`] — the variant the facade
 /// uses so one pool serves the whole run (init and sweep). The
 /// graph is shared with the workers via `Arc`, so the only per-run copy
 /// is whatever the caller paid to build it.
+///
+/// Each pass runs under its own span (the owner fold of pass 2 gets a
+/// separate [`Phase::InitShardFold`] span), the K₁/K₂ counters and the
+/// shard-exchange record volume ([`Counter::ShardRecords`]) are
+/// recorded, each owner's folded record count feeds the per-thread item
+/// counts for load-imbalance analysis, and every owner table's final
+/// load factor is sampled into [`Gauge::TableOccupancy`].
 #[must_use]
 pub fn compute_similarities_pooled<G>(
     pool: &WorkerPool,

@@ -30,7 +30,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::merge::merge_cluster_arrays;
 use crate::pool::balanced_partition_by_weight;
-use crate::ufsweep::{kruskal_filter, Candidate};
 
 /// Exhaustive checking is used up to this many thread copies (4! = 24
 /// orders); larger inputs fall back to seeded sampling.
@@ -209,117 +208,6 @@ pub fn replay_chunk_schedules<G: GraphView + ?Sized>(
     check_schedules_with(&copies, &serial, seed, merge_cluster_arrays)
 }
 
-/// A stitch schedule whose survivor set diverged from the serial MSF
-/// oracle (see [`check_stitch_schedules`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StitchViolation {
-    /// The candidate visit order that produced the divergence (indices
-    /// into the candidate list).
-    pub order: Vec<usize>,
-    /// Surviving candidate ranks the permuted stitch produced.
-    pub got: Vec<u32>,
-    /// Surviving candidate ranks of the serial Kruskal oracle.
-    pub expected: Vec<u32>,
-}
-
-impl std::fmt::Display for StitchViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "stitching candidates in visit order {:?} survived {:?}, but the serial MSF is {:?}",
-            self.order, self.got, self.expected
-        )
-    }
-}
-
-impl std::error::Error for StitchViolation {}
-
-/// Replays the `ufsweep` boundary stitch under explicit candidate visit
-/// orders — the loom-style counterpart of [`check_schedules_with`] for
-/// the Borůvka filter. A worker schedule decides which thread touches
-/// which candidate first in each of the stitch's three passes (select,
-/// claim, unite); this harness emulates that nondeterminism
-/// deterministically by running a *sequential* Borůvka whose passes
-/// visit candidates in a permuted order, and requires the surviving set
-/// to equal the serial Kruskal oracle
-/// ([`crate::ufsweep::kruskal_filter`]) for every replayed order —
-/// the uniqueness-of-the-MSF property the parallel stitch's exactness
-/// rests on.
-///
-/// Orders come from [`combination_orders`]: exhaustive for up to
-/// [`EXHAUSTIVE_LIMIT`] candidates, a seeded sample above that.
-///
-/// # Errors
-///
-/// Returns the first diverging visit order as a [`StitchViolation`].
-pub fn check_stitch_schedules(
-    m: usize,
-    candidates: &[Candidate],
-    seed: u64,
-) -> Result<ScheduleReport, Box<StitchViolation>> {
-    let expected = kruskal_filter(m, candidates);
-    let (orders, exhaustive) = combination_orders(candidates.len(), seed);
-    for order in &orders {
-        let got = stitch_under_order(m, candidates, order);
-        if got != expected {
-            return Err(Box::new(StitchViolation { order: order.clone(), got, expected }));
-        }
-    }
-    Ok(ScheduleReport { orders_checked: orders.len(), exhaustive })
-}
-
-/// One sequential Borůvka stitch with every pass visiting candidates in
-/// the order induced by `order` — the same select/claim/unite round
-/// structure as [`crate::ufsweep::boruvka_filter`], minus the threads.
-fn stitch_under_order(m: usize, candidates: &[Candidate], order: &[usize]) -> Vec<u32> {
-    let mut uf = linkclust_core::unionfind::UnionFind::new(m);
-    let mut live: Vec<u32> = order.iter().map(|&i| i as u32).collect();
-    let mut survivors: Vec<u32> = Vec::new();
-    while !live.is_empty() {
-        // Select: each still-open component offers its minimum-rank
-        // incident candidate (visit order only changes write order, and
-        // min is write-order-free — exactly like the fetch_min pass).
-        let mut best: Vec<u32> = vec![u32::MAX; m];
-        let mut open = Vec::new();
-        for &ci in &live {
-            let c = candidates[ci as usize];
-            let (ra, rb) = (uf.find(c.s1 as usize) as usize, uf.find(c.s2 as usize) as usize);
-            if ra == rb {
-                continue;
-            }
-            best[ra] = best[ra].min(ci);
-            best[rb] = best[rb].min(ci);
-            open.push(ci);
-        }
-        // Claim: winners are the claimed minima (roots unchanged — no
-        // unions have happened since the select pass).
-        let (mut winners, mut retained) = (Vec::new(), Vec::new());
-        for &ci in &open {
-            let c = candidates[ci as usize];
-            let ra = uf.find(c.s1 as usize) as usize;
-            let rb = uf.find(c.s2 as usize) as usize;
-            if best[ra] == ci || best[rb] == ci {
-                winners.push(ci);
-            } else {
-                retained.push(ci);
-            }
-        }
-        // Unite: in visit order — every interleaving must succeed, the
-        // forest property the parallel unite pass asserts.
-        for &ci in &winners {
-            let c = candidates[ci as usize];
-            assert!(
-                uf.union(c.s1 as usize, c.s2 as usize),
-                "round winners must form a forest in every schedule"
-            );
-        }
-        survivors.extend_from_slice(&winners);
-        live = retained;
-    }
-    survivors.sort_unstable();
-    survivors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,69 +316,6 @@ mod tests {
             replay_chunk_schedules(&g, &slot_of_edge, &sims, half..sims.len(), &base, 4, 29)
                 .unwrap_or_else(|v| panic!("mid-chunk replay: {v}"));
         assert!(report.exhaustive);
-    }
-
-    /// The full (unfiltered) operation stream of a graph's sweep is a
-    /// valid candidate list — blocks of size one — so the stitch must
-    /// survive it under every visit order.
-    fn sweep_op_stream(g: &WeightedGraph) -> (usize, Vec<Candidate>) {
-        let sims = compute_similarities(g).into_sorted();
-        let index = EdgeIndex::for_graph(g);
-        let mut ops = Vec::new();
-        for (ei, entry) in sims.entries().iter().enumerate() {
-            let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in sims.common_neighbors(entry) {
-                let e1 = index.edge_between(vi, vk).unwrap();
-                let e2 = index.edge_between(vj, vk).unwrap();
-                ops.push(Candidate {
-                    s1: e1.index() as u32,
-                    s2: e2.index() as u32,
-                    entry: ei as u32,
-                });
-            }
-        }
-        (g.edge_count(), ops)
-    }
-
-    #[test]
-    fn stitch_survivors_are_schedule_independent_on_sweep_streams() {
-        for seed in [3, 19, 31] {
-            let g = gnm(18, 40, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
-            let (m, ops) = sweep_op_stream(&g);
-            let report = check_stitch_schedules(m, &ops, seed)
-                .unwrap_or_else(|v| panic!("gnm seed {seed}: {v}"));
-            assert!(report.orders_checked >= 2, "seed {seed}: no orders replayed");
-        }
-    }
-
-    #[test]
-    fn stitch_exhaustive_mode_covers_tiny_candidate_lists() {
-        // Four candidates over five slots: a path plus one redundant op.
-        let candidates = [
-            Candidate { s1: 0, s2: 1, entry: 0 },
-            Candidate { s1: 1, s2: 2, entry: 1 },
-            Candidate { s1: 0, s2: 2, entry: 2 }, // cycle-closer: must never survive
-            Candidate { s1: 3, s2: 4, entry: 3 },
-        ];
-        let report = check_stitch_schedules(5, &candidates, 0).expect("exact in every order");
-        assert!(report.exhaustive);
-        assert_eq!(report.orders_checked, 24);
-        assert_eq!(kruskal_filter(5, &candidates), vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn stitch_harness_catches_a_broken_oracle() {
-        // Sanity: the harness really compares against Kruskal — a
-        // candidate list where visit order would matter for a *naive*
-        // greedy (no min-claim) stitch still converges to the MSF here.
-        let candidates = [
-            Candidate { s1: 0, s2: 1, entry: 0 },
-            Candidate { s1: 1, s2: 0, entry: 1 },
-            Candidate { s1: 1, s2: 2, entry: 2 },
-        ];
-        let report = check_stitch_schedules(3, &candidates, 1).unwrap();
-        assert!(report.exhaustive);
-        assert_eq!(kruskal_filter(3, &candidates), vec![0, 2]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Prometheus scraper can pull the daemon without speaking the JSON
 //! line protocol.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,7 +17,7 @@ use std::time::Duration;
 use linkclust_core::telemetry::TimeSeriesRing;
 use linkclust_parallel::pool::ServiceThread;
 
-use crate::server::Server;
+use crate::server::{read_request_line, RequestLine, Server, MAX_REQUEST_LINE};
 
 /// Samples retained per runtime gauge ring (at the daemon's 1 s tick,
 /// a ten-minute window).
@@ -178,24 +178,31 @@ pub fn spawn_http(listener: TcpListener, server: Arc<Server>) -> ServiceThread {
     })
 }
 
-/// Reads one HTTP request head and writes the matching response. All
-/// I/O errors abandon the connection silently — a broken scraper must
-/// not affect the daemon.
+/// Reads one HTTP request head and writes the matching response: `400`
+/// for a request or header line longer than [`MAX_REQUEST_LINE`]
+/// bytes. All I/O errors abandon the connection silently — a broken
+/// scraper must not affect the daemon.
 fn handle_http_request(stream: std::net::TcpStream, server: &Server) {
     let Ok(clone) = stream.try_clone() else { return };
     let mut reader = BufReader::new(clone);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
+    let too_long = |stream| {
+        let body = format!("request line exceeds {MAX_REQUEST_LINE} bytes\n");
+        respond(stream, "400 Bad Request", "text/plain", &body);
+    };
+    let mut request_buf = Vec::new();
+    let request_line = match read_request_line(&mut reader, &mut request_buf) {
+        Ok(RequestLine::Line(line)) => line,
+        Ok(RequestLine::Eof) => "",
+        Ok(RequestLine::TooLong) => return too_long(stream),
+        Err(_) => return,
+    };
     // Drain the header block so the client sees a clean close.
-    let mut header = String::new();
+    let mut header = Vec::new();
     loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => {}
+        match read_request_line(&mut reader, &mut header) {
+            Ok(RequestLine::Line("\r\n" | "\n")) | Ok(RequestLine::Eof) | Err(_) => break,
+            Ok(RequestLine::Line(_)) => {}
+            Ok(RequestLine::TooLong) => return too_long(stream),
         }
     }
     let mut parts = request_line.split_whitespace();
@@ -208,7 +215,11 @@ fn handle_http_request(stream: std::net::TcpStream, server: &Server) {
     } else {
         ("404 Not Found", "text/plain", "try /metrics\n".to_string())
     };
-    let mut out = stream;
+    respond(stream, status, content_type, &body);
+}
+
+/// Writes one `Connection: close` response and closes the write side.
+fn respond(mut out: std::net::TcpStream, status: &str, content_type: &str, body: &str) {
     let _ = write!(
         out,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -216,6 +227,9 @@ fn handle_http_request(stream: std::net::TcpStream, server: &Server) {
     );
     let _ = out.write_all(body.as_bytes());
     let _ = out.flush();
+    // A refused request may leave bytes unread, and dropping the socket
+    // then resets it; a FIN first lets the client read the response.
+    let _ = out.shutdown(std::net::Shutdown::Write);
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 //! object per line, one response object per line, no framing beyond
 //! `\n`. Requests are untrusted: every malformed line produces an
 //! `{"ok":false,"error":...}` response, never a panic or a dropped
-//! connection.
+//! connection. The one exception is a line longer than
+//! [`MAX_REQUEST_LINE`] bytes: it gets the error response and then the
+//! connection closes, so no client can grow the read buffer without
+//! bound.
 //!
 //! ```text
 //! {"op":"cut","theta":0.3}            -> {"ok":true,"generation":1,"level":..,"clusters":..}
@@ -35,8 +38,8 @@
 //! generation before caching its rendered answer, so a swap can never
 //! strand a stale entry in the cache.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -523,13 +526,25 @@ impl Server {
         let Ok(clone) = stream.try_clone() else { return false };
         let mut reader = BufReader::new(clone);
         let mut writer = BufWriter::new(stream);
-        let mut line = String::new();
+        let mut buf = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return false,
-                Ok(_) => {}
-            }
+            let line = match read_request_line(&mut reader, &mut buf) {
+                Ok(RequestLine::Line(line)) => line,
+                Ok(RequestLine::TooLong) => {
+                    let response =
+                        error_response(&format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+                    let _ = writer
+                        .write_all(response.as_bytes())
+                        .and_then(|()| writer.write_all(b"\n"))
+                        .and_then(|()| writer.flush());
+                    // The rest of the line stays unread, so dropping the
+                    // socket resets the connection; a FIN first lets the
+                    // client read the reply and a clean end of stream.
+                    let _ = writer.get_ref().shutdown(Shutdown::Write);
+                    return false;
+                }
+                Ok(RequestLine::Eof) | Err(_) => return false,
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
@@ -936,6 +951,47 @@ fn write_cut(out: &mut String, level: u32, clusters: usize, density: f64) {
     out.push('}');
 }
 
+/// The longest request line either `linkclustd` listener accepts, in
+/// bytes before the newline: the query socket and the `/metrics` HTTP
+/// responder both refuse a longer one and close the connection.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// One line read by [`read_request_line`].
+pub(crate) enum RequestLine<'a> {
+    /// A line of at most [`MAX_REQUEST_LINE`] bytes, with its newline if
+    /// the stream had one.
+    Line(&'a str),
+    /// The stream ended before any byte.
+    Eof,
+    /// More than [`MAX_REQUEST_LINE`] bytes arrived without a newline.
+    TooLong,
+}
+
+/// Reads one `\n`-terminated line into `buf`, taking at most
+/// [`MAX_REQUEST_LINE`]` + 1` bytes from `reader`, so a client that never
+/// sends a newline costs a bounded buffer.
+///
+/// # Errors
+///
+/// Propagates read errors (including timeouts); a line that is not
+/// UTF-8 is an [`InvalidData`](std::io::ErrorKind::InvalidData) error.
+pub(crate) fn read_request_line<'a, R: BufRead>(
+    reader: &mut R,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<RequestLine<'a>> {
+    buf.clear();
+    let n = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    if n > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+        return Ok(RequestLine::TooLong);
+    }
+    std::str::from_utf8(buf)
+        .map(RequestLine::Line)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
 /// Renders an `{"ok":false,...}` response.
 fn error_response(message: &str) -> String {
     let mut out = String::from("{\"ok\":false,\"error\":");
@@ -1160,5 +1216,48 @@ mod tests {
         assert!(cut.contains("\"ok\":true"), "{cut}");
         let bye = ask(r#"{"op":"shutdown"}"#);
         assert!(bye.contains("\"bye\":true"), "{bye}");
+    }
+
+    /// Connects to `addr`, sends `request`, keeps the socket open and
+    /// returns everything read up to end of stream, which must arrive
+    /// within 10 s.
+    fn exchange(addr: std::net::SocketAddr, request: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        // A server that stops reading early resets the connection, which
+        // may fail this write; only the reply matters.
+        let _ = stream.write_all(request);
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("a reply and end of stream within 10 s");
+        reply
+    }
+
+    #[test]
+    fn over_long_request_lines_are_refused_on_both_listeners() {
+        let unterminated = vec![b'x'; 1 << 20];
+        let server = std::sync::Arc::new(test_server(2));
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let background = std::sync::Arc::clone(&server);
+        server.pool.submit(move || {
+            let _ = background.serve(&listener);
+        });
+        assert_eq!(
+            exchange(addr, &unterminated),
+            "{\"ok\":false,\"error\":\"request line exceeds 65536 bytes\"}\n"
+        );
+        let next = exchange(addr, b"{\"op\":\"cut\",\"theta\":0.3}\n{\"op\":\"shutdown\"}\n");
+        assert!(next.starts_with("{\"ok\":true,"), "{next}");
+        assert!(next.ends_with("\"bye\":true}\n"), "{next}");
+
+        let http = TcpListener::bind("127.0.0.1:0").unwrap();
+        let http_addr = http.local_addr().unwrap();
+        let _responder = crate::metrics::spawn_http(http, std::sync::Arc::clone(&server));
+        let refused = exchange(http_addr, &unterminated);
+        assert!(refused.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{refused}");
+        assert!(refused.ends_with("request line exceeds 65536 bytes\n"), "{refused}");
+        let scrape = exchange(http_addr, b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+        assert!(scrape.starts_with("HTTP/1.1 200 OK\r\n"), "{scrape}");
     }
 }

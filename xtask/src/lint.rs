@@ -52,13 +52,7 @@ use crate::lexer::{lex, Token, TokenKind};
 /// Modules allowed to use atomic memory orderings at all. Everything
 /// else must go through these abstractions instead of rolling its own
 /// atomics.
-const ATOMICS_MODULES: &[&str] = &[
-    "core::telemetry::trace",
-    "core::unionfind",
-    "parallel::pool",
-    "parallel::ufsweep",
-    "bench::alloc",
-];
+const ATOMICS_MODULES: &[&str] = &["core::telemetry::trace", "parallel::pool", "bench::alloc"];
 
 /// Modules allowed to publish with `store(..., Ordering::Relaxed)` —
 /// exactly the single-writer trace-ring protocol, where the relaxed
