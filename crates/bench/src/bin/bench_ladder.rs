@@ -1,7 +1,10 @@
 //! The scale benchmark ladder: generator families × edge tiers up to
 //! 10⁶ edges, each rung timed on the CSR backend at threads {1, 2, 4, 8}
 //! and checked bit-for-bit against the adjacency-list oracle. Results
-//! land in `BENCH_scale.json` (override with `--out <path>`).
+//! land in `BENCH_scale.json`, or for `--smoke` in
+//! `target/bench-ladder/BENCH_scale_smoke.json` so a smoke run never
+//! replaces the committed full ladder (override either with
+//! `--out <path>`).
 //!
 //! The parent process re-executes itself once per rung with
 //! `--one-rung <family:tier>` so every rung's peak RSS (`VmHWM`) is
@@ -23,16 +26,20 @@ use linkclust_bench::ladder::{
     detect_hardware, document_json, run_rung, rung_specs, RungSpec, THREADS,
 };
 
+/// Where the full ladder's document goes without `--out`.
+const FULL_OUT: &str = "BENCH_scale.json";
+/// Where a `--smoke` document goes without `--out`.
+const SMOKE_OUT: &str = "target/bench-ladder/BENCH_scale_smoke.json";
+
 struct Args {
     smoke: bool,
     runs: usize,
-    out_path: String,
+    out_path: Option<String>,
     one_rung: Option<String>,
 }
 
 fn parse_args() -> Args {
-    let mut parsed =
-        Args { smoke: false, runs: 3, out_path: String::from("BENCH_scale.json"), one_rung: None };
+    let mut parsed = Args { smoke: false, runs: 3, out_path: None, one_rung: None };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -43,7 +50,7 @@ fn parse_args() -> Args {
             }
             "--out" => {
                 if let Some(v) = args.next() {
-                    parsed.out_path = v;
+                    parsed.out_path = Some(v);
                 }
             }
             "--one-rung" => parsed.one_rung = args.next(),
@@ -143,11 +150,19 @@ fn main() {
     }
 
     let doc = document_json(args.smoke, args.runs, &hardware, speedup_at_largest, &rung_objects);
-    if let Err(e) = std::fs::write(&args.out_path, &doc) {
-        eprintln!("failed to write {}: {e}", args.out_path);
+    let out_path = args
+        .out_path
+        .unwrap_or_else(|| String::from(if args.smoke { SMOKE_OUT } else { FULL_OUT }));
+    let written = match std::path::Path::new(&out_path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
+    }
+    .and_then(|()| std::fs::write(&out_path, &doc));
+    if let Err(e) = written {
+        eprintln!("failed to write {out_path}: {e}");
         std::process::exit(1);
     }
-    println!("wrote {} ({} rungs)", args.out_path, rung_objects.len());
+    println!("wrote {out_path} ({} rungs)", rung_objects.len());
     if !all_ok {
         eprintln!("one or more rungs failed their correctness checks");
         std::process::exit(1);

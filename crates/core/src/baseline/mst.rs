@@ -11,9 +11,9 @@
 
 use linkclust_graph::{EdgeIndex, GraphView};
 
-use crate::dendrogram::{Dendrogram, MergeRecord};
+use crate::dendrogram::Dendrogram;
 use crate::similarity::PairSimilarities;
-use crate::unionfind::UnionFind;
+use crate::sweep::KruskalMerges;
 
 /// Configuration for the MST-based single-linkage baseline.
 ///
@@ -73,22 +73,16 @@ impl MstClustering {
         }
         arcs.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| (a.1, a.2).cmp(&(b.1, b.2))));
 
-        let mut uf = UnionFind::new(n);
-        let mut merges = Vec::new();
-        let mut level = 0u32;
+        let mut kruskal = KruskalMerges::new(n);
         for (s, e1, e2) in arcs {
             if let Some(theta) = self.min_similarity {
                 if s < theta {
                     break;
                 }
             }
-            let (c1, c2) = (uf.min_of(e1 as usize), uf.min_of(e2 as usize));
-            if c1 != c2 {
-                level += 1;
-                merges.push(MergeRecord { level, left: c1, right: c2, into: c1.min(c2) });
-                uf.union(e1 as usize, e2 as usize);
-            }
+            kruskal.offer(e1, e2, s);
         }
+        let (merges, _scores) = kruskal.into_parts();
         Dendrogram::from_merges(n, merges)
     }
 }

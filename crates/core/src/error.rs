@@ -16,6 +16,13 @@ use std::fmt;
 pub enum ConfigError {
     /// The thread count was zero.
     ZeroThreads,
+    /// The similarity threshold was NaN, which no score falls below, so
+    /// it would silently mean "no threshold". ±∞ are valid: they merge
+    /// nothing and everything.
+    InvalidThreshold(
+        /// The rejected value.
+        f64,
+    ),
     /// The terminal cluster count φ was zero.
     ZeroPhi,
     /// The initial chunk size δ₀ was zero.
@@ -47,6 +54,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroThreads => write!(f, "need at least one thread"),
+            ConfigError::InvalidThreshold(t) => {
+                write!(f, "the similarity threshold must be a number (got {t})")
+            }
             ConfigError::ZeroPhi => write!(f, "phi (terminal cluster count) must be positive"),
             ConfigError::ZeroChunk => write!(f, "initial chunk size must be positive"),
             ConfigError::InvalidGamma(g) => {
@@ -76,6 +86,7 @@ mod tests {
     #[test]
     fn messages_name_the_offending_parameter() {
         assert!(ConfigError::ZeroThreads.to_string().contains("thread"));
+        assert!(ConfigError::InvalidThreshold(f64::NAN).to_string().contains("threshold"));
         assert!(ConfigError::ZeroPhi.to_string().contains("phi"));
         assert!(ConfigError::ZeroChunk.to_string().contains("chunk"));
         assert!(ConfigError::InvalidGamma(0.5).to_string().contains("gamma"));

@@ -16,7 +16,8 @@
 //!   the endpoint vectors aᵢ, aⱼ, not the common neighbor). Phase II
 //!   sweeps the similarity-sorted pair list, merging edge clusters through
 //!   the chain array `C`. Total cost O(|V| + K₁ log K₁ + √K₂·|E|) time
-//!   and O(K₂ + |E|) space (Theorem 2).
+//!   and O(K₂ + |E|) space (Theorem 2). The facade runs Phase II as one
+//!   Kruskal pass over a union-find, which emits the same dendrogram.
 //! * **Modeling** ([`coarse`], [`model`]) — coarse-grained dendrograms:
 //!   the sorted list is processed in adaptively sized chunks whose merge
 //!   rate between consecutive levels is bounded by γ, driven by a

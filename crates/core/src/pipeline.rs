@@ -13,13 +13,18 @@ use crate::dendrogram::Dendrogram;
 use crate::error::ConfigError;
 use crate::init::compute_similarities_with;
 use crate::similarity::PairSimilarities;
-use crate::sweep::{sweep_with, EdgeOrder, SweepConfig, SweepOutput};
+use crate::sweep::{kruskal_sweep_with, EdgeOrder, SweepConfig, SweepOutput};
 use crate::telemetry::{
     Counter, Phase, Recorder, RunReport, Telemetry, TelemetrySink, TraceCollector,
 };
 
 /// End-to-end **serial** link clustering: Phase I (similarities) +
 /// Phase II (sweep), with optional phase-level telemetry.
+///
+/// Phase II is the Kruskal pass of
+/// [`kruskal_sweep_with`](crate::sweep::kruskal_sweep_with): it gives
+/// Algorithm 2's dendrogram ([`sweep`](crate::sweep::sweep)) merge for
+/// merge, scores included, without the chain array.
 ///
 /// # Examples
 ///
@@ -144,7 +149,7 @@ impl LinkClustering {
             let _span = telemetry.span(Phase::Sort);
             sims.into_sorted()
         };
-        let output = sweep_with(g, &sims, self.sweep_config(), &telemetry);
+        let output = kruskal_sweep_with(g, &sims, self.sweep_config(), &telemetry);
         self.record_trace_drops(&telemetry);
         ClusteringResult { similarities: sims, output, report: recorder.map(|r| r.report()) }
     }
@@ -267,12 +272,16 @@ mod tests {
     #[test]
     fn facade_matches_manual_composition() {
         let g = gnm(20, 60, WeightMode::Uniform { lo: 0.3, hi: 1.8 }, 2);
-        let manual = {
-            let sims = compute_similarities(&g).into_sorted();
-            sweep(&g, &sims, SweepConfig::default()).edge_assignments()
+        let manual = sweep(&g, &compute_similarities(&g).into_sorted(), SweepConfig::default());
+        let facade = LinkClustering::new().run(&g);
+        let facade = facade.output();
+        assert_eq!(manual.dendrogram(), facade.dendrogram());
+        let bits = |out: &SweepOutput| -> Vec<u64> {
+            out.merge_scores().iter().map(|s| s.to_bits()).collect()
         };
-        let facade = LinkClustering::new().run(&g).edge_assignments();
-        assert_eq!(manual, facade);
+        assert_eq!(bits(&manual), bits(facade));
+        assert_eq!(manual.slot_of_edge(), facade.slot_of_edge());
+        assert_eq!(manual.edge_assignments(), facade.edge_assignments());
     }
 
     #[test]

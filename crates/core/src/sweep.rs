@@ -6,6 +6,20 @@
 //! on the cluster array `C`. Each successful merge advances the
 //! dendrogram level `r` by one (fine-grained clustering).
 //!
+//! Two implementations produce that dendrogram:
+//!
+//! - [`sweep`] / [`sweep_with`] are Algorithm 2 as the paper states it,
+//!   on the chain array [`ClusterArray`]. They are the oracle every
+//!   exact engine is tested against, and what the Fig. 2 and Fig. 4
+//!   experiments measure.
+//! - [`kruskal_sweep_with`] is the production serial Phase II. Single
+//!   linkage is Kruskal's algorithm on the stream of union operations,
+//!   so it offers the same operations, in the same order, to a
+//!   min-tracking union-find ([`KruskalMerges`]) and emits the same
+//!   merge records, scores included, bit for bit — without the chain
+//!   rewrites behind Theorem 2's `√K₂·|E|` term. The `ufsweep` engine's
+//!   final pass and the MST baseline feed the same builder.
+//!
 //! [`fixed_chunk_sweep`] is the instrumented variant behind Fig. 2(1)/(2):
 //! the pair list is processed in fixed-size chunks of incident edge pairs,
 //! all merges in a chunk share a level, and per-level statistics (writes
@@ -20,6 +34,7 @@ use crate::cluster_array::ClusterArray;
 use crate::dendrogram::{Dendrogram, MergeRecord};
 use crate::similarity::PairSimilarities;
 use crate::telemetry::{Counter, Phase, Telemetry};
+use crate::unionfind::UnionFind;
 
 /// How edges are assigned to slots of the cluster array (the paper
 /// enumerates edges "in a random order" — the clustering *partition* is
@@ -162,7 +177,9 @@ impl SweepOutput {
     }
 }
 
-/// Runs the fine-grained sweeping phase over the sorted list.
+/// Runs the fine-grained sweeping phase over the sorted list: Algorithm
+/// 2 on the chain array, the reference the production sweep
+/// ([`kruskal_sweep_with`]) is tested against.
 ///
 /// Every successful merge gets its own dendrogram level, exactly as in
 /// Algorithm 2.
@@ -252,6 +269,144 @@ pub fn sweep_with<G: GraphView + ?Sized>(
     telemetry.add(Counter::MergesApplied, merges.len() as u64);
     telemetry.add(Counter::PairsProcessed, pairs_processed);
     crate::invariants::debug_check_cluster_array(&c);
+    let dendrogram = Dendrogram::from_merges(m, merges);
+    crate::invariants::debug_check_dendrogram(&dendrogram);
+    SweepOutput::with_scores(dendrogram, slot_of_edge, scores)
+}
+
+/// Kruskal's algorithm as a merge-record builder: offered union
+/// operations in sweep order, it keeps each one that joins two sets as
+/// the next dendrogram merge, with the labels and level that
+/// [`ClusterArray::merge`] gives the same operation in Algorithm 2.
+///
+/// Levels count from 1, one per merge; `left` and `right` are the two
+/// operands' cluster ids (set minima) before the merge, and `into` is
+/// the smaller of them.
+///
+/// # Examples
+///
+/// ```
+/// use linkclust_core::sweep::KruskalMerges;
+///
+/// let mut kruskal = KruskalMerges::new(4);
+/// assert!(kruskal.offer(3, 1, 0.9));
+/// assert!(!kruskal.offer(1, 3, 0.8)); // closes a cycle
+/// assert!(kruskal.offer(0, 3, 0.5));
+/// let (merges, scores) = kruskal.into_parts();
+/// assert_eq!((merges[1].level, merges[1].left, merges[1].right, merges[1].into), (2, 0, 1, 0));
+/// assert_eq!(scores, [0.9, 0.5]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct KruskalMerges {
+    clusters: UnionFind,
+    merges: Vec<MergeRecord>,
+    scores: Vec<f64>,
+}
+
+impl KruskalMerges {
+    /// Starts with each of `m` slots in its own cluster.
+    #[must_use]
+    pub fn new(m: usize) -> Self {
+        KruskalMerges {
+            clusters: UnionFind::new(m),
+            merges: Vec::with_capacity(m.saturating_sub(1)),
+            scores: Vec::with_capacity(m.saturating_sub(1)),
+        }
+    }
+
+    /// Offers the union of slots `s1` and `s2`, generated by an entry of
+    /// similarity `score`. Returns `true` if it merged two clusters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slot is out of range.
+    pub fn offer(&mut self, s1: u32, s2: u32, score: f64) -> bool {
+        // cast: u32 slots to indices, lossless on 32- and 64-bit.
+        let Some((left, right)) = self.clusters.join(s1 as usize, s2 as usize) else {
+            return false;
+        };
+        self.merges.push(MergeRecord {
+            // cast: a forest over `m` u32 slots has fewer than `m` merges.
+            level: self.merges.len() as u32 + 1,
+            left,
+            right,
+            into: left.min(right),
+        });
+        self.scores.push(score);
+        true
+    }
+
+    /// The merges in the order they happened, and the score of each.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<MergeRecord>, Vec<f64>) {
+        (self.merges, self.scores)
+    }
+}
+
+/// The production serial sweep: [`sweep_with`]'s contract and output,
+/// computed by one Kruskal pass ([`KruskalMerges`]) instead of the chain
+/// array. It resolves each entry's union operations through the
+/// [`EdgeIndex`] in the order Algorithm 2 performs them, so the
+/// dendrogram, the merge scores and the slot permutation equal
+/// [`sweep_with`]'s bit for bit.
+///
+/// The whole sweep runs under one [`Phase::Sweep`] span, and the merge
+/// and processed-pair counters are recorded once at the end.
+///
+/// # Panics
+///
+/// Panics if `sorted` is not actually sorted (call
+/// [`PairSimilarities::into_sorted`] first), or if it lists a common
+/// neighbor with no edge to both endpoints in `g` — i.e. if the
+/// similarities were computed over a different graph.
+///
+/// # Examples
+///
+/// ```
+/// use linkclust_graph::GraphBuilder;
+/// use linkclust_core::init::compute_similarities;
+/// use linkclust_core::sweep::{kruskal_sweep_with, sweep, SweepConfig};
+/// use linkclust_core::telemetry::Telemetry;
+///
+/// let g = GraphBuilder::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5), (0, 2, 1.0)])?
+///     .build();
+/// let sims = compute_similarities(&g).into_sorted();
+/// let out = kruskal_sweep_with(&g, &sims, SweepConfig::default(), &Telemetry::disabled());
+/// assert_eq!(out, sweep(&g, &sims, SweepConfig::default()));
+/// # Ok::<(), linkclust_graph::GraphError>(())
+/// ```
+#[must_use]
+pub fn kruskal_sweep_with<G: GraphView + ?Sized>(
+    g: &G,
+    sorted: &PairSimilarities,
+    config: SweepConfig,
+    telemetry: &Telemetry,
+) -> SweepOutput {
+    assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
+    let span = telemetry.span(Phase::Sweep);
+    let m = g.edge_count();
+    let index = EdgeIndex::for_graph(g);
+    let slot_of_edge = config.edge_order.permutation(m);
+    let mut kruskal = KruskalMerges::new(m);
+    let mut pairs_processed = 0u64;
+    for entry in sorted.entries() {
+        if let Some(theta) = config.min_similarity {
+            if entry.score < theta {
+                break;
+            }
+        }
+        let (vi, vj) = (entry.pair.first(), entry.pair.second());
+        for &vk in sorted.common_neighbors(entry) {
+            let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
+            let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
+            kruskal.offer(slot_of_edge[e1.index()], slot_of_edge[e2.index()], entry.score);
+        }
+        pairs_processed += entry.pair_count() as u64;
+    }
+    span.finish();
+    let (merges, scores) = kruskal.into_parts();
+    telemetry.add(Counter::MergesApplied, merges.len() as u64);
+    telemetry.add(Counter::PairsProcessed, pairs_processed);
     let dendrogram = Dendrogram::from_merges(m, merges);
     crate::invariants::debug_check_dendrogram(&dendrogram);
     SweepOutput::with_scores(dendrogram, slot_of_edge, scores)
@@ -518,6 +673,58 @@ mod tests {
         let g = two_triangles_with_bridge();
         let sims = compute_similarities(&g); // not sorted
         let _ = sweep(&g, &sims, SweepConfig::default());
+    }
+
+    fn score_bits(out: &SweepOutput) -> Vec<u64> {
+        out.merge_scores().iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn kruskal_sweep_is_algorithm_2_bit_for_bit() {
+        let orders = [EdgeOrder::Insertion, EdgeOrder::Shuffled { seed: 3 }];
+        for seed in 0..8 {
+            let g = gnm(24, 80, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
+            let sims = compute_similarities(&g).into_sorted();
+            for edge_order in orders {
+                for min_similarity in [None, Some(0.3), Some(0.6), Some(2.0), Some(f64::NAN)] {
+                    let config = SweepConfig { edge_order, min_similarity };
+                    let oracle = sweep(&g, &sims, config);
+                    let out = kruskal_sweep_with(&g, &sims, config, &Telemetry::disabled());
+                    assert_eq!(out.dendrogram(), oracle.dendrogram(), "seed {seed} {config:?}");
+                    assert_eq!(score_bits(&out), score_bits(&oracle), "seed {seed} {config:?}");
+                    assert_eq!(out.slot_of_edge(), oracle.slot_of_edge(), "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kruskal_sweep_records_what_algorithm_2_records() {
+        use crate::telemetry::TelemetrySink;
+        let g = gnm(30, 110, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 4);
+        let sims = compute_similarities(&g).into_sorted();
+        let config = SweepConfig { min_similarity: Some(0.4), ..Default::default() };
+        let reports: Vec<_> = [sweep_with, kruskal_sweep_with]
+            .iter()
+            .map(|engine| {
+                let (telemetry, recorder) = TelemetrySink::Stats.build();
+                let _ = engine(&g, &sims, config, &telemetry);
+                recorder.expect("stats sink records").report()
+            })
+            .collect();
+        for counter in [Counter::MergesApplied, Counter::PairsProcessed] {
+            assert_eq!(reports[0].counter(counter), reports[1].counter(counter), "{counter:?}");
+        }
+        assert!(reports[1].counter(Counter::PairsProcessed) < sims.incident_pair_count());
+        assert_eq!(reports[1].phase_calls(Phase::Sweep), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted")]
+    fn kruskal_sweep_requires_sorted_input() {
+        let g = two_triangles_with_bridge();
+        let sims = compute_similarities(&g); // not sorted
+        let _ = kruskal_sweep_with(&g, &sims, SweepConfig::default(), &Telemetry::disabled());
     }
 
     #[test]

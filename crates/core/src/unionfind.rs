@@ -1,13 +1,14 @@
 //! Classic disjoint-set union-find (path compression + union by rank).
 //!
-//! [`UnionFind`] serves the MST baseline
-//! ([`baseline::mst`](crate::baseline::mst)), the block-local passes and
-//! the Kruskal pass of the `ufsweep` engine, and is an ablation
-//! comparator for the paper's chain array `C`
-//! ([`ClusterArray`](crate::ClusterArray)): union-find achieves near-O(1)
-//! amortized finds but does not preserve the "min index is the cluster
-//! id" labelling that the paper's dendrogram output relies on, so we
-//! track the minimum element per set explicitly.
+//! [`UnionFind`] carries the Kruskal pass of
+//! [`sweep::KruskalMerges`](crate::sweep::KruskalMerges) — the Phase II
+//! of every exact engine and of the MST baseline
+//! ([`baseline::mst`](crate::baseline::mst)) — and the block-local
+//! passes of the `ufsweep` engine. It replaces the paper's chain array
+//! `C` ([`ClusterArray`](crate::ClusterArray)) there: union-find
+//! achieves near-O(1) amortized finds but does not preserve the "min
+//! index is the cluster id" labelling that the paper's dendrogram output
+//! relies on, so we track the minimum element per set explicitly.
 
 /// A disjoint-set forest over `n` elements, tracking each set's minimum
 /// element (the cluster id convention of the paper).
@@ -83,6 +84,43 @@ impl UnionFind {
         if ra == rb {
             return false;
         }
+        self.link(ra, rb);
+        true
+    }
+
+    /// Joins the sets of `a` and `b` and names them: returns the
+    /// minimum element of `a`'s set and of `b`'s set as they were
+    /// before the join, or `None` (changing nothing) if `a` and `b` were
+    /// already in one set. One call finds each root once, where
+    /// [`min_of`](Self::min_of) twice plus [`union`](Self::union) finds
+    /// each twice.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use linkclust_core::unionfind::UnionFind;
+    ///
+    /// let mut uf = UnionFind::new(6);
+    /// assert_eq!(uf.join(4, 2), Some((4, 2)));
+    /// assert_eq!(uf.join(5, 3), Some((5, 3)));
+    /// assert_eq!(uf.join(4, 5), Some((2, 3)));
+    /// assert_eq!(uf.join(3, 2), None); // already one set
+    /// assert_eq!(uf.min_of(5), 2);
+    /// ```
+    pub fn join(&mut self, a: usize, b: usize) -> Option<(u32, u32)> {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return None;
+        }
+        // cast: u32 roots to indices, lossless on 32- and 64-bit.
+        let names = (self.min[ra as usize], self.min[rb as usize]);
+        self.link(ra, rb);
+        Some(names)
+    }
+
+    /// Links two distinct roots by rank; the surviving root keeps the
+    /// smaller of the two set minima.
+    fn link(&mut self, ra: u32, rb: u32) {
         let (hi, lo) =
             if self.rank[ra as usize] >= self.rank[rb as usize] { (ra, rb) } else { (rb, ra) };
         self.parent[lo as usize] = hi;
@@ -92,7 +130,6 @@ impl UnionFind {
         let m = self.min[hi as usize].min(self.min[lo as usize]);
         self.min[hi as usize] = m;
         self.sets -= 1;
-        true
     }
 
     /// Returns `true` if `a` and `b` are in the same set.
@@ -160,6 +197,30 @@ mod tests {
         }
         assert_eq!(uf.assignments(), ca.assignments());
         assert_eq!(uf.set_count(), ca.cluster_count());
+    }
+
+    #[test]
+    fn join_agrees_with_min_of_then_union() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..40);
+            let (mut joined, mut oracle) = (UnionFind::new(n), UnionFind::new(n));
+            let mut chains = crate::ClusterArray::new(n);
+            for step in 0..3 * n {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let (min_a, min_b) = (oracle.min_of(a), oracle.min_of(b));
+                let expected = oracle.union(a, b).then_some((min_a, min_b));
+                let got = joined.join(a, b);
+                assert_eq!(got, expected, "seed {seed} step {step}");
+                // The names are the chain array's MERGE labels too.
+                let merged = chains.merge(a, b).map(|out| (out.left, out.right));
+                assert_eq!(got, merged, "seed {seed} step {step}");
+                assert_eq!(joined.set_count(), oracle.set_count(), "seed {seed} step {step}");
+            }
+            assert_eq!(joined.assignments(), oracle.assignments(), "seed {seed}");
+        }
     }
 
     #[test]

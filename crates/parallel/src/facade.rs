@@ -97,6 +97,9 @@ impl LinkClustering {
     }
 
     /// Stops sweeping below this similarity (cuts the dendrogram early).
+    /// The run methods reject a NaN `theta` with
+    /// [`ConfigError::InvalidThreshold`]; `f64::INFINITY` merges nothing
+    /// and `f64::NEG_INFINITY` everything.
     #[must_use]
     pub fn min_similarity(mut self, theta: f64) -> Self {
         self.min_similarity = Some(theta);
@@ -147,11 +150,15 @@ impl LinkClustering {
         self
     }
 
-    fn check_threads(&self) -> Result<(), ConfigError> {
+    /// The checks every run method makes before doing any work.
+    fn check_config(&self) -> Result<(), ConfigError> {
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
         }
-        Ok(())
+        match self.min_similarity {
+            Some(theta) if theta.is_nan() => Err(ConfigError::InvalidThreshold(theta)),
+            _ => Ok(()),
+        }
     }
 
     /// The run's trace collector: the caller-supplied one, a fresh one
@@ -251,7 +258,7 @@ impl LinkClustering {
     where
         G: GraphView + Clone + Send + Sync + 'static,
     {
-        self.check_threads()?;
+        self.check_config()?;
         let collector = self.active_collector();
         let (telemetry, _) = self.sink.build();
         let telemetry = match &collector {
@@ -278,16 +285,19 @@ impl LinkClustering {
 
     /// Runs both phases on `g`: initialization and the fine-grained
     /// sweep on the configured threads, with the serial sort between
-    /// them. One thread runs the serial pipeline; two or more run the
-    /// sweep on the exact parallel union-find engine of
-    /// [`crate::ufsweep`]. Generic over the graph backend; adjacency-list
-    /// and CSR inputs — at every thread count — produce bit-identical
-    /// dendrograms.
+    /// them. One thread runs the serial pipeline, whose sweep is one
+    /// Kruskal pass
+    /// ([`kruskal_sweep_with`](linkclust_core::sweep::kruskal_sweep_with));
+    /// two or more run the exact union-find engine of [`crate::ufsweep`],
+    /// parallel block-local filters followed by the same pass. Either
+    /// gives Algorithm 2's dendrogram bit for bit. Generic over the graph
+    /// backend; adjacency-list and CSR inputs — at every thread count —
+    /// produce bit-identical dendrograms.
     pub fn run<G>(&self, g: &G) -> Result<ClusteringResult, ConfigError>
     where
         G: GraphView + Clone + Send + Sync + 'static,
     {
-        self.check_threads()?;
+        self.check_config()?;
         let collector = self.active_collector();
         if self.threads == 1 {
             let result = self.serial(collector.as_ref()).run(g);
@@ -322,7 +332,7 @@ impl LinkClustering {
     where
         G: GraphView + Clone + Send + Sync + 'static,
     {
-        self.check_threads()?;
+        self.check_config()?;
         let collector = self.active_collector();
         if self.threads == 1 {
             let result = self.serial(collector.as_ref()).run_coarse(g, config)?;
@@ -375,12 +385,18 @@ mod tests {
         }
     }
 
+    /// Algorithm 2's sweep, the oracle of every exact engine.
+    fn algorithm_2(g: &linkclust_graph::WeightedGraph) -> linkclust_core::sweep::SweepOutput {
+        let sims = linkclust_core::init::compute_similarities(g).into_sorted();
+        linkclust_core::sweep::sweep(g, &sims, SweepConfig::default())
+    }
+
     #[test]
     fn many_threads_match_serial_partition() {
         for seed in 0..3 {
             let g = gnm(40, 170, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
-            let serial = LinkClustering::new().run(&g).unwrap();
-            for threads in [2, 4] {
+            let serial = algorithm_2(&g);
+            for threads in [1, 2, 4] {
                 let par = LinkClustering::new().threads(threads).run(&g).unwrap();
                 assert_eq!(
                     canon(&serial.edge_assignments()),
@@ -458,8 +474,7 @@ mod tests {
         // Caller-owned collector, parallel fine run.
         let collector = Arc::new(TraceCollector::new());
         let r = LinkClustering::new().threads(4).tracer(Arc::clone(&collector)).run(&g).unwrap();
-        let serial = LinkClustering::new().run(&g).unwrap();
-        assert_eq!(canon(&serial.edge_assignments()), canon(&r.edge_assignments()));
+        assert_eq!(canon(&algorithm_2(&g).edge_assignments()), canon(&r.edge_assignments()));
         let events = collector.events();
         trace::check_events(&events).unwrap();
         assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::InitPass1)));

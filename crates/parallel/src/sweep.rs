@@ -450,7 +450,7 @@ mod tests {
         let cfg = CoarseConfig { phi: 1, initial_chunk: 32, ..Default::default() };
         // phi = 1 processes everything: final partition must equal the
         // fine-grained single-linkage partition.
-        let fine = linkclust_core::LinkClustering::new().run(&g);
+        let fine = linkclust_core::sweep::sweep(&g, &sims, Default::default());
         let mut proc = ParallelChunkProcessor::new(3)
             .unwrap()
             .min_entries_per_thread(1)

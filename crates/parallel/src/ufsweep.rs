@@ -23,11 +23,13 @@
 //!    (≤ `m − 1` per block, typically far fewer than its `K₂` share).
 //! 3. **Kruskal pass** (serial, `O(C α)` for `C ≤ P·(m − 1)`
 //!    candidates): the candidates, in block order — which is rank
-//!    order — go through one min-tracking [`UnionFind`], and each
-//!    candidate that joins two sets becomes the next [`MergeRecord`]
-//!    with its score. Filter and replay are one loop, and the records
-//!    (levels, left/right/into labels, per-merge scores) reproduce the
-//!    serial stream bit-for-bit.
+//!    order — go to [`KruskalMerges`], and each candidate that joins two
+//!    sets becomes the next merge record with its score. This is the
+//!    same pass the `threads(1)` pipeline runs
+//!    ([`kruskal_sweep_with`](linkclust_core::sweep::kruskal_sweep_with)),
+//!    fed the candidates instead of every operation, and the records
+//!    (levels, left/right/into labels, per-merge scores) reproduce
+//!    Algorithm 2's stream bit-for-bit.
 //!
 //! Exactness of step 3 rests on the cycle property: a locally-dropped
 //! operation closes a cycle in which it carries the maximum rank, so
@@ -41,11 +43,11 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use linkclust_core::dendrogram::{Dendrogram, MergeRecord};
-use linkclust_core::sweep::{SweepConfig, SweepOutput};
+use linkclust_core::dendrogram::Dendrogram;
+use linkclust_core::sweep::{KruskalMerges, SweepConfig, SweepOutput};
 use linkclust_core::telemetry::{Counter, Phase, Telemetry};
 use linkclust_core::unionfind::UnionFind;
-use linkclust_core::{PairSimilarities, SimilarityEntry};
+use linkclust_core::PairSimilarities;
 use linkclust_graph::{EdgeIndex, GraphView};
 
 use crate::pool::{balanced_partition_with_loads, Task, WorkerPool};
@@ -126,7 +128,11 @@ pub fn ufsweep_with<G: GraphView + ?Sized>(
     // Step 3: Kruskal's filter and the merge-record replay in one serial
     // pass over the candidates in block (= rank) order.
     let replay_span = telemetry.span(Phase::SweepReplay);
-    let (merges, scores) = kruskal_merges(m, &locals, entries);
+    let mut kruskal = KruskalMerges::new(m);
+    for c in locals.iter().flatten() {
+        kruskal.offer(c.s1, c.s2, entries[c.entry as usize].score);
+    }
+    let (merges, scores) = kruskal.into_parts();
     replay_span.finish();
 
     span.finish();
@@ -174,42 +180,6 @@ fn local_candidates(
     }
     span.finish();
     out
-}
-
-/// Kruskal's filter fused with the merge-record replay: walks the
-/// candidates in block order — global rank order — through one
-/// min-tracking serial [`UnionFind`] and turns each candidate that joins
-/// two sets into the next merge. Level `r` increments per merge,
-/// `left`/`right` are the pre-merge cluster ids (set minima) of the two
-/// operands, `into` their minimum — the same labels
-/// [`ClusterArray::merge`](linkclust_core::ClusterArray::merge) produces
-/// in the serial sweep.
-fn kruskal_merges(
-    m: usize,
-    locals: &[Vec<Candidate>],
-    entries: &[SimilarityEntry],
-) -> (Vec<MergeRecord>, Vec<f64>) {
-    let mut uf = UnionFind::new(m);
-    let mut merges = Vec::with_capacity(m.saturating_sub(1));
-    let mut scores = Vec::with_capacity(m.saturating_sub(1));
-    for c in locals.iter().flatten() {
-        let left = uf.min_of(c.s1 as usize);
-        let right = uf.min_of(c.s2 as usize);
-        // A set's minimum names it, so equal minima mean the candidate
-        // closes a cycle of earlier-ranked merges.
-        if left == right {
-            continue;
-        }
-        uf.union(c.s1 as usize, c.s2 as usize);
-        merges.push(MergeRecord {
-            level: merges.len() as u32 + 1,
-            left,
-            right,
-            into: left.min(right),
-        });
-        scores.push(entries[c.entry as usize].score);
-    }
-    (merges, scores)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use std::time::Duration;
 use linkclust_core::telemetry::TimeSeriesRing;
 use linkclust_parallel::pool::ServiceThread;
 
-use crate::server::{read_request_line, RequestLine, Server, MAX_REQUEST_LINE};
+use crate::server::{read_request_line, RequestLine, Server, IO_TIMEOUT, MAX_REQUEST_LINE};
 
 /// Samples retained per runtime gauge ring (at the daemon's 1 s tick,
 /// a ten-minute window).
@@ -159,8 +159,8 @@ pub fn spawn_http(listener: TcpListener, server: Arc<Server>) -> ServiceThread {
                     // I/O with a timeout keeps a stalled client from
                     // wedging the responder.
                     let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+                    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                     handle_http_request(stream, &server);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

@@ -33,15 +33,18 @@
 //! Connections are handled sequentially (queries are microseconds; the
 //! expensive work runs on the pool), which keeps the server free of
 //! both bare threads and hand-rolled atomics: the swap generation lives
-//! behind the published-index `RwLock`. Lock discipline: the write lock
-//! is released *before* the cache is cleared, and a query re-checks the
-//! generation before caching its rendered answer, so a swap can never
-//! strand a stale entry in the cache.
+//! behind the published-index `RwLock`. Because one connection blocks
+//! the rest, a connection that waits longer than five seconds
+//! (`IO_TIMEOUT`) for a request line, or for its client to take a
+//! response, is closed. Lock discipline: the write lock is released
+//! *before* the cache is cleared, and a query re-checks the generation
+//! before caching its rendered answer, so a swap can never strand a
+//! stale entry in the cache.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use linkclust_core::telemetry::metrics::{MetricKind, MetricsWriter};
 use linkclust_core::telemetry::{Counter, LogHistogram, Logger, Phase, RunRecorder, Telemetry};
@@ -488,7 +491,8 @@ impl Server {
 
     /// Serves connections from `listener` sequentially until a client
     /// sends `{"op":"shutdown"}`. I/O errors on one connection abandon
-    /// that connection only.
+    /// that connection only; a read or write that waits longer than
+    /// five seconds (`IO_TIMEOUT`) is one.
     ///
     /// # Errors
     ///
@@ -523,6 +527,12 @@ impl Server {
     /// The connection read/respond loop; counts handled requests into
     /// `requests` so the close event can report them.
     fn drive_connection(&self, stream: TcpStream, requests: &mut u64) -> bool {
+        let timeouts = stream
+            .set_read_timeout(Some(IO_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)));
+        if timeouts.is_err() {
+            return false;
+        }
         let Ok(clone) = stream.try_clone() else { return false };
         let mut reader = BufReader::new(clone);
         let mut writer = BufWriter::new(stream);
@@ -951,6 +961,12 @@ fn write_cut(out: &mut String, level: u32, clusters: usize, density: f64) {
     out.push('}');
 }
 
+/// How long either `linkclustd` listener waits on one connection's read
+/// or write before closing it. The query socket serves one connection at
+/// a time, so this bounds how long an idle client can keep the others
+/// waiting.
+pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// The longest request line either `linkclustd` listener accepts, in
 /// bytes before the newline: the query socket and the `/metrics` HTTP
 /// responder both refuse a longer one and close the connection.
@@ -1230,6 +1246,32 @@ mod tests {
         let mut reply = String::new();
         stream.read_to_string(&mut reply).expect("a reply and end of stream within 10 s");
         reply
+    }
+
+    #[test]
+    fn an_idle_client_does_not_stall_the_next_one() {
+        let server = std::sync::Arc::new(test_server(2));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let background = std::sync::Arc::clone(&server);
+        server.pool.submit(move || {
+            let _ = background.serve(&listener);
+        });
+        // Connects first, sends nothing and keeps its socket to the end.
+        let idle = TcpStream::connect(addr).unwrap();
+        let mut second = TcpStream::connect(addr).unwrap();
+        second.set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(2))).unwrap();
+        second.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&second)
+            .read_line(&mut reply)
+            .expect("the second client is answered within IO_TIMEOUT + 2 s");
+        assert!(reply.starts_with("{\"ok\":true,"), "{reply}");
+        drop(second);
+        let third = exchange(addr, b"{\"op\":\"cut\",\"theta\":0.3}\n{\"op\":\"shutdown\"}\n");
+        assert!(third.starts_with("{\"ok\":true,"), "{third}");
+        assert!(third.ends_with("\"bye\":true}\n"), "{third}");
+        drop(idle);
     }
 
     #[test]

@@ -86,6 +86,10 @@ fn threshold_flag_limits_merging() {
         stdout.trim().lines().map(|l| l.split_whitespace().nth(1).unwrap()).collect();
     let distinct: std::collections::HashSet<&str> = labels.iter().copied().collect();
     assert!(distinct.len() >= 5, "labels: {labels:?}");
+    // A NaN threshold is an error, not a silently unthresholded run.
+    let (_, stderr, ok) = run_cli(&["-", "--threshold", "NaN", "--output", "labels"], EDGES);
+    assert!(!ok, "a NaN threshold must fail");
+    assert!(stderr.contains("threshold"), "stderr: {stderr}");
 }
 
 #[test]

@@ -7,9 +7,13 @@
 //! format must round-trip through both backends losslessly.
 
 use linkclust::core::coarse::CoarseConfig;
+use linkclust::core::sweep::sweep_with;
+use linkclust::core::telemetry::Telemetry;
 use linkclust::graph::binfmt::{BinGraphError, GraphFile};
 use linkclust::graph::generate::{barabasi_albert, gnm, lfr_like, WeightMode};
-use linkclust::{compute_similarities, CsrGraph, EdgeId, GraphView, LinkClustering, WeightedGraph};
+use linkclust::{
+    compute_similarities, CsrGraph, EdgeId, GraphView, LinkClustering, SweepConfig, WeightedGraph,
+};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -70,7 +74,9 @@ fn csr_similarities_are_bit_identical_at_every_thread_count() {
 fn csr_dendrograms_match_adjacency_at_every_thread_count() {
     for (name, g) in workloads() {
         let csr = CsrGraph::from_weighted(&g);
-        let serial = LinkClustering::new().run(&g).unwrap();
+        // Algorithm 2 on the adjacency list: the oracle.
+        let sims = compute_similarities(&g).into_sorted();
+        let serial = sweep_with(&g, &sims, SweepConfig::default(), &Telemetry::disabled());
         for threads in THREADS {
             let facade = LinkClustering::new().threads(threads);
             let adj = facade.run(&g).unwrap();
@@ -81,7 +87,7 @@ fn csr_dendrograms_match_adjacency_at_every_thread_count() {
                 "{name} t={threads}: dendrogram diverged between backends"
             );
             assert_eq!(adj.edge_assignments(), via_csr.edge_assignments(), "{name} t={threads}");
-            // And the parallel CSR run still equals the serial oracle.
+            // And every CSR run equals Algorithm 2.
             assert_eq!(serial.dendrogram(), via_csr.dendrogram(), "{name} t={threads} vs serial");
         }
     }

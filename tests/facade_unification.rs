@@ -1,14 +1,19 @@
 //! The unified facade contract: `threads(1)` is the exact serial
-//! pipeline, bad configurations come back as [`ConfigError`] values
-//! instead of panics, and the telemetry report's counters agree with
-//! independently computed graph statistics and dendrogram totals.
+//! pipeline and gives Algorithm 2's dendrogram merge for merge, bad
+//! configurations come back as [`ConfigError`] values instead of panics,
+//! and the telemetry report's counters agree with independently computed
+//! graph statistics and dendrogram totals.
 
 use std::sync::Arc;
 
-use linkclust::core::telemetry::{Counter, Phase, RunRecorder};
+use linkclust::core::sweep::{sweep_with, SweepOutput};
+use linkclust::core::telemetry::{Counter, Phase, RunRecorder, Telemetry};
 use linkclust::graph::generate::{gnm, planted_partition, WeightMode};
 use linkclust::graph::stats::count_common_neighbor_pairs;
-use linkclust::{CoarseConfig, ConfigError, EdgeOrder, LinkClustering, WeightedGraph};
+use linkclust::{
+    compute_similarities, CoarseConfig, ConfigError, EdgeOrder, LinkClustering, SweepConfig,
+    WeightedGraph,
+};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
@@ -18,18 +23,32 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
+/// Algorithm 2 (the chain-array sweep) over the serial Phase I's list.
+fn algorithm_2(g: &WeightedGraph, config: SweepConfig) -> SweepOutput {
+    sweep_with(g, &compute_similarities(g).into_sorted(), config, &Telemetry::disabled())
+}
+
+fn score_bits(output: &SweepOutput) -> Vec<u64> {
+    output.merge_scores().iter().map(|s| s.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `threads(1)` must produce the same dendrogram as the serial core
     /// facade, edge assignment for edge assignment — not just the same
-    /// partition up to relabeling.
+    /// partition up to relabeling — and that dendrogram is Algorithm
+    /// 2's, merge for merge.
     #[test]
     fn one_thread_is_the_serial_pipeline(g in arb_graph()) {
         let serial = linkclust::core::LinkClustering::new().run(&g);
         let unified = LinkClustering::new().threads(1).run(&g).unwrap();
         prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments());
         prop_assert_eq!(serial.dendrogram(), unified.dendrogram());
+        let oracle = algorithm_2(&g, SweepConfig::default());
+        prop_assert_eq!(oracle.dendrogram(), unified.dendrogram());
+        prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()));
+        prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge());
     }
 
     /// The same holds under a non-default edge order and a similarity
@@ -47,6 +66,10 @@ proptest! {
             .run(&g)
             .unwrap();
         prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments());
+        let oracle = algorithm_2(&g, SweepConfig { edge_order: order, min_similarity: Some(0.2) });
+        prop_assert_eq!(oracle.dendrogram(), unified.dendrogram());
+        prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()));
+        prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge());
     }
 }
 
@@ -133,6 +156,20 @@ fn bad_configurations_are_errors_not_panics() {
         CoarseConfig::builder().gamma(f64::NAN).build(),
         Err(ConfigError::InvalidGamma(gamma)) if gamma.is_nan()
     ));
+    // A NaN threshold would silently mean "no threshold"; every run
+    // method refuses it at every thread count. ±∞ stay valid.
+    let nan = |e: ConfigError| matches!(e, ConfigError::InvalidThreshold(t) if t.is_nan());
+    for threads in [1, 2] {
+        let facade = LinkClustering::new().threads(threads).min_similarity(f64::NAN);
+        assert!(nan(facade.run(&g).unwrap_err()), "threads {threads}");
+        assert!(nan(facade.run_coarse(&g, CoarseConfig::default()).unwrap_err()));
+        assert!(nan(facade.similarities(&g).unwrap_err()), "threads {threads}");
+        let none = LinkClustering::new().threads(threads).min_similarity(f64::INFINITY);
+        assert_eq!(none.run(&g).unwrap().dendrogram().merge_count(), 0);
+        let all = LinkClustering::new().threads(threads).min_similarity(f64::NEG_INFINITY);
+        let unthresholded = LinkClustering::new().threads(threads).run(&g).unwrap();
+        assert_eq!(all.run(&g).unwrap().dendrogram(), unthresholded.dendrogram());
+    }
 }
 
 #[test]

@@ -1,9 +1,10 @@
-//! Engine equivalence: the parallel union-find sweep engine must be
-//! indistinguishable from the serial sweep oracle — the dendrogram
-//! (levels, left/right/into labels), the per-merge scores (compared as
-//! bits), and every downstream cut must be **identical**, not merely
-//! equal up to relabeling, at every thread count and on every graph
-//! backend.
+//! Engine equivalence: the exact sweep engines — the `threads(1)`
+//! Kruskal pass and the parallel union-find engine — must be
+//! indistinguishable from Algorithm 2 (`sweep_with`, the oracle): the
+//! dendrogram (levels, left/right/into labels), the per-merge scores
+//! (compared as bits), and every downstream cut must be **identical**,
+//! not merely equal up to relabeling, at every thread count and on
+//! every graph backend.
 
 use std::sync::Arc;
 
@@ -12,7 +13,7 @@ use linkclust::core::telemetry::Telemetry;
 use linkclust::graph::generate::{barabasi_albert, gnm, lfr_like, WeightMode};
 use linkclust::parallel::pool::WorkerPool;
 use linkclust::parallel::ufsweep::ufsweep_with;
-use linkclust::{CsrGraph, LinkClustering, WeightedGraph};
+use linkclust::{compute_similarities, CsrGraph, LinkClustering, WeightedGraph};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -26,13 +27,19 @@ fn workloads() -> Vec<(&'static str, WeightedGraph)> {
     ]
 }
 
-/// The facade's sweep at `threads >= 2`: the union-find engine.
+/// Algorithm 2 on the serial Phase I's list: the oracle.
+fn algorithm_2(g: &WeightedGraph, config: SweepConfig) -> SweepOutput {
+    sweep_with(g, &compute_similarities(g).into_sorted(), config, &Telemetry::disabled())
+}
+
+/// The facade's sweep: the Kruskal pass at `threads(1)`, the union-find
+/// engine at `threads >= 2`.
 fn facade_output(g: &WeightedGraph, threads: usize) -> SweepOutput {
     LinkClustering::new().threads(threads).run(g).unwrap().output().clone()
 }
 
 /// The union-find engine on a 1-thread pool, driven directly: the
-/// facade runs the serial sweep at `threads(1)`.
+/// facade runs the serial Kruskal pass at `threads(1)`.
 fn ufsweep_on_one_thread(g: &WeightedGraph) -> SweepOutput {
     let sims = Arc::new(LinkClustering::new().similarities(g).unwrap());
     let pool = Arc::new(WorkerPool::new(1));
@@ -52,7 +59,7 @@ fn score_bits(output: &SweepOutput) -> Vec<u64> {
 #[test]
 fn ufsweep_dendrogram_is_bit_identical_to_serial_at_every_thread_count() {
     for (name, g) in workloads() {
-        let serial = LinkClustering::new().run(&g).unwrap();
+        let serial = algorithm_2(&g, SweepConfig::default());
         for threads in THREADS {
             let par =
                 if threads == 1 { ufsweep_on_one_thread(&g) } else { facade_output(&g, threads) };
@@ -62,11 +69,11 @@ fn ufsweep_dendrogram_is_bit_identical_to_serial_at_every_thread_count() {
                 "{name} t={threads}: dendrogram diverged from the serial oracle"
             );
             assert_eq!(
-                score_bits(serial.output()),
+                score_bits(&serial),
                 score_bits(&par),
                 "{name} t={threads}: merge scores diverged"
             );
-            assert_eq!(serial.output().slot_of_edge(), par.slot_of_edge(), "{name} t={threads}");
+            assert_eq!(serial.slot_of_edge(), par.slot_of_edge(), "{name} t={threads}");
         }
     }
 }
@@ -75,10 +82,11 @@ fn ufsweep_dendrogram_is_bit_identical_to_serial_at_every_thread_count() {
 fn ufsweep_is_bit_identical_on_the_csr_backend() {
     for (name, g) in workloads() {
         let csr = CsrGraph::from_weighted(&g);
-        let serial = LinkClustering::new().run(&g).unwrap();
-        for threads in [2, 4] {
+        let serial = algorithm_2(&g, SweepConfig::default());
+        for threads in [1, 2, 4] {
             let par = LinkClustering::new().threads(threads).run(&csr).unwrap();
             assert_eq!(serial.dendrogram(), par.dendrogram(), "{name} t={threads} via CSR");
+            assert_eq!(score_bits(&serial), score_bits(par.output()), "{name} t={threads} CSR");
         }
     }
 }
@@ -90,14 +98,18 @@ fn ufsweep_is_bit_identical_on_the_csr_backend() {
 #[test]
 fn cuts_are_identical_across_engines_at_several_thresholds() {
     for (name, g) in workloads() {
-        let serial = LinkClustering::new().run(&g).unwrap();
-        let engines =
-            [serial_sweep_of_parallel_list(&g), facade_output(&g, 4), ufsweep_on_one_thread(&g)];
+        let serial = algorithm_2(&g, SweepConfig::default());
+        let engines = [
+            serial_sweep_of_parallel_list(&g),
+            facade_output(&g, 4),
+            ufsweep_on_one_thread(&g),
+            facade_output(&g, 1),
+        ];
         for (which, par) in engines.iter().enumerate() {
-            assert_eq!(score_bits(serial.output()), score_bits(par), "{name} engine #{which}");
+            assert_eq!(score_bits(&serial), score_bits(par), "{name} engine #{which}");
             for theta in [0.2, 0.35, 0.5, 0.7, 0.9] {
                 assert_eq!(
-                    serial.output().edge_assignments_at_similarity(theta),
+                    serial.edge_assignments_at_similarity(theta),
                     par.edge_assignments_at_similarity(theta),
                     "{name} engine #{which} theta {theta}"
                 );
@@ -105,7 +117,7 @@ fn cuts_are_identical_across_engines_at_several_thresholds() {
             let levels = serial.dendrogram().merge_count();
             for level in [0, levels / 2, levels] {
                 assert_eq!(
-                    serial.output().edge_assignments_at_level(level as u32),
+                    serial.edge_assignments_at_level(level as u32),
                     par.edge_assignments_at_level(level as u32),
                     "{name} engine #{which} level {level}"
                 );
@@ -116,24 +128,21 @@ fn cuts_are_identical_across_engines_at_several_thresholds() {
 }
 
 /// Threshold configs must also agree between engines (the ufsweep
-/// engine cuts the entry list before partitioning, the serial sweep
-/// breaks at the first below-threshold entry — the same prefix either
-/// way).
+/// engine cuts the entry list before partitioning, Algorithm 2 and the
+/// Kruskal pass break at the first below-threshold entry — the same
+/// prefix either way).
 #[test]
 fn min_similarity_configs_agree_across_engines() {
     let g = gnm(50, 200, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 23);
     // θ = 2.0 is above every Tanimoto score: no live entries, so no
     // blocks and no candidates.
     for theta in [0.25, 0.5, 0.75, 2.0] {
-        let serial = LinkClustering::new().min_similarity(theta).run(&g).unwrap();
-        for threads in [4, 8] {
+        let config = SweepConfig { min_similarity: Some(theta), ..Default::default() };
+        let serial = algorithm_2(&g, config);
+        for threads in [1, 4, 8] {
             let par = LinkClustering::new().threads(threads).min_similarity(theta).run(&g).unwrap();
             assert_eq!(serial.dendrogram(), par.dendrogram(), "theta {theta} t={threads}");
-            assert_eq!(
-                score_bits(serial.output()),
-                score_bits(par.output()),
-                "theta {theta} t={threads}"
-            );
+            assert_eq!(score_bits(&serial), score_bits(par.output()), "theta {theta} t={threads}");
         }
     }
 }

@@ -92,7 +92,7 @@ fn main() -> ExitCode {
         "bench-ladder" => {
             // Build and run the scale ladder (pass `--smoke` for the
             // two smallest tiers per family — the CI gate), then
-            // schema-validate the BENCH_scale.json it wrote.
+            // schema-validate the document it wrote.
             let extra: Vec<&str> =
                 args.iter().skip(1).map(String::as_str).filter(|a| *a != "--").collect();
             match run_bench_ladder(&root, &extra) {
@@ -166,7 +166,7 @@ fn print_usage() {
         "  bench-smoke  run the fixed-seed smoke benchmark (writes BENCH_parallel.json + BENCH_init.json)"
     );
     eprintln!(
-        "  bench-ladder run the scale ladder and schema-validate BENCH_scale.json (`--smoke` for the CI gate, `--check-only` to validate an existing artifact without running)"
+        "  bench-ladder run the scale ladder and schema-validate BENCH_scale.json (`--smoke` for the CI gate, written to target/bench-ladder/BENCH_scale_smoke.json; `--check-only` to validate an existing artifact without running)"
     );
     eprintln!(
         "  bench-serve  run the serve load benchmark and schema-validate BENCH_serve.json (`--smoke` for the CI-sized run, `--check-only` to validate an existing artifact without running)"
@@ -353,31 +353,45 @@ fn run_bench_smoke(root: &Path, extra: &[&str]) -> Result<(), String> {
     cargo(root, &args, &[])
 }
 
+/// The document `bench-ladder` writes and validates: `--out PATH`
+/// (relative to the workspace root) if given, else
+/// `target/bench-ladder/BENCH_scale_smoke.json` for `--smoke` — so the
+/// CI gate never replaces the committed full ladder — and
+/// `BENCH_scale.json` for the full ladder.
+fn ladder_artifact(root: &Path, extra: &[&str]) -> PathBuf {
+    match extra.iter().position(|a| *a == "--out").and_then(|i| extra.get(i + 1)) {
+        Some(out) => root.join(out),
+        None if extra.contains(&"--smoke") => {
+            root.join("target").join("bench-ladder").join("BENCH_scale_smoke.json")
+        }
+        None => root.join("BENCH_scale.json"),
+    }
+}
+
 /// Builds and runs the `bench_ladder` binary in release mode, forwarding
-/// any extra CLI flags (`--smoke`, `--runs N`, `--out PATH`), then
-/// validates the artifact it wrote with the workspace's strict JSON
-/// parser (see [`benchcheck`]). A full (non-smoke) document must reach the
-/// million-edge tier. With `--check-only` the (expensive) ladder run is
-/// skipped and an existing artifact is validated in place.
+/// any extra CLI flags (`--smoke`, `--runs N`, `--out PATH`) and naming
+/// the document it writes (see [`ladder_artifact`]), then validates that
+/// document with the workspace's strict JSON parser (see [`benchcheck`]).
+/// A full (non-smoke) document must reach the million-edge tier. With
+/// `--check-only` the (expensive) ladder run is skipped and an existing
+/// artifact is validated in place.
 fn run_bench_ladder(root: &Path, extra: &[&str]) -> Result<(), String> {
     let check_only = extra.contains(&"--check-only");
     let extra: Vec<&str> = extra.iter().copied().filter(|a| *a != "--check-only").collect();
     let extra = extra.as_slice();
+    let out = ladder_artifact(root, extra);
     if !check_only {
+        let out_arg = out.to_string_lossy().into_owned();
         let mut args =
             vec!["run", "--release", "--quiet", "-p", "linkclust-bench", "--bin", "bench_ladder"];
-        if !extra.is_empty() {
-            args.push("--");
-            args.extend_from_slice(extra);
+        args.push("--");
+        args.extend_from_slice(extra);
+        if !extra.contains(&"--out") {
+            args.extend_from_slice(&["--out", &out_arg]);
         }
         cargo(root, &args, &[])?;
     }
 
-    let out = extra
-        .iter()
-        .position(|a| *a == "--out")
-        .and_then(|i| extra.get(i + 1))
-        .map_or_else(|| root.join("BENCH_scale.json"), PathBuf::from);
     let text = std::fs::read_to_string(&out)
         .map_err(|e| format!("ladder run left no artifact at {}: {e}", out.display()))?;
     let summary = benchcheck::check_scale_document(&text)
@@ -656,5 +670,22 @@ fn run_scan(root: &Path) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("{} forbidden-pattern violations", report.violations.len()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_ladder_never_replaces_the_committed_document() {
+        let root = Path::new("/ws");
+        let smoke = root.join("target").join("bench-ladder").join("BENCH_scale_smoke.json");
+        assert_eq!(ladder_artifact(root, &["--smoke"]), smoke);
+        assert_eq!(ladder_artifact(root, &["--runs", "1", "--smoke"]), smoke);
+        assert_eq!(ladder_artifact(root, &[]), root.join("BENCH_scale.json"));
+        assert_eq!(ladder_artifact(root, &["--runs", "2"]), root.join("BENCH_scale.json"));
+        assert_eq!(ladder_artifact(root, &["--smoke", "--out", "x.json"]), root.join("x.json"));
+        assert_eq!(ladder_artifact(root, &["--out", "/abs/l.json"]), Path::new("/abs/l.json"));
     }
 }
