@@ -1,24 +1,13 @@
-//! Criterion benchmarks isolating the persistent-pool win:
-//!
-//! * `pool_dispatch` — raw fan-out overhead: dispatching a batch of
-//!   tiny tasks through the persistent [`WorkerPool`] vs spawning fresh
-//!   scoped threads for the same batch. This is the per-chunk fixed
-//!   cost the pool amortises.
-//! * `chunk_throughput` — the full coarse sweep in the many-small-chunk
-//!   regime (high `phi`, small `initial_chunk`), pooled
-//!   [`ParallelChunkProcessor`] vs the historical
-//!   [`SpawnPerChunkProcessor`] baseline.
+//! Criterion benchmark isolating the persistent-pool win: `pool_dispatch`
+//! measures raw fan-out overhead, dispatching a batch of tiny tasks
+//! through the persistent [`WorkerPool`] vs spawning fresh scoped
+//! threads for the same batch. This is the per-chunk fixed cost the pool
+//! amortises.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use linkclust_bench::spawnchunk::SpawnPerChunkProcessor;
-use linkclust_core::coarse::{coarse_sweep_with, CoarseConfig};
-use linkclust_core::init::compute_similarities;
-use linkclust_graph::generate::{gnm, WeightMode};
 use linkclust_parallel::pool::{Task, WorkerPool};
-use linkclust_parallel::ParallelChunkProcessor;
 
 fn bench_pool_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_dispatch");
@@ -46,33 +35,9 @@ fn bench_pool_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_chunk_throughput(c: &mut Criterion) {
-    let g = gnm(400, 1600, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 42);
-    let sims = Arc::new(compute_similarities(&g).into_sorted());
-    let cfg = CoarseConfig { phi: 150, initial_chunk: 8, ..Default::default() };
-    let threads = 4usize;
-
-    let mut group = c.benchmark_group("chunk_throughput");
-    group.sample_size(10);
-    let mut pooled = ParallelChunkProcessor::new(threads)
-        .unwrap()
-        .min_entries_per_thread(1)
-        .shared_entries(Arc::clone(&sims));
-    group.bench_function(BenchmarkId::new("pooled", threads), |b| {
-        b.iter(|| black_box(coarse_sweep_with(&g, &sims, cfg, &mut pooled)));
-    });
-    group.bench_function(BenchmarkId::new("spawn_per_chunk", threads), |b| {
-        b.iter(|| {
-            let mut proc = SpawnPerChunkProcessor::new(threads).min_entries_per_thread(1);
-            black_box(coarse_sweep_with(&g, &sims, cfg, &mut proc))
-        });
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pool_dispatch, bench_chunk_throughput
+    targets = bench_pool_dispatch
 }
 criterion_main!(benches);

@@ -31,8 +31,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static TOTAL_BYTES: AtomicUsize = AtomicUsize::new(0);
-static TOTAL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 /// A [`GlobalAlloc`] wrapper around [`System`] that tracks current and
 /// peak live bytes.
@@ -42,8 +40,6 @@ impl CountingAlloc {
     fn record_alloc(size: usize) {
         let cur = CURRENT.fetch_add(size, Ordering::Relaxed) + size; // ordering: stats RMW
         PEAK.fetch_max(cur, Ordering::Relaxed); // ordering: monotone-max stats RMW
-        TOTAL_BYTES.fetch_add(size, Ordering::Relaxed); // ordering: stats RMW
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed); // ordering: stats RMW
     }
 
     fn record_dealloc(size: usize) {
@@ -110,25 +106,6 @@ pub fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let out = f();
     let peak = peak_bytes();
     (out, peak.saturating_sub(before))
-}
-
-/// Cumulative allocation traffic since process start: `(bytes, calls)`.
-/// Monotone — diff two snapshots to attribute traffic to a region (this
-/// is how the pool bench shows the per-chunk clone traffic going away).
-#[must_use]
-pub fn total_allocated() -> (usize, usize) {
-    // ordering: monotone stats reads; see module note on reader HB edges
-    (TOTAL_BYTES.load(Ordering::Relaxed), TOTAL_ALLOCS.load(Ordering::Relaxed))
-}
-
-/// Measures cumulative allocation traffic attributable to `f`:
-/// `(result, bytes_allocated, allocation_calls)`. Both are 0 when the
-/// counting allocator is not installed.
-pub fn measure_alloc_traffic<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (bytes0, calls0) = total_allocated();
-    let out = f();
-    let (bytes1, calls1) = total_allocated();
-    (out, bytes1.saturating_sub(bytes0), calls1.saturating_sub(calls0))
 }
 
 /// Formats a byte count human-readably (KiB/MiB/GiB).

@@ -21,10 +21,8 @@ pub mod ascii;
 pub mod compare;
 pub mod figures;
 pub mod ladder;
-pub mod mapmerge;
 pub mod plots;
 pub mod serve;
-pub mod spawnchunk;
 pub mod table;
 pub mod telemetry;
 pub mod timing;

@@ -1,77 +1,21 @@
-//! Load generator for the `linkclustd` query server.
+//! A client for the `linkclustd` query server, and the names of the
+//! query mix perfbench's `serve-mixed` load sends.
 //!
-//! Drives a mixed stream of queries through a real TCP socket against a
-//! running daemon, measuring client-observed latency per query kind
-//! (log-bucketed histograms, p50/p90/p99), the server's answer-cache
-//! hit rate, and — the interesting part — whether light queries keep
-//! flowing while a batch admission (full recluster) is in flight: at
-//! the halfway mark the generator enqueues a recluster and counts the
-//! queries answered by the *old* index generation before the swap
-//! lands.
-//!
-//! The query mix is deterministic in the seed: roughly 35% cut, 20%
-//! edge membership, 15% vertex membership, 15% top-k, 10% profile, 5%
-//! best-cut, with thresholds drawn from a small palette (64 values) so
-//! the answer cache sees realistic re-use.
-//!
-//! The `bench_serve` binary spawns the daemon, runs [`run_load`], and
-//! emits `BENCH_serve.json` (schema [`SCHEMA`], validated by
-//! `cargo xtask benchcheck`).
+//! [`ServeClient`] speaks the line protocol over one TCP connection;
+//! [`int_field`] reads a flat integer field out of an answer. [`KINDS`]
+//! names the query kinds of the mix and [`THETA_PALETTE`] the number of
+//! distinct thresholds it draws from.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::time::Instant;
-
-use linkclust_core::telemetry::LogHistogram;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Identifier of the emitted document layout; bump on breaking change.
-pub const SCHEMA: &str = "linkclust-bench-serve/v1";
 
 /// The query kinds the load mix spans, with their stable JSON names.
 pub const KINDS: [&str; 6] = ["cut", "edge", "vertex", "topk", "profile", "best"];
 
-/// Cumulative per-mille thresholds of the mix (cut 35%, edge 20%,
-/// vertex 15%, topk 15%, profile 10%, best 5%).
-const MIX_CUMULATIVE: [u32; 6] = [350, 550, 700, 850, 950, 1000];
-
-/// Distinct threshold values the generator draws from — small enough
+/// Distinct threshold values a load draws from — small enough
 /// that the answer cache sees re-use, large enough to exercise many cut
 /// levels.
 pub const THETA_PALETTE: usize = 64;
-
-/// Client-observed summary for one query kind.
-#[derive(Clone, Debug, Default)]
-pub struct KindStats {
-    /// Queries of this kind issued.
-    pub count: u64,
-    /// Log-bucketed latency histogram (nanoseconds).
-    pub hist: LogHistogram,
-}
-
-/// Everything one load run measured.
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// Total queries issued (excluding the stats/recluster/shutdown
-    /// control messages).
-    pub queries: u64,
-    /// Per-kind latency stats, indexed like [`KINDS`].
-    pub per_kind: Vec<KindStats>,
-    /// Server-side cache hits at the end of the run.
-    pub cache_hits: u64,
-    /// Server-side cache misses at the end of the run.
-    pub cache_misses: u64,
-    /// Index generation before the mid-run recluster.
-    pub generation_before: u64,
-    /// Index generation when the run finished.
-    pub generation_after: u64,
-    /// Queries answered *by the old generation* after the recluster was
-    /// enqueued — direct evidence the admission did not stall serving.
-    pub queries_during_admission: u64,
-    /// `true` if the swap completed before the run ended.
-    pub swap_completed: bool,
-}
 
 /// A line-delimited JSON client over one TCP connection.
 pub struct ServeClient {
@@ -124,185 +68,9 @@ pub fn int_field(response: &str, name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Picks the query kind index for one draw from the mix.
-fn pick_kind(rng: &mut SmallRng) -> usize {
-    let roll = rng.gen_range(0..1000u32);
-    MIX_CUMULATIVE.iter().position(|&c| roll < c).unwrap_or(5)
-}
-
-/// Renders one request line for kind `kind`.
-fn render_request(kind: usize, rng: &mut SmallRng, vertices: usize, edges: usize) -> String {
-    let theta = f64::from(rng.gen_range(0..THETA_PALETTE as u32)) / THETA_PALETTE as f64;
-    match kind {
-        0 => format!("{{\"op\":\"cut\",\"theta\":{theta}}}"),
-        1 => format!("{{\"op\":\"edge\",\"id\":{},\"theta\":{theta}}}", rng.gen_range(0..edges)),
-        2 => {
-            format!("{{\"op\":\"vertex\",\"id\":{},\"theta\":{theta}}}", rng.gen_range(0..vertices))
-        }
-        3 => format!("{{\"op\":\"topk\",\"theta\":{theta},\"k\":{}}}", rng.gen_range(1..16u32)),
-        4 => "{\"op\":\"profile\"}".to_string(),
-        _ => "{\"op\":\"best\"}".to_string(),
-    }
-}
-
-/// Runs `queries` mixed queries against the daemon at `addr`, enqueuing
-/// one recluster at the halfway mark.
-///
-/// # Errors
-///
-/// Propagates socket failures; a query answered with `"ok":false` is
-/// reported as [`std::io::ErrorKind::InvalidData`] (the generator only
-/// issues well-formed in-range requests).
-///
-/// # Panics
-///
-/// Panics if `vertices` or `edges` is zero — the request generator
-/// cannot draw ids from an empty graph.
-pub fn run_load(
-    addr: &str,
-    queries: u64,
-    vertices: usize,
-    edges: usize,
-    seed: u64,
-) -> std::io::Result<LoadReport> {
-    assert!(vertices > 0 && edges > 0, "load needs a non-empty graph");
-    let mut client = ServeClient::connect(addr)?;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut per_kind = vec![KindStats::default(); KINDS.len()];
-
-    let generation_before = {
-        let response = client.ask("{\"op\":\"best\"}")?;
-        int_field(response, "generation").unwrap_or(0)
-    };
-    let mut queries_during_admission = 0u64;
-    let mut generation_seen = generation_before;
-    let halfway = queries / 2;
-
-    for i in 0..queries {
-        if i == halfway {
-            let response = client.ask("{\"op\":\"recluster\"}")?;
-            if !response.contains("\"enqueued\":true") {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("recluster rejected: {response}"),
-                ));
-            }
-        }
-        let kind = pick_kind(&mut rng);
-        let request = render_request(kind, &mut rng, vertices, edges);
-        let start = Instant::now();
-        let response = client.ask(&request)?;
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if !response.contains("\"ok\":true") {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("query failed: {request} -> {response}"),
-            ));
-        }
-        let generation = int_field(response, "generation").unwrap_or(generation_seen);
-        if i >= halfway && generation == generation_before {
-            queries_during_admission += 1;
-        }
-        generation_seen = generation_seen.max(generation);
-        per_kind[kind].count += 1;
-        per_kind[kind].hist.record(nanos);
-    }
-
-    // Give a straggling admission a moment to land so the document can
-    // report an observed swap even on short smoke runs.
-    let deadline = Instant::now() + std::time::Duration::from_secs(30);
-    while generation_seen == generation_before && Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let response = client.ask("{\"op\":\"best\"}")?;
-        generation_seen =
-            generation_seen.max(int_field(response, "generation").unwrap_or(generation_seen));
-    }
-
-    let stats = client.ask("{\"op\":\"stats\"}")?;
-    let cache_hits = int_field(stats, "hits").unwrap_or(0);
-    let cache_misses = int_field(stats, "misses").unwrap_or(0);
-
-    Ok(LoadReport {
-        queries,
-        per_kind,
-        cache_hits,
-        cache_misses,
-        generation_before,
-        generation_after: generation_seen,
-        queries_during_admission,
-        swap_completed: generation_seen > generation_before,
-    })
-}
-
-impl LoadReport {
-    /// The full `BENCH_serve.json` document.
-    #[must_use]
-    pub fn to_json(&self, smoke: bool, vertices: usize, edges: usize) -> String {
-        let kinds: Vec<String> = KINDS
-            .iter()
-            .zip(&self.per_kind)
-            .map(|(name, stats)| {
-                format!(
-                    "{{\"kind\":\"{name}\",\"count\":{},\"p50_ns\":{},\"p90_ns\":{},\
-                      \"p99_ns\":{},\"mean_ns\":{:.1}}}",
-                    stats.count,
-                    stats.hist.quantile(0.50),
-                    stats.hist.quantile(0.90),
-                    stats.hist.quantile(0.99),
-                    stats.hist.mean(),
-                )
-            })
-            .collect();
-        let total = self.cache_hits + self.cache_misses;
-        let hit_rate = if total == 0 { 0.0 } else { self.cache_hits as f64 / total as f64 };
-        format!(
-            "{{\"schema\":\"{SCHEMA}\",\"smoke\":{smoke},\"queries\":{},\
-              \"graph\":{{\"vertices\":{vertices},\"edges\":{edges}}},\
-              \"kinds\":[{}],\
-              \"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{hit_rate:.6}}},\
-              \"admission\":{{\"reclusters\":1,\"swap_completed\":{},\
-              \"queries_during_admission\":{},\
-              \"generation_before\":{},\"generation_after\":{}}}}}",
-            self.queries,
-            kinds.join(","),
-            self.cache_hits,
-            self.cache_misses,
-            self.swap_completed,
-            self.queries_during_admission,
-            self.generation_before,
-            self.generation_after,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix_covers_every_kind_in_proportion() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut counts = [0u64; 6];
-        for _ in 0..100_000 {
-            counts[pick_kind(&mut rng)] += 1;
-        }
-        // cut is the plurality, best the rarest, nothing is starved.
-        assert!(counts.iter().all(|&c| c > 1_000), "{counts:?}");
-        assert!(counts[0] > counts[5], "{counts:?}");
-        let total: u64 = counts.iter().sum();
-        assert_eq!(total, 100_000);
-        assert!((counts[0] as f64 / total as f64 - 0.35).abs() < 0.02, "{counts:?}");
-    }
-
-    #[test]
-    fn requests_are_well_formed_for_every_kind() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        for (kind, name) in KINDS.iter().enumerate() {
-            let line = render_request(kind, &mut rng, 50, 120);
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains(&format!("\"op\":\"{name}\"")), "{line}");
-        }
-    }
 
     #[test]
     fn int_field_extracts_flat_fields() {
@@ -310,26 +78,5 @@ mod tests {
         assert_eq!(int_field(r, "generation"), Some(7));
         assert_eq!(int_field(r, "clusters"), Some(4));
         assert_eq!(int_field(r, "absent"), None);
-    }
-
-    #[test]
-    fn document_shape_is_stable() {
-        let report = LoadReport {
-            queries: 10,
-            per_kind: vec![KindStats::default(); 6],
-            cache_hits: 3,
-            cache_misses: 7,
-            generation_before: 1,
-            generation_after: 2,
-            queries_during_admission: 4,
-            swap_completed: true,
-        };
-        let doc = report.to_json(true, 40, 120);
-        assert!(doc.contains("\"schema\":\"linkclust-bench-serve/v1\""));
-        assert!(doc.contains("\"kind\":\"cut\""));
-        assert!(doc.contains("\"p99_ns\":"));
-        assert!(doc.contains("\"hit_rate\":0.3"));
-        assert!(doc.contains("\"swap_completed\":true"));
-        assert!(doc.contains("\"queries_during_admission\":4"));
     }
 }

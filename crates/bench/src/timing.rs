@@ -53,19 +53,6 @@ pub fn time_runs<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, TimingStats) {
     (last.expect("runs > 0"), TimingStats { runs, mean: total / runs as u32, min, max })
 }
 
-/// Formats a duration with adaptive precision (µs/ms/s).
-#[must_use]
-pub fn format_duration(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s < 0.001 {
-        format!("{:.1}us", s * 1e6)
-    } else if s < 1.0 {
-        format!("{:.2}ms", s * 1e3)
-    } else {
-        format!("{s:.3}s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,12 +74,5 @@ mod tests {
         assert_eq!(v, 5);
         assert_eq!(stats.runs, 5);
         assert!(stats.min <= stats.mean && stats.mean <= stats.max);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert!(format_duration(Duration::from_micros(50)).ends_with("us"));
-        assert!(format_duration(Duration::from_millis(50)).ends_with("ms"));
-        assert!(format_duration(Duration::from_secs(5)).ends_with('s'));
     }
 }

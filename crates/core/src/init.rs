@@ -19,8 +19,7 @@
 //!    [`FlatPairAccumulator`](crate::flatacc::FlatPairAccumulator)
 //!    (packed `u64` keys, one shared common-neighbor arena); the
 //!    original map-based [`PairAccumulator`] (one `HashMap` entry and
-//!    one `Vec` per pair) is retained as the A/B baseline the bench
-//!    harness measures against and as the reference in equivalence
+//!    one `Vec` per pair) is retained as the reference in equivalence
 //!    tests.
 //! 3. [`finalize_entries`] — adjacent pairs receive the correction term
 //!    `(H₁[i]+H₁[j])·w_ij` (the diagonal contributions to `aᵢ·aⱼ`), and
@@ -85,12 +84,7 @@ pub fn vertex_norms<G: GraphView + ?Sized>(g: &G) -> VertexNorms {
 ///
 /// Superseded in the production pipeline by the flat
 /// [`FlatPairAccumulator`](crate::flatacc::FlatPairAccumulator); kept as
-/// the hashmap-merge baseline (`linkclust-bench` measures the sharded
-/// path against it) and as the reference oracle in equivalence tests.
-///
-/// Multiple accumulators built over disjoint vertex sets can be
-/// [`merge`](PairAccumulator::merge)d — this is what the historical
-/// parallel implementation's hierarchical map merging does.
+/// the reference oracle in equivalence tests.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct PairAccumulator {
     map: HashMap<(u32, u32), (f64, Vec<u32>)>,
@@ -129,16 +123,6 @@ impl PairAccumulator {
                 slot.0 += x.weight * y.weight;
                 slot.1.push(u32::from(v));
             }
-        }
-    }
-
-    /// Merges `other` into `self` (used by the hierarchical map merge of
-    /// the parallel second pass).
-    pub fn merge(&mut self, other: PairAccumulator) {
-        for (key, (sum, commons)) in other.map {
-            let slot = self.map.entry(key).or_insert_with(|| (0.0, Vec::new()));
-            slot.0 += sum;
-            slot.1.extend(commons);
         }
     }
 
@@ -326,23 +310,6 @@ mod tests {
             let g = gnm(25, 60, WeightMode::Unit, seed);
             let sims = compute_similarities(&g);
             assert_eq!(sims.incident_pair_count(), count_incident_edge_pairs(&g));
-        }
-    }
-
-    #[test]
-    fn merged_accumulators_match_single_pass() {
-        use linkclust_graph::generate::{gnm, WeightMode};
-        let g = gnm(40, 150, WeightMode::Uniform { lo: 0.5, hi: 1.5 }, 9);
-        let whole = accumulate_pairs(&g, g.vertices());
-        let mut left = accumulate_pairs(&g, (0..20).map(v));
-        let right = accumulate_pairs(&g, (20..40).map(v));
-        left.merge(right);
-        assert_eq!(whole.len(), left.len());
-        let (a, b) = (whole.into_similarities(), left.into_similarities());
-        for (x, y) in a.entries().iter().zip(b.entries()) {
-            assert_eq!(x.pair, y.pair);
-            assert!((x.score - y.score).abs() < 1e-9);
-            assert_eq!(a.common_neighbors(x), b.common_neighbors(y));
         }
     }
 

@@ -104,8 +104,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 /// How many arrays and objects may nest: hostile inputs must not
-/// overflow the stack. The deepest documents the workspace writes,
-/// `BENCH_scale.json` and `BENCH_init.json`, nest 6 deep.
+/// overflow the stack. The deepest document the workspace writes,
+/// `BENCH_scale.json`, nests 6 deep.
 const MAX_DEPTH: usize = 64;
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

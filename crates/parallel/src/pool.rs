@@ -444,43 +444,6 @@ impl WorkerPool {
             .collect();
         self.run_tasks(tasks)
     }
-
-    /// Reduces `items` pairwise on the pool until at most three remain;
-    /// those are folded serially — the hierarchical merge shape of §VI-A
-    /// (pass 2) and §VI-B (array combination).
-    ///
-    /// # Panics
-    ///
-    /// A panic in `combine` on any task is propagated to the caller with
-    /// its original payload (see [`run_tasks`](Self::run_tasks)).
-    pub fn reduce<T, F>(&self, mut items: Vec<T>, combine: F) -> Option<T>
-    where
-        T: Send + 'static,
-        F: Fn(T, T) -> T + Send + Sync + 'static,
-    {
-        let combine = Arc::new(combine);
-        while items.len() > 3 {
-            let carry = if items.len() % 2 == 1 { items.pop() } else { None };
-            let mut pairs = Vec::with_capacity(items.len() / 2);
-            let mut it = items.into_iter();
-            while let (Some(a), Some(b)) = (it.next(), it.next()) {
-                pairs.push((a, b));
-            }
-            let tasks: Vec<Task<T>> = pairs
-                .into_iter()
-                .map(|(a, b)| {
-                    let combine = Arc::clone(&combine);
-                    Box::new(move || combine(a, b)) as Task<T>
-                })
-                .collect();
-            let mut next = self.run_tasks(tasks);
-            next.extend(carry);
-            items = next;
-        }
-        let mut it = items.into_iter();
-        let first = it.next()?;
-        Some(it.fold(first, |a, b| combine(a, b)))
-    }
 }
 
 impl Drop for WorkerPool {
@@ -746,20 +709,6 @@ mod tests {
         let sums = pool.run_on_ranges(ranges.clone(), |r| r.sum::<usize>());
         let direct: Vec<usize> = ranges.into_iter().map(|r| r.sum()).collect();
         assert_eq!(sums, direct);
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let pool = WorkerPool::new(3);
-        for n in [0usize, 1, 2, 3, 4, 5, 8, 13, 64] {
-            let items: Vec<u64> = (0..n as u64).collect();
-            let got = pool.reduce(items, |a, b| a + b);
-            if n == 0 {
-                assert_eq!(got, None);
-            } else {
-                assert_eq!(got, Some((n as u64 - 1) * n as u64 / 2), "n={n}");
-            }
-        }
     }
 
     #[test]

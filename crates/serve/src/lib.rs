@@ -21,8 +21,8 @@
 //!   a plain-HTTP `GET /metrics` responder.
 //!
 //! The `linkclustd` binary in the workspace root wraps [`server`] in a
-//! CLI; `bench_serve` drives a load mix through the socket and emits
-//! latency quantiles per query kind.
+//! CLI; perfbench's `serve-mixed` workload drives a query mix through
+//! its socket and reports latency per query kind.
 
 pub mod cache;
 pub mod index;

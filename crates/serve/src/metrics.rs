@@ -180,8 +180,9 @@ pub fn spawn_http(listener: TcpListener, server: Arc<Server>) -> ServiceThread {
 
 /// Reads one HTTP request head and writes the matching response: `400`
 /// for a request or header line longer than [`MAX_REQUEST_LINE`]
-/// bytes. All I/O errors abandon the connection silently — a broken
-/// scraper must not affect the daemon.
+/// bytes, or a request line that is not UTF-8. All I/O errors abandon
+/// the connection silently — a broken scraper must not affect the
+/// daemon.
 fn handle_http_request(stream: std::net::TcpStream, server: &Server) {
     let Ok(clone) = stream.try_clone() else { return };
     let mut reader = BufReader::new(clone);
@@ -191,20 +192,25 @@ fn handle_http_request(stream: std::net::TcpStream, server: &Server) {
     };
     let mut request_buf = Vec::new();
     let request_line = match read_request_line(&mut reader, &mut request_buf) {
-        Ok(RequestLine::Line(line)) => line,
-        Ok(RequestLine::Eof) => "",
+        Ok(RequestLine::Line(line)) => Some(line),
+        Ok(RequestLine::Eof) => Some(""),
+        Ok(RequestLine::NotUtf8) => None,
         Ok(RequestLine::TooLong) => return too_long(stream),
         Err(_) => return,
     };
-    // Drain the header block so the client sees a clean close.
+    // Drain the header block so the client sees a clean close. Header
+    // values are never read, so their encoding does not matter.
     let mut header = Vec::new();
     loop {
         match read_request_line(&mut reader, &mut header) {
             Ok(RequestLine::Line("\r\n" | "\n")) | Ok(RequestLine::Eof) | Err(_) => break,
-            Ok(RequestLine::Line(_)) => {}
+            Ok(RequestLine::Line(_) | RequestLine::NotUtf8) => {}
             Ok(RequestLine::TooLong) => return too_long(stream),
         }
     }
+    let Some(request_line) = request_line else {
+        return respond(stream, "400 Bad Request", "text/plain", "request line is not UTF-8\n");
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");

@@ -538,8 +538,17 @@ impl Server {
         let mut writer = BufWriter::new(stream);
         let mut buf = Vec::new();
         loop {
-            let line = match read_request_line(&mut reader, &mut buf) {
-                Ok(RequestLine::Line(line)) => line,
+            let (response, shutdown) = match read_request_line(&mut reader, &mut buf) {
+                Ok(RequestLine::Line(line)) => {
+                    let trimmed = line.trim();
+                    if trimmed.is_empty() {
+                        continue;
+                    }
+                    self.handle_line(trimmed)
+                }
+                // The line was read through its newline, so the next
+                // request starts in step.
+                Ok(RequestLine::NotUtf8) => (error_response("request line is not UTF-8"), false),
                 Ok(RequestLine::TooLong) => {
                     let response =
                         error_response(&format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
@@ -555,11 +564,6 @@ impl Server {
                 }
                 Ok(RequestLine::Eof) | Err(_) => return false,
             };
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let (response, shutdown) = self.handle_line(trimmed);
             *requests += 1;
             if writer
                 .write_all(response.as_bytes())
@@ -981,6 +985,8 @@ pub(crate) enum RequestLine<'a> {
     Eof,
     /// More than [`MAX_REQUEST_LINE`] bytes arrived without a newline.
     TooLong,
+    /// A line of at most [`MAX_REQUEST_LINE`] bytes that is not UTF-8.
+    NotUtf8,
 }
 
 /// Reads one `\n`-terminated line into `buf`, taking at most
@@ -989,8 +995,7 @@ pub(crate) enum RequestLine<'a> {
 ///
 /// # Errors
 ///
-/// Propagates read errors (including timeouts); a line that is not
-/// UTF-8 is an [`InvalidData`](std::io::ErrorKind::InvalidData) error.
+/// Propagates read errors (including timeouts).
 pub(crate) fn read_request_line<'a, R: BufRead>(
     reader: &mut R,
     buf: &'a mut Vec<u8>,
@@ -1003,9 +1008,7 @@ pub(crate) fn read_request_line<'a, R: BufRead>(
     if n > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
         return Ok(RequestLine::TooLong);
     }
-    std::str::from_utf8(buf)
-        .map(RequestLine::Line)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    Ok(std::str::from_utf8(buf).map_or(RequestLine::NotUtf8, RequestLine::Line))
 }
 
 /// Renders an `{"ok":false,...}` response.
@@ -1275,7 +1278,7 @@ mod tests {
     }
 
     #[test]
-    fn over_long_request_lines_are_refused_on_both_listeners() {
+    fn bad_request_lines_are_refused_on_both_listeners() {
         let unterminated = vec![b'x'; 1 << 20];
         let server = std::sync::Arc::new(test_server(2));
 
@@ -1289,9 +1292,14 @@ mod tests {
             exchange(addr, &unterminated),
             "{\"ok\":false,\"error\":\"request line exceeds 65536 bytes\"}\n"
         );
-        let next = exchange(addr, b"{\"op\":\"cut\",\"theta\":0.3}\n{\"op\":\"shutdown\"}\n");
-        assert!(next.starts_with("{\"ok\":true,"), "{next}");
-        assert!(next.ends_with("\"bye\":true}\n"), "{next}");
+        // A line that is not UTF-8 is refused, and the connection reads on.
+        let next =
+            exchange(addr, b"\xff\xfe\n{\"op\":\"cut\",\"theta\":0.3}\n{\"op\":\"shutdown\"}\n");
+        let lines: Vec<&str> = next.lines().collect();
+        assert_eq!(lines.len(), 3, "{next}");
+        assert_eq!(lines[0], "{\"ok\":false,\"error\":\"request line is not UTF-8\"}");
+        assert!(lines[1].starts_with("{\"ok\":true,"), "{next}");
+        assert_eq!(lines[2], "{\"ok\":true,\"bye\":true}");
 
         let http = TcpListener::bind("127.0.0.1:0").unwrap();
         let http_addr = http.local_addr().unwrap();
@@ -1299,6 +1307,9 @@ mod tests {
         let refused = exchange(http_addr, &unterminated);
         assert!(refused.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{refused}");
         assert!(refused.ends_with("request line exceeds 65536 bytes\n"), "{refused}");
+        let refused = exchange(http_addr, b"GET /\xff\xfe HTTP/1.1\r\nHost: test\r\n\r\n");
+        assert!(refused.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{refused}");
+        assert!(refused.ends_with("request line is not UTF-8\n"), "{refused}");
         let scrape = exchange(http_addr, b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
         assert!(scrape.starts_with("HTTP/1.1 200 OK\r\n"), "{scrape}");
     }

@@ -80,7 +80,9 @@ fn usage() -> ExitCode {
 }
 
 /// Handles `linkclust generate <family> ...`: writes an edge list to
-/// stdout. Returns `None` on malformed arguments.
+/// stdout. Returns `None` on malformed arguments. Arguments outside a
+/// generator's documented bounds exit 1 with a one-line error naming the
+/// bound, before the generator runs.
 fn run_generate(args: &[String]) -> Option<ExitCode> {
     use linkclust::graph::generate::{
         barabasi_albert, complete, gnm, k_regular, planted_partition, WeightMode,
@@ -89,28 +91,58 @@ fn run_generate(args: &[String]) -> Option<ExitCode> {
     let num = |i: usize| -> Option<usize> { args.get(i)?.parse().ok() };
     let fnum = |i: usize| -> Option<f64> { args.get(i)?.parse().ok() };
     let family = args.first()?;
-    let (g, fixed_args) = match family.as_str() {
-        "gnm" => (gnm(num(1)?, num(2)?, w, 42), 3),
-        "complete" => (complete(num(1)?, w, 42), 2),
-        "kregular" => (k_regular(num(1)?, num(2)?, w, 42), 3),
-        "ba" => (barabasi_albert(num(1)?, num(2)?, w, 42), 3),
-        "planted" => (planted_partition(num(1)?, num(2)?, fnum(3)?, fnum(4)?, 42).graph, 5),
-        _ => return None,
+    let fixed_args = match family.as_str() {
+        "complete" => 2,
+        "planted" => 5,
+        _ => 3,
     };
-    // optional trailing seed: regenerate with it
-    let g = if let Some(seed) = args.get(fixed_args).and_then(|s| s.parse::<u64>().ok()) {
-        match family.as_str() {
-            "gnm" => gnm(num(1)?, num(2)?, w, seed),
-            "complete" => complete(num(1)?, w, seed),
-            "kregular" => k_regular(num(1)?, num(2)?, w, seed),
-            "ba" => barabasi_albert(num(1)?, num(2)?, w, seed),
-            "planted" => planted_partition(num(1)?, num(2)?, fnum(3)?, fnum(4)?, seed).graph,
-            _ => unreachable!("family validated above"),
+    // optional trailing seed
+    let seed = match args.get(fixed_args) {
+        Some(seed) => seed.parse().ok()?,
+        None => 42,
+    };
+    let refuse = |bound: String| {
+        eprintln!("linkclust generate {family}: {bound}");
+        Some(ExitCode::FAILURE)
+    };
+    let g = match family.as_str() {
+        "gnm" => {
+            let (n, m) = (num(1)?, num(2)?);
+            let pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
+            if m > pairs {
+                return refuse(format!("m = {m} exceeds the {pairs} vertex pairs of n = {n}"));
+            }
+            gnm(n, m, w, seed)
         }
-    } else if args.len() > fixed_args {
-        return None;
-    } else {
-        g
+        "complete" => complete(num(1)?, w, seed),
+        "kregular" => {
+            let (n, k) = (num(1)?, num(2)?);
+            if k >= n {
+                return refuse(format!("degree k = {k} must be smaller than n = {n}"));
+            }
+            if k % 2 == 1 && n % 2 == 1 {
+                return refuse(format!("k = {k} and n = {n} are both odd; one must be even"));
+            }
+            k_regular(n, k, w, seed)
+        }
+        "ba" => {
+            let (n, m) = (num(1)?, num(2)?);
+            if m == 0 || n <= m {
+                return refuse(format!("needs 1 <= m < n; got n = {n}, m = {m}"));
+            }
+            barabasi_albert(n, m, w, seed)
+        }
+        "planted" => {
+            let (k, size, p_in, p_out) = (num(1)?, num(2)?, fnum(3)?, fnum(4)?);
+            if k == 0 || size < 3 {
+                return refuse(format!("needs k >= 1 communities of size >= 3; got {k} of {size}"));
+            }
+            if !(0.0..=1.0).contains(&p_in) || !(0.0..=1.0).contains(&p_out) {
+                return refuse(format!("p_in = {p_in} and p_out = {p_out} must lie in [0, 1]"));
+            }
+            planted_partition(k, size, p_in, p_out, seed).graph
+        }
+        _ => return None,
     };
     let stdout = std::io::stdout();
     if linkclust::graph::io::write_edge_list(&g, stdout.lock()).is_err() {

@@ -177,9 +177,18 @@ fn generate_rejects_bad_families_and_params() {
         vec!["generate", "nonsense", "5"],
         vec!["generate", "gnm", "10"],
         vec!["generate", "gnm", "10", "20", "seedless-extra", "x"],
+        // Out of the generators' documented bounds.
+        vec!["generate", "gnm", "10", "1000"],
+        vec!["generate", "kregular", "5", "7"],
+        vec!["generate", "kregular", "5", "3"],
+        vec!["generate", "ba", "3", "5"],
+        vec!["generate", "ba", "5", "0"],
+        vec!["generate", "planted", "2", "5", "1.5", "0.1"],
+        vec!["generate", "planted", "2", "2", "0.5", "0.1"],
     ] {
-        let (_, _, ok) = run_cli(&bad, "");
+        let (_, stderr, ok) = run_cli(&bad, "");
         assert!(!ok, "{bad:?} should fail");
+        assert!(!stderr.contains("panicked"), "{bad:?} panicked: {stderr}");
     }
 }
 
@@ -192,4 +201,60 @@ fn bad_usage_fails() {
     let (_, stderr, ok) = run_cli(&["/nonexistent/file"], "");
     assert!(!ok);
     assert!(stderr.contains("cannot read"));
+}
+
+/// Writes the index `linkclustd` would build for the edge list `text`.
+fn index_bytes(text: &str) -> Vec<u8> {
+    let g = linkclust::graph::io::read_edge_list(text.as_bytes()).expect("valid edge list");
+    let result = linkclust::LinkClustering::new().run(&g).expect("valid config");
+    let index = linkclust::serve::DendrogramIndex::build(&g, result.output()).expect("coherent");
+    let mut bytes = Vec::new();
+    index.write(&mut bytes).expect("vec write cannot fail");
+    bytes
+}
+
+#[test]
+fn linkclustd_refuses_a_bad_index_at_startup() {
+    let dir = std::env::temp_dir();
+    let tag = std::process::id();
+    let edges = dir.join(format!("linkclustd-bad-index-{tag}.txt"));
+    std::fs::write(&edges, EDGES).unwrap();
+    // Same counts as EDGES (6 vertices, 7 edges), other endpoints.
+    let foreign = index_bytes("0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 3\n");
+    let own = index_bytes(EDGES);
+    let cases = [
+        ("foreign", foreign, "does not describe this graph"),
+        ("truncated", own[..own.len() / 2].to_vec(), "cannot load index"),
+    ];
+    for (name, bytes, expected) in cases {
+        let index = dir.join(format!("linkclustd-bad-index-{tag}-{name}.idx"));
+        std::fs::write(&index, bytes).unwrap();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_linkclustd"))
+            .arg(&edges)
+            .arg("--index")
+            .arg(&index)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary exists");
+        // A daemon that accepted the index would serve until shutdown.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while child.try_wait().expect("child status").is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("linkclustd still running 10 s after starting with the {name} index");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("process ran");
+        let _ = std::fs::remove_file(&index);
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(!out.status.success(), "{name} index accepted: {stderr}");
+        assert!(!stdout.contains("LISTENING"), "{name} index served: {stdout}");
+        assert!(stderr.contains(expected), "{name} index: {stderr}");
+    }
+    let _ = std::fs::remove_file(&edges);
 }

@@ -1,5 +1,5 @@
 //! Structural validation of the benchmark artifacts, for the
-//! `bench-ladder`, `bench-serve`, and `serve-smoke` gates.
+//! `bench-ladder` and `serve-smoke` gates.
 //!
 //! Re-parses each artifact with the workspace's strict JSON parser
 //! ([`linkclust_core::json`]), so a bench writer that emits non-JSON
@@ -16,14 +16,8 @@
 //! *present*, not *true*: a quota-limited one-core runner honestly
 //! reports false, and the gate must not punish honesty.
 //!
-//! For `BENCH_serve.json` (`linkclust-bench-serve/v1`): the header,
-//! the graph block, exactly the six query kinds each with latency
-//! quantiles and a non-zero count (counts summing to `queries`), the
-//! cache block with a hit rate in [0, 1], and the admission block —
-//! the mid-run recluster must have swapped the generation, and a full
-//! (non-smoke) run must have issued ≥ 100 000 queries and observed
-//! old-generation answers *while* the admission was in flight (the
-//! no-stall evidence).
+//! For the daemon's stats document (`linkclust-serve-stats/v2`): see
+//! [`check_serve_stats_document`].
 
 use linkclust_core::json::{parse, Json};
 
@@ -172,157 +166,8 @@ fn check_rung(rung: &Json) -> Result<u64, String> {
     Ok(edges as u64)
 }
 
-/// What a validated serve document contained, for the gate's log line.
-#[derive(Debug)]
-pub(crate) struct ServeSummary {
-    /// Total queries the load run issued.
-    pub(crate) queries: u64,
-    /// Whether the document was produced by a `--smoke` run.
-    pub(crate) smoke: bool,
-    /// Server-side answer-cache hit rate.
-    pub(crate) hit_rate: f64,
-    /// Queries answered by the pre-swap generation during the in-flight
-    /// admission.
-    pub(crate) queries_during_admission: u64,
-}
-
-/// The query kinds a serve document must report, in order.
-const SERVE_KINDS: &[&str] = &["cut", "edge", "vertex", "topk", "profile", "best"];
-
-/// Queries a full (non-smoke) serve run must issue.
-const SERVE_FULL_QUERIES: f64 = 100_000.0;
-
-/// Validates `text` as a `linkclust-bench-serve/v1` document.
-///
-/// Returns a summary on success and a human-readable description of the
-/// first structural problem otherwise.
-pub(crate) fn check_serve_document(text: &str) -> Result<ServeSummary, String> {
-    let doc = parse(text)?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("linkclust-bench-serve/v1") => {}
-        Some(other) => return Err(format!("unexpected schema tag {other:?}")),
-        None => return Err("top-level object lacks a string `schema` tag".to_string()),
-    }
-    let smoke = doc.get("smoke").and_then(Json::as_bool).ok_or("`smoke` must be a boolean")?;
-    let queries = doc.get("queries").and_then(Json::as_f64).ok_or("`queries` must be a number")?;
-    if queries < 1.0 {
-        return Err(format!("`queries` must be at least 1, got {queries}"));
-    }
-    if !smoke && queries < SERVE_FULL_QUERIES {
-        return Err(format!(
-            "full serve run issued only {queries} queries (expected at least {SERVE_FULL_QUERIES})"
-        ));
-    }
-    let graph = doc.get("graph").ok_or("top-level object lacks a `graph` object")?;
-    for key in ["vertices", "edges"] {
-        let v = graph
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("`graph.{key}` must be a number"))?;
-        if v < 1.0 {
-            return Err(format!("`graph.{key}` must be at least 1, got {v}"));
-        }
-    }
-
-    let kinds = match doc.get("kinds") {
-        Some(Json::Arr(kinds)) => kinds,
-        Some(_) => return Err("`kinds` is not an array".to_string()),
-        None => return Err("top-level object lacks a `kinds` array".to_string()),
-    };
-    if kinds.len() != SERVE_KINDS.len() {
-        return Err(format!("expected {} query kinds, got {}", SERVE_KINDS.len(), kinds.len()));
-    }
-    let mut total_count = 0.0f64;
-    for (expected, kind) in SERVE_KINDS.iter().zip(kinds) {
-        let name = kind.get("kind").and_then(Json::as_str).ok_or("kind lacks a string `kind`")?;
-        if name != *expected {
-            return Err(format!("expected kind {expected:?}, got {name:?}"));
-        }
-        for key in ["count", "p50_ns", "p90_ns", "p99_ns", "mean_ns"] {
-            let v = kind
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("kind {name:?} lacks a numeric `{key}`"))?;
-            if v < 0.0 {
-                return Err(format!("kind {name:?} has a negative `{key}`"));
-            }
-        }
-        let count = kind.get("count").and_then(Json::as_f64).unwrap_or(0.0);
-        if count < 1.0 {
-            return Err(format!("kind {name:?} was never queried: the mix is broken"));
-        }
-        total_count += count;
-    }
-    if (total_count - queries).abs() > 0.5 {
-        return Err(format!(
-            "per-kind counts sum to {total_count} but the document claims {queries} queries"
-        ));
-    }
-
-    let cache = doc.get("cache").ok_or("top-level object lacks a `cache` object")?;
-    for key in ["hits", "misses"] {
-        let v = cache
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("`cache.{key}` must be a number"))?;
-        if v < 0.0 {
-            return Err(format!("`cache.{key}` must be non-negative, got {v}"));
-        }
-    }
-    let hit_rate =
-        cache.get("hit_rate").and_then(Json::as_f64).ok_or("`cache.hit_rate` must be a number")?;
-    if !(0.0..=1.0).contains(&hit_rate) {
-        return Err(format!("`cache.hit_rate` = {hit_rate} is outside [0, 1]"));
-    }
-
-    let admission = doc.get("admission").ok_or("top-level object lacks an `admission` object")?;
-    let reclusters = admission
-        .get("reclusters")
-        .and_then(Json::as_f64)
-        .ok_or("`admission.reclusters` must be a number")?;
-    if reclusters < 1.0 {
-        return Err("the load run enqueued no recluster: admission untested".to_string());
-    }
-    match admission.get("swap_completed").and_then(Json::as_bool) {
-        Some(true) => {}
-        Some(false) => {
-            return Err("`admission.swap_completed` is false: the swap never landed".to_string())
-        }
-        None => return Err("`admission.swap_completed` must be a boolean".to_string()),
-    }
-    let during = admission
-        .get("queries_during_admission")
-        .and_then(Json::as_f64)
-        .ok_or("`admission.queries_during_admission` must be a number")?;
-    if during < 0.0 {
-        return Err(format!("`admission.queries_during_admission` is negative: {during}"));
-    }
-    if !smoke && during < 1.0 {
-        return Err("full serve run saw no queries answered during the in-flight admission — \
-             the recluster stalled serving"
-            .to_string());
-    }
-    let before = admission
-        .get("generation_before")
-        .and_then(Json::as_f64)
-        .ok_or("`admission.generation_before` must be a number")?;
-    let after = admission
-        .get("generation_after")
-        .and_then(Json::as_f64)
-        .ok_or("`admission.generation_after` must be a number")?;
-    if after <= before {
-        return Err(format!(
-            "generation did not advance across the admission ({before} -> {after})"
-        ));
-    }
-
-    Ok(ServeSummary {
-        queries: queries as u64,
-        smoke,
-        hit_rate,
-        queries_during_admission: during as u64,
-    })
-}
+/// The query kinds a serve stats document must report, in order.
+pub(crate) const SERVE_KINDS: &[&str] = &["cut", "edge", "vertex", "topk", "profile", "best"];
 
 /// What a validated daemon stats document contained, for the gate's
 /// log line.
@@ -334,6 +179,10 @@ pub(crate) struct StatsSummary {
     pub(crate) uptime_seconds: f64,
     /// Runtime-gauge sampler ticks recorded.
     pub(crate) ticks: u64,
+    /// Index swaps the daemon completed.
+    pub(crate) swaps: u64,
+    /// The query kind with the fewest queries, and its count.
+    pub(crate) least_queried: (&'static str, u64),
 }
 
 /// Runtime gauge rings every `linkclust-serve-stats/v2` document must
@@ -378,9 +227,17 @@ pub(crate) fn check_serve_stats_document(text: &str) -> Result<StatsSummary, Str
     }
 
     let queries = doc.get("queries").ok_or("top-level object lacks a `queries` object")?;
+    let mut least_queried = ("", u64::MAX);
     for kind in SERVE_KINDS {
         let entry = queries.get(kind).ok_or(format!("`queries` lacks kind {kind:?}"))?;
-        for key in ["count", "p50_ns", "p90_ns", "p99_ns"] {
+        let count = entry
+            .get("count")
+            .and_then(Json::as_index)
+            .ok_or(format!("kind {kind:?} lacks a non-negative integer `count`"))?;
+        if count < least_queried.1 {
+            least_queried = (kind, count);
+        }
+        for key in ["p50_ns", "p90_ns", "p99_ns"] {
             let v = entry
                 .get(key)
                 .and_then(Json::as_f64)
@@ -402,11 +259,15 @@ pub(crate) fn check_serve_stats_document(text: &str) -> Result<StatsSummary, Str
     if !(0.0..=1.0).contains(&hit_rate) {
         return Err(format!("`cache.hit_rate` = {hit_rate} is outside [0, 1]"));
     }
-    for key in ["admissions", "admit_failures", "swaps", "trace_events_dropped"] {
+    for key in ["admissions", "admit_failures", "trace_events_dropped"] {
         doc.get(key)
             .and_then(Json::as_index)
             .ok_or(format!("`{key}` must be a non-negative integer"))?;
     }
+    let swaps = doc
+        .get("swaps")
+        .and_then(Json::as_index)
+        .ok_or("`swaps` must be a non-negative integer")?;
 
     let phases = doc.get("phases").ok_or("top-level object lacks a `phases` object")?;
     for phase in ["serve_query", "serve_admit", "serve_swap"] {
@@ -447,7 +308,7 @@ pub(crate) fn check_serve_stats_document(text: &str) -> Result<StatsSummary, Str
         }
     }
 
-    Ok(StatsSummary { generation, uptime_seconds: uptime, ticks })
+    Ok(StatsSummary { generation, uptime_seconds: uptime, ticks, swaps, least_queried })
 }
 
 #[cfg(test)]
@@ -507,89 +368,6 @@ mod tests {
         assert!(check_scale_document(&doc(&[bad_nmi])).unwrap_err().contains("outside"));
     }
 
-    /// A serve document that validates; tests below mutate it.
-    fn serve_doc() -> String {
-        let kinds: Vec<String> = SERVE_KINDS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let count = if i == 0 { 99_500 } else { 100 };
-                format!(
-                    "{{\"kind\":\"{name}\",\"count\":{count},\"p50_ns\":9000,\
-                      \"p90_ns\":21000,\"p99_ns\":45000,\"mean_ns\":14000.5}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\":\"linkclust-bench-serve/v1\",\"smoke\":false,\"queries\":100000,\
-              \"graph\":{{\"vertices\":500,\"edges\":2000}},\
-              \"kinds\":[{}],\
-              \"cache\":{{\"hits\":60000,\"misses\":40000,\"hit_rate\":0.6}},\
-              \"admission\":{{\"reclusters\":1,\"swap_completed\":true,\
-              \"queries_during_admission\":37,\
-              \"generation_before\":1,\"generation_after\":2}}}}",
-            kinds.join(",")
-        )
-    }
-
-    #[test]
-    fn accepts_a_well_formed_serve_document() {
-        let summary = check_serve_document(&serve_doc()).expect("document should validate");
-        assert_eq!(summary.queries, 100_000);
-        assert!(!summary.smoke);
-        assert!((summary.hit_rate - 0.6).abs() < 1e-9);
-        assert_eq!(summary.queries_during_admission, 37);
-    }
-
-    #[test]
-    fn rejects_omissions() {
-        // Every load-bearing field of the serve schema must be present:
-        // deleting any one of them turns the document invalid.
-        let base = serve_doc();
-        let cases: &[(&str, &str, &str)] = &[
-            ("\"schema\":\"linkclust-bench-serve/v1\",", "", "schema"),
-            ("\"smoke\":false,", "", "smoke"),
-            ("\"queries\":100000,", "", "queries"),
-            ("\"graph\":{\"vertices\":500,\"edges\":2000},", "", "graph"),
-            ("\"cache\":{\"hits\":60000,\"misses\":40000,\"hit_rate\":0.6},", "", "cache"),
-            ("\"hit_rate\":0.6", "\"hit_rate\":1.6", "outside"),
-            ("\"reclusters\":1", "\"reclusters\":0", "recluster"),
-            ("\"swap_completed\":true", "\"swap_completed\":false", "swap"),
-            ("\"queries_during_admission\":37", "\"queries_during_admission\":0", "stalled"),
-            ("\"generation_after\":2", "\"generation_after\":1", "generation"),
-            ("\"p99_ns\":45000,", "", "p99_ns"),
-        ];
-        for (from, to, expect) in cases {
-            let mutated = base.replace(from, to);
-            assert_ne!(mutated, base, "mutation {from:?} did not apply");
-            let err = check_serve_document(&mutated)
-                .expect_err(&format!("mutation {from:?} should invalidate the document"));
-            assert!(err.contains(expect), "mutation {from:?}: error {err:?} lacks {expect:?}");
-        }
-        // Dropping a whole kind breaks both the arity and the count sum.
-        let one_kind_short =
-            base.replace(",{\"kind\":\"best\",\"count\":100,\"p50_ns\":9000,\"p90_ns\":21000,\"p99_ns\":45000,\"mean_ns\":14000.5}", "");
-        assert_ne!(one_kind_short, base);
-        assert!(check_serve_document(&one_kind_short).unwrap_err().contains("kinds"));
-    }
-
-    #[test]
-    fn serve_smoke_relaxations_are_scoped() {
-        // A smoke run may be short and may miss the during-admission
-        // window, but the swap must still land.
-        let smoke = serve_doc()
-            .replace("\"smoke\":false", "\"smoke\":true")
-            .replace("\"queries\":100000", "\"queries\":2000")
-            .replace("\"count\":99500", "\"count\":1500")
-            .replace("\"queries_during_admission\":37", "\"queries_during_admission\":0");
-        assert!(check_serve_document(&smoke).is_ok());
-        // A full run below 100k queries is rejected even if well-formed.
-        let short_full = serve_doc().replace("\"queries\":100000", "\"queries\":5000");
-        // Patch the counts so only the volume check can fire.
-        let short_full = short_full.replace("\"count\":99500", "\"count\":4500");
-        assert!(check_serve_document(&short_full).unwrap_err().contains("100000"));
-    }
-
     /// A daemon stats document (`linkclust-serve-stats/v2`) that
     /// validates; tests below mutate it.
     fn stats_doc() -> String {
@@ -631,6 +409,8 @@ mod tests {
         let summary = check_serve_stats_document(&stats_doc()).expect("document should validate");
         assert_eq!(summary.generation, 2);
         assert_eq!(summary.ticks, 3);
+        assert_eq!(summary.swaps, 1);
+        assert_eq!(summary.least_queried, ("cut", 12));
         assert!((summary.uptime_seconds - 12.5).abs() < 1e-9);
         // Pre-first-readable-sample gauges report null; still valid.
         let nulls = stats_doc().replace("\"latest\":4.0", "\"latest\":null");

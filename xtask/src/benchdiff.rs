@@ -4,20 +4,15 @@
 //! Reads two `BENCH_*.json` documents, extracts the comparable metrics
 //! for their (shared) schema, and flags regressions with two guards
 //! against benchmark noise: a *relative* threshold (default: new must
-//! exceed old by more than 25%) and an *absolute* floor per metric
-//! family (sub-floor deltas never count, however large the ratio — a
-//! 0.1 ms rung that doubles is still noise). Verdicts are written as a
-//! machine-readable `linkclust-bench-diff/v1` document and the command
-//! exits non-zero when any metric regressed, so CI can run it as an
-//! advisory job over artifacts from the base and head commits.
+//! exceed old by more than 25%) and an *absolute* floor (sub-floor
+//! deltas never count, however large the ratio — a 0.1 ms rung that
+//! doubles is still noise). Verdicts are written as a machine-readable
+//! `linkclust-bench-diff/v1` document and the command exits non-zero
+//! when any metric regressed.
 //!
-//! Supported artifact schemas:
-//!
-//! * `linkclust-bench-scale/v2` — per rung (family, tier) and thread
-//!   count: `min_ms` (the noise-resistant best-of-N).
-//! * `linkclust-bench-serve/v1` — per query kind: `p50_ns` and
-//!   `p99_ns`; the answer-cache hit rate regresses on an absolute drop
-//!   of more than 0.10.
+//! Supported artifact schema: `linkclust-bench-scale/v2` — per rung
+//! (family, tier) and thread count: `min_ms` (the noise-resistant
+//! best-of-N).
 
 use std::path::Path;
 
@@ -30,15 +25,6 @@ const DEFAULT_THRESHOLD: f64 = 1.25;
 /// Absolute floor for `min_ms` metrics: deltas below this many
 /// milliseconds are noise regardless of ratio.
 const FLOOR_MS: f64 = 0.5;
-
-/// Absolute floor for `*_ns` metrics: deltas below this many
-/// nanoseconds are noise regardless of ratio (scheduler jitter alone
-/// exceeds this on a loaded runner).
-const FLOOR_NS: f64 = 10_000.0;
-
-/// Absolute drop in the answer-cache hit rate that counts as a
-/// regression.
-const HIT_RATE_DROP: f64 = 0.10;
 
 /// One compared metric.
 #[derive(Debug)]
@@ -125,7 +111,6 @@ pub(crate) fn compare(
     }
     let metrics = match old_schema.as_str() {
         "linkclust-bench-scale/v2" => compare_scale(&old, &new, threshold)?,
-        "linkclust-bench-serve/v1" => compare_serve(&old, &new, threshold)?,
         other => return Err(format!("unsupported artifact schema {other:?}")),
     };
     if metrics.is_empty() {
@@ -179,48 +164,6 @@ fn compare_scale(old: &Json, new: &Json, threshold: f64) -> Result<Vec<MetricDif
                 regressed: latency_regressed(old_min, new_min, threshold, FLOOR_MS),
             });
         }
-    }
-    Ok(metrics)
-}
-
-/// Serve-load metrics: per kind `p50_ns`/`p99_ns`, plus the cache hit
-/// rate (absolute-drop rule).
-fn compare_serve(old: &Json, new: &Json, threshold: f64) -> Result<Vec<MetricDiff>, String> {
-    let mut metrics = Vec::new();
-    for old_kind in arr(old, "kinds") {
-        let Some(name) = old_kind.get("kind").and_then(Json::as_str) else {
-            return Err("OLD has a kind without a name".to_owned());
-        };
-        let Some(new_kind) =
-            arr(new, "kinds").iter().find(|k| k.get("kind").and_then(Json::as_str) == Some(name))
-        else {
-            continue;
-        };
-        for quantile in ["p50_ns", "p99_ns"] {
-            let (Some(old_q), Some(new_q)) = (
-                old_kind.get(quantile).and_then(Json::as_f64),
-                new_kind.get(quantile).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            metrics.push(MetricDiff {
-                name: format!("{name}/{quantile}"),
-                old: old_q,
-                new: new_q,
-                regressed: latency_regressed(old_q, new_q, threshold, FLOOR_NS),
-            });
-        }
-    }
-    if let (Some(old_rate), Some(new_rate)) = (
-        old.get("cache").and_then(|c| c.get("hit_rate")).and_then(Json::as_f64),
-        new.get("cache").and_then(|c| c.get("hit_rate")).and_then(Json::as_f64),
-    ) {
-        metrics.push(MetricDiff {
-            name: "cache/hit_rate".to_owned(),
-            old: old_rate,
-            new: new_rate,
-            regressed: (old_rate - new_rate) > HIT_RATE_DROP,
-        });
     }
     Ok(metrics)
 }
@@ -304,15 +247,6 @@ mod tests {
         )
     }
 
-    fn serve_doc(p99_cut_ns: f64, hit_rate: f64) -> String {
-        format!(
-            "{{\"schema\":\"linkclust-bench-serve/v1\",\
-              \"kinds\":[{{\"kind\":\"cut\",\"p50_ns\":9000,\"p99_ns\":{p99_cut_ns}}},\
-              {{\"kind\":\"edge\",\"p50_ns\":4000,\"p99_ns\":20000}}],\
-              \"cache\":{{\"hits\":1,\"misses\":1,\"hit_rate\":{hit_rate}}}}}"
-        )
-    }
-
     #[test]
     fn identical_artifacts_pass() {
         let doc = scale_doc(10.0, 4.0);
@@ -342,26 +276,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_quantiles_and_hit_rate_are_compared() {
-        let old = serve_doc(45_000.0, 0.6);
-        let same = compare(&old, &old, DEFAULT_THRESHOLD).expect("comparable");
-        assert_eq!(same.regressions().count(), 0);
-        assert_eq!(same.metrics.len(), 5, "2 kinds x 2 quantiles + hit rate");
-
-        let slow = compare(&old, &serve_doc(120_000.0, 0.6), DEFAULT_THRESHOLD).expect("ok");
-        let regressed: Vec<&str> = slow.regressions().map(|m| m.name.as_str()).collect();
-        assert_eq!(regressed, vec!["cut/p99_ns"]);
-
-        let cold = compare(&old, &serve_doc(45_000.0, 0.4), DEFAULT_THRESHOLD).expect("ok");
-        let regressed: Vec<&str> = cold.regressions().map(|m| m.name.as_str()).collect();
-        assert_eq!(regressed, vec!["cache/hit_rate"]);
-    }
-
-    #[test]
     fn mismatched_or_unknown_schemas_are_rejected() {
         let scale = scale_doc(10.0, 4.0);
-        let serve = serve_doc(45_000.0, 0.6);
-        assert!(compare(&scale, &serve, DEFAULT_THRESHOLD).unwrap_err().contains("mismatch"));
+        // The retired serve-load document is an unknown schema now.
+        let serve = "{\"schema\":\"linkclust-bench-serve/v1\"}";
+        assert!(compare(&scale, serve, DEFAULT_THRESHOLD).unwrap_err().contains("mismatch"));
+        assert!(compare(serve, serve, DEFAULT_THRESHOLD).unwrap_err().contains("unsupported"));
         let unknown = "{\"schema\":\"linkclust-bench-other/v1\"}";
         assert!(compare(unknown, unknown, DEFAULT_THRESHOLD).unwrap_err().contains("unsupported"));
     }

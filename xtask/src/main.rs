@@ -5,8 +5,10 @@
 //! `Cargo.toml`), the documentation build, the forbidden-pattern scanner
 //! (see [`scan`]), the concurrency & numeric-discipline lint pass with
 //! its ratchet file (see [`lint`]), a traced-CLI smoke run whose Chrome
-//! trace artifact is structurally validated (see [`tracecheck`]), and
-//! the full test suite, then prints a pass/fail summary. Every step is
+//! trace artifact is structurally validated (see [`tracecheck`]), a
+//! smoke run of a live `linkclustd` over its socket and its metrics
+//! listener (see [`run_serve_smoke`]), and the full test suite, then
+//! prints a pass/fail summary. Every step is
 //! also available as its own subcommand so a failing gate can be re-run
 //! in isolation.
 //!
@@ -21,9 +23,13 @@ mod metricscheck;
 mod scan;
 mod tracecheck;
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
-use std::time::Instant;
+use std::process::{Child, Command, ExitCode, Stdio};
+use std::time::{Duration, Instant};
+
+use linkclust_core::json::{self, Json};
 
 /// One verification gate: a name, a human description, and a runner.
 struct Gate {
@@ -54,13 +60,9 @@ const GATES: &[Gate] = &[
     },
     Gate {
         name: "serve-smoke",
-        description: "linkclustd answers every query kind over a socket; artifact schema-validated",
+        description: "live linkclustd: every query kind, hostile lines, a recluster swap, \
+                      /metrics, clean shutdown and its stats document",
         run: run_serve_smoke,
-    },
-    Gate {
-        name: "metrics-smoke",
-        description: "linkclustd --metrics-port serves valid Prometheus exposition over HTTP",
-        run: run_metrics_smoke,
     },
     Gate { name: "test", description: "full test suite", run: run_test },
 ];
@@ -74,20 +76,6 @@ fn main() -> ExitCode {
         "fast" => {
             // Everything except the test suite — the quick pre-commit loop.
             run_gates(&root, &GATES[..GATES.len() - 1])
-        }
-        "bench-smoke" => {
-            // Build and run the smoke benchmark; writes BENCH_parallel.json
-            // and the init A/B BENCH_init.json at the workspace root (see
-            // `--help` of the binary for flags).
-            let extra: Vec<&str> =
-                args.iter().skip(1).map(String::as_str).filter(|a| *a != "--").collect();
-            match run_bench_smoke(&root, &extra) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("bench-smoke failed: {msg}");
-                    ExitCode::FAILURE
-                }
-            }
         }
         "bench-ladder" => {
             // Build and run the scale ladder (pass `--smoke` for the
@@ -103,24 +91,9 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "bench-serve" => {
-            // Build the daemon, run the serve load benchmark (pass
-            // `--smoke` for the short CI-sized run), then schema-validate
-            // the BENCH_serve.json it wrote. A full run must push 100k
-            // queries through the socket.
-            let extra: Vec<&str> =
-                args.iter().skip(1).map(String::as_str).filter(|a| *a != "--").collect();
-            match run_bench_serve(&root, &extra) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("bench-serve failed: {msg}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         "bench-diff" => {
-            // Compare two same-schema BENCH_*.json artifacts with
-            // noise-aware thresholds; exits non-zero on regression.
+            // Compare two BENCH_scale.json documents with noise-aware
+            // thresholds; exits non-zero on regression.
             let extra: Vec<&str> =
                 args.iter().skip(1).map(String::as_str).filter(|a| *a != "--").collect();
             match benchdiff::run(&root, &extra) {
@@ -163,16 +136,10 @@ fn print_usage() {
         eprintln!("  {:<7} {}", g.name, g.description);
     }
     eprintln!(
-        "  bench-smoke  run the fixed-seed smoke benchmark (writes BENCH_parallel.json + BENCH_init.json)"
-    );
-    eprintln!(
         "  bench-ladder run the scale ladder and schema-validate BENCH_scale.json (`--smoke` for the CI gate, written to target/bench-ladder/BENCH_scale_smoke.json; `--check-only` to validate an existing artifact without running)"
     );
     eprintln!(
-        "  bench-serve  run the serve load benchmark and schema-validate BENCH_serve.json (`--smoke` for the CI-sized run, `--check-only` to validate an existing artifact without running)"
-    );
-    eprintln!(
-        "  bench-diff   compare two same-schema BENCH_*.json artifacts for perf regressions (`--threshold X` relative ratio, `--out PATH` for the verdict document; exits non-zero on regression)"
+        "  bench-diff   compare two BENCH_scale.json documents for perf regressions (`--threshold X` relative ratio, `--out PATH` for the verdict document; exits non-zero on regression)"
     );
     eprintln!(
         "  lint --update-baseline  regenerate xtask/lint.baseline from the tree (review the diff)"
@@ -267,26 +234,7 @@ fn run_trace_smoke(root: &Path) -> Result<(), String> {
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let edges = dir.join("edges.txt");
     let trace = dir.join("trace.json");
-
-    // `linkclust generate` writes the edge list to stdout.
-    let graph = cargo_capture(
-        root,
-        &[
-            "run",
-            "--release",
-            "--quiet",
-            "-p",
-            "linkclust",
-            "--bin",
-            "linkclust",
-            "--",
-            "generate",
-            "gnm",
-            "400",
-            "1600",
-        ],
-    )?;
-    std::fs::write(&edges, graph).map_err(|e| format!("cannot write {}: {e}", edges.display()))?;
+    write_smoke_graph(root, &edges)?;
 
     let edges_arg = edges.to_string_lossy().into_owned();
     let trace_arg = trace.to_string_lossy().into_owned();
@@ -324,6 +272,29 @@ fn run_trace_smoke(root: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// Writes the G(400, 1600) edge list `linkclust generate` prints to
+/// `path`: the input of both smoke gates.
+fn write_smoke_graph(root: &Path, path: &Path) -> Result<(), String> {
+    let graph = cargo_capture(
+        root,
+        &[
+            "run",
+            "--release",
+            "--quiet",
+            "-p",
+            "linkclust",
+            "--bin",
+            "linkclust",
+            "--",
+            "generate",
+            "gnm",
+            "400",
+            "1600",
+        ],
+    )?;
+    std::fs::write(path, graph).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
 /// Runs `cargo <args>` at the workspace root, capturing stdout; stderr
 /// passes through. Non-zero exits map to an error message.
 fn cargo_capture(root: &Path, args: &[&str]) -> Result<Vec<u8>, String> {
@@ -331,7 +302,7 @@ fn cargo_capture(root: &Path, args: &[&str]) -> Result<Vec<u8>, String> {
     let output = Command::new(cargo)
         .current_dir(root)
         .args(args)
-        .stderr(std::process::Stdio::inherit())
+        .stderr(Stdio::inherit())
         .output()
         .map_err(|e| format!("failed to spawn cargo: {e}"))?;
     if output.status.success() {
@@ -339,18 +310,6 @@ fn cargo_capture(root: &Path, args: &[&str]) -> Result<Vec<u8>, String> {
     } else {
         Err(format!("`cargo {}` exited with {}", args.join(" "), output.status))
     }
-}
-
-/// Builds and runs the `bench_smoke` binary in release mode, forwarding
-/// any extra CLI flags (`--runs N`, `--out PATH`, `--init-out PATH`).
-fn run_bench_smoke(root: &Path, extra: &[&str]) -> Result<(), String> {
-    let mut args =
-        vec!["run", "--release", "--quiet", "-p", "linkclust-bench", "--bin", "bench_smoke"];
-    if !extra.is_empty() {
-        args.push("--");
-        args.extend_from_slice(extra);
-    }
-    cargo(root, &args, &[])
 }
 
 /// The document `bench-ladder` writes and validates: `--out PATH`
@@ -411,248 +370,288 @@ fn run_bench_ladder(root: &Path, extra: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds `linkclustd`, then drives a short mixed query load through a
-/// real socket with `bench_serve --smoke` and schema-validates the
-/// artifact it writes. The artifact is left at
-/// `target/serve-smoke/BENCH_serve_smoke.json` so CI can upload it.
+/// The request lines [`run_serve_smoke`] sends on its query connection,
+/// each with the `"ok"` its answer must carry: every query kind, then
+/// three hostile lines (malformed JSON, an out-of-range edge id, bytes
+/// that are not UTF-8), each followed by a query the same connection
+/// must still answer.
+const SMOKE_QUERIES: &[(&[u8], bool)] = &[
+    (br#"{"op":"cut","theta":0.3}"#, true),
+    (br#"{"op":"cut","theta":0.3,"labels":true}"#, true),
+    (br#"{"op":"edge","id":5,"theta":0.3}"#, true),
+    (br#"{"op":"vertex","id":7,"theta":0.3}"#, true),
+    (br#"{"op":"topk","theta":0.3,"k":5}"#, true),
+    (br#"{"op":"profile"}"#, true),
+    (br#"{"op":"best"}"#, true),
+    (br#"{"op":"metrics"}"#, true),
+    (br#"{"op":"cut","theta":"#, false),
+    (br#"{"op":"best"}"#, true),
+    (br#"{"op":"edge","id":1600,"theta":0.3}"#, false),
+    (br#"{"op":"best"}"#, true),
+    (b"\xff\xfe{\"op\":\"best\"}", false),
+    (br#"{"op":"best"}"#, true),
+];
+
+/// How long the serve smoke waits for any one answer, for the swap
+/// after `recluster`, and for the daemon to exit after `shutdown`.
+const SMOKE_WAIT: Duration = Duration::from_secs(30);
+
+/// Starts a real `linkclustd` on the smoke graph and drives it the way
+/// a client and a scraper do. On one query connection every query kind
+/// must answer `"ok":true` (the `stats` answer must also pass
+/// [`benchcheck::check_serve_stats_document`]) and every hostile line of
+/// [`SMOKE_QUERIES`] must be refused without losing the connection. A
+/// `recluster` must show up as a generation bump within [`SMOKE_WAIT`].
+/// `GET /metrics` must be valid exposition with every serve family and
+/// a latency series per query kind (see [`metricscheck`]). Then
+/// `shutdown` must end the daemon with status 0, and the stats document
+/// it writes must record the swap and a query of every kind. The
+/// artifacts stay in `target/serve-smoke/` (`daemon_stats.json`,
+/// `metrics.txt`) so CI can upload them.
 fn run_serve_smoke(root: &Path) -> Result<(), String> {
     let dir = root.join("target").join("serve-smoke");
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let out = dir.join("BENCH_serve_smoke.json");
-    let out_arg = out.to_string_lossy().into_owned();
-    let stats = dir.join("daemon_stats.json");
-    let stats_arg = stats.to_string_lossy().into_owned();
-    // bench_serve finds the daemon next to its own executable, so the
-    // daemon must be built into the same profile directory first.
-    cargo(root, &["build", "--release", "--quiet", "-p", "linkclust", "--bin", "linkclustd"], &[])?;
-    cargo(
-        root,
-        &[
-            "run",
-            "--release",
-            "--quiet",
-            "-p",
-            "linkclust-bench",
-            "--bin",
-            "bench_serve",
-            "--",
-            "--smoke",
-            "--queries",
-            "400",
-            "--out",
-            &out_arg,
-            "--daemon-stats",
-            &stats_arg,
-        ],
-        &[],
-    )?;
-    let text = std::fs::read_to_string(&out)
-        .map_err(|e| format!("serve smoke left no artifact at {}: {e}", out.display()))?;
-    let summary = benchcheck::check_serve_document(&text)
-        .map_err(|e| format!("{} fails schema validation: {e}", out.display()))?;
-    // The daemon writes its own stats document at shutdown; validate
-    // the v2 schema end to end (uptime, admit failures, runtime rings).
-    let stats_text = std::fs::read_to_string(&stats)
-        .map_err(|e| format!("daemon left no stats document at {}: {e}", stats.display()))?;
-    let stats_summary = benchcheck::check_serve_stats_document(&stats_text)
-        .map_err(|e| format!("{} fails stats-schema validation: {e}", stats.display()))?;
-    eprintln!(
-        "serve-smoke: {} queries, cache hit rate {:.1}%, {} served during admission, in {}; \
-         daemon stats v2 ok (generation {}, {} ticks, up {:.1}s)",
-        summary.queries,
-        100.0 * summary.hit_rate,
-        summary.queries_during_admission,
-        out.display(),
-        stats_summary.generation,
-        stats_summary.ticks,
-        stats_summary.uptime_seconds,
-    );
-    Ok(())
-}
-
-/// Spawns a real `linkclustd --metrics-port 0` on a tiny generated
-/// graph, scrapes `GET /metrics` over plain HTTP, and validates the
-/// exposition with the harness's own reader (see [`metricscheck`]):
-/// format 0.0.4 structure, histogram coherence, and coverage of every
-/// serve counter, the per-kind latency histogram, and the runtime
-/// gauges. The scraped body is left at `target/metrics-smoke/metrics.txt`
-/// so CI can upload it.
-fn run_metrics_smoke(root: &Path) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Read, Write};
-
-    let dir = root.join("target").join("metrics-smoke");
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let edges = dir.join("edges.txt");
-    let graph = cargo_capture(
-        root,
-        &[
-            "run",
-            "--release",
-            "--quiet",
-            "-p",
-            "linkclust",
-            "--bin",
-            "linkclust",
-            "--",
-            "generate",
-            "gnm",
-            "400",
-            "1600",
-        ],
-    )?;
-    std::fs::write(&edges, graph).map_err(|e| format!("cannot write {}: {e}", edges.display()))?;
+    write_smoke_graph(root, &edges)?;
     cargo(root, &["build", "--release", "--quiet", "-p", "linkclust", "--bin", "linkclustd"], &[])?;
+    let stats = dir.join("daemon_stats.json");
+    // A document an earlier run left must not pass for this one.
+    let _ = std::fs::remove_file(&stats);
 
     let daemon = root.join("target").join("release").join("linkclustd");
     let mut child = Command::new(&daemon)
         .arg(&edges)
         .args(["--listen", "127.0.0.1:0", "--threads", "2", "--metrics-port", "0"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit())
+        .arg("--stats-json")
+        .arg(&stats)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
         .spawn()
         .map_err(|e| format!("cannot spawn {}: {e}", daemon.display()))?;
-
-    // Everything after the spawn must reach the kill below on failure.
-    let result = (|| -> Result<(), String> {
-        let stdout = child.stdout.take().ok_or("daemon stdout was not captured")?;
-        let mut lines = BufReader::new(stdout).lines();
-        let mut serve_addr = None;
-        let mut metrics_addr = None;
-        while serve_addr.is_none() || metrics_addr.is_none() {
-            let line = lines
-                .next()
-                .ok_or("daemon exited before announcing its listeners")?
-                .map_err(|e| format!("cannot read daemon stdout: {e}"))?;
-            if let Some(addr) = line.strip_prefix("LISTENING ") {
-                serve_addr = Some(addr.trim().to_owned());
-            } else if let Some(addr) = line.strip_prefix("METRICS ") {
-                metrics_addr = Some(addr.trim().to_owned());
-            }
-        }
-        let (serve_addr, metrics_addr) =
-            (serve_addr.ok_or("no LISTENING line")?, metrics_addr.ok_or("no METRICS line")?);
-
-        // Scrape with a raw HTTP/1.1 request — the same thing a
-        // Prometheus scraper sends.
-        let mut conn = std::net::TcpStream::connect(&metrics_addr)
-            .map_err(|e| format!("cannot connect to metrics listener {metrics_addr}: {e}"))?;
-        conn.write_all(
-            format!("GET /metrics HTTP/1.1\r\nHost: {metrics_addr}\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        )
-        .map_err(|e| format!("cannot send scrape request: {e}"))?;
-        let mut response = String::new();
-        conn.read_to_string(&mut response)
-            .map_err(|e| format!("cannot read scrape response: {e}"))?;
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .ok_or("metrics response has no header/body separator")?;
-        let status = head.lines().next().unwrap_or("");
-        if !status.starts_with("HTTP/1.1 200") {
-            return Err(format!("metrics scrape returned {status:?}"));
-        }
-        let content_type_ok = head
-            .lines()
-            .any(|l| l.to_ascii_lowercase().starts_with("content-type:") && l.contains("0.0.4"));
-        if !content_type_ok {
-            return Err(
-                "metrics response lacks the text/plain; version=0.0.4 content type".to_owned()
-            );
-        }
-        let artifact = dir.join("metrics.txt");
-        std::fs::write(&artifact, body)
-            .map_err(|e| format!("cannot write {}: {e}", artifact.display()))?;
-
-        let required = [
-            "linkclustd_serve_queries_total",
-            "linkclustd_serve_cache_hits_total",
-            "linkclustd_serve_cache_misses_total",
-            "linkclustd_serve_admissions_total",
-            "linkclustd_serve_swaps_total",
-            "linkclustd_phase_seconds_total",
-            "linkclustd_phase_calls_total",
-            "linkclustd_query_latency_seconds",
-            "linkclustd_uptime_seconds",
-            "linkclustd_rss_bytes",
-            "linkclustd_cache_entries",
-            "linkclustd_cache_hit_ratio",
-            "linkclustd_pool_queue_depth",
-            "linkclustd_index_generation",
-            "linkclustd_runtime_ticks_total",
-        ];
-        let summary = metricscheck::check_exposition(body, &required)
-            .map_err(|e| format!("{} is not valid exposition: {e}", artifact.display()))?;
-        for kind in ["cut", "edge", "vertex", "topk", "profile", "best"] {
-            if !summary.has_labeled_sample("linkclustd_query_latency_seconds_bucket", "kind", kind)
-            {
-                return Err(format!("latency histogram has no series for kind {kind:?}"));
-            }
-        }
-
-        // Clean shutdown through the line protocol.
-        let mut conn = std::net::TcpStream::connect(&serve_addr)
-            .map_err(|e| format!("cannot connect to serve listener {serve_addr}: {e}"))?;
-        conn.write_all(b"{\"op\":\"shutdown\"}\n")
-            .map_err(|e| format!("cannot send shutdown: {e}"))?;
-        let mut ack = String::new();
-        let _ = conn.read_to_string(&mut ack);
-        eprintln!(
-            "metrics-smoke: {} families, {} samples scraped from {metrics_addr}, in {}",
-            summary.families,
-            summary.samples,
-            artifact.display()
-        );
-        Ok(())
-    })();
-    if result.is_err() {
+    let driven = drive_daemon(&mut child, &dir);
+    if driven.is_err() {
         let _ = child.kill();
+        let _ = child.wait();
     }
-    let _ = child.wait();
-    result
-}
+    let (generation, scraped) = driven?;
 
-/// Builds the daemon and the `bench_serve` load generator in release
-/// mode, runs the load (forwarding `--smoke`, `--queries N`,
-/// `--out PATH`, ...), then validates the artifact it wrote. With
-/// `--check-only` the run is skipped and an existing artifact is
-/// validated in place.
-fn run_bench_serve(root: &Path, extra: &[&str]) -> Result<(), String> {
-    let check_only = extra.contains(&"--check-only");
-    let extra: Vec<&str> = extra.iter().copied().filter(|a| *a != "--check-only").collect();
-    let extra = extra.as_slice();
-    if !check_only {
-        cargo(
-            root,
-            &["build", "--release", "--quiet", "-p", "linkclust", "--bin", "linkclustd"],
-            &[],
-        )?;
-        let mut args =
-            vec!["run", "--release", "--quiet", "-p", "linkclust-bench", "--bin", "bench_serve"];
-        if !extra.is_empty() {
-            args.push("--");
-            args.extend_from_slice(extra);
-        }
-        cargo(root, &args, &[])?;
+    let text = std::fs::read_to_string(&stats)
+        .map_err(|e| format!("daemon left no stats document at {}: {e}", stats.display()))?;
+    let summary = benchcheck::check_serve_stats_document(&text)
+        .map_err(|e| format!("{} fails stats-schema validation: {e}", stats.display()))?;
+    if summary.generation < 2 || summary.swaps < 1 {
+        return Err(format!(
+            "{} records generation {} and {} swaps; the recluster's swap is missing",
+            stats.display(),
+            summary.generation,
+            summary.swaps
+        ));
     }
-
-    let out = extra
-        .iter()
-        .position(|a| *a == "--out")
-        .and_then(|i| extra.get(i + 1))
-        .map_or_else(|| root.join("BENCH_serve.json"), PathBuf::from);
-    let text = std::fs::read_to_string(&out)
-        .map_err(|e| format!("serve run left no artifact at {}: {e}", out.display()))?;
-    let summary = benchcheck::check_serve_document(&text)
-        .map_err(|e| format!("{} fails schema validation: {e}", out.display()))?;
+    let (kind, count) = summary.least_queried;
+    if count < 1 {
+        return Err(format!("{} counts no {kind:?} query", stats.display()));
+    }
+    let hostile = SMOKE_QUERIES.iter().filter(|&&(_, ok)| !ok).count();
     eprintln!(
-        "bench-serve: {} queries ({}), cache hit rate {:.1}%, {} served during admission, in {}",
-        summary.queries,
-        if summary.smoke { "smoke" } else { "full" },
-        100.0 * summary.hit_rate,
-        summary.queries_during_admission,
-        out.display()
+        "serve-smoke: {} query kinds answered, {hostile} hostile lines refused, recluster \
+         swapped in generation {generation}; /metrics: {} families, {} samples; exit 0, \
+         stats v2 ok (generation {}, swaps {}, {} ticks, up {:.1}s), in {}",
+        benchcheck::SERVE_KINDS.len(),
+        scraped.families,
+        scraped.samples,
+        summary.generation,
+        summary.swaps,
+        summary.ticks,
+        summary.uptime_seconds,
+        dir.display()
     );
     Ok(())
+}
+
+/// The serve smoke's conversation with a started daemon, up to its exit
+/// after `shutdown`. Returns the generation the recluster swapped in and
+/// the scrape's summary.
+fn drive_daemon(
+    child: &mut Child,
+    dir: &Path,
+) -> Result<(u64, metricscheck::ExpositionSummary), String> {
+    let stdout = child.stdout.take().ok_or("daemon stdout was not captured")?;
+    let mut lines = BufReader::new(stdout).lines();
+    let mut serve_addr = None;
+    let mut metrics_addr = None;
+    while serve_addr.is_none() || metrics_addr.is_none() {
+        let line = lines
+            .next()
+            .ok_or("daemon exited before announcing its listeners")?
+            .map_err(|e| format!("cannot read daemon stdout: {e}"))?;
+        if let Some(addr) = line.strip_prefix("LISTENING ") {
+            serve_addr = Some(addr.trim().to_owned());
+        } else if let Some(addr) = line.strip_prefix("METRICS ") {
+            metrics_addr = Some(addr.trim().to_owned());
+        }
+    }
+    let (serve_addr, metrics_addr) =
+        (serve_addr.ok_or("no LISTENING line")?, metrics_addr.ok_or("no METRICS line")?);
+
+    let mut conn = SmokeClient::connect(&serve_addr)?;
+    for &(request, ok) in SMOKE_QUERIES {
+        let (line, answer) = conn.ask(request)?;
+        if answer.get("ok").and_then(Json::as_bool) != Some(ok) {
+            return Err(format!("{} answered {line}; expected \"ok\":{ok}", shown(request)));
+        }
+    }
+    let (line, _) = conn.ask(br#"{"op":"stats"}"#)?;
+    benchcheck::check_serve_stats_document(&line)
+        .map_err(|e| format!("the stats answer fails stats-schema validation: {e}"))?;
+
+    let (line, answer) = conn.ask(br#"{"op":"recluster"}"#)?;
+    if answer.get("enqueued").and_then(Json::as_bool) != Some(true) {
+        return Err(format!("recluster answered {line}; expected \"enqueued\":true"));
+    }
+    let deadline = Instant::now() + SMOKE_WAIT;
+    let generation = loop {
+        let (line, answer) = conn.ask(br#"{"op":"best"}"#)?;
+        let generation = answer
+            .get("generation")
+            .and_then(Json::as_index)
+            .ok_or(format!("best answered {line} without a generation"))?;
+        if generation >= 2 {
+            break generation;
+        }
+        if Instant::now() > deadline {
+            return Err(format!(
+                "recluster never swapped the index: generation still {generation} after {}s",
+                SMOKE_WAIT.as_secs()
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+
+    let scraped = scrape_metrics(&metrics_addr, &dir.join("metrics.txt"))?;
+
+    let (line, answer) = conn.ask(br#"{"op":"shutdown"}"#)?;
+    if answer.get("bye").and_then(Json::as_bool) != Some(true) {
+        return Err(format!("shutdown answered {line}; expected \"bye\":true"));
+    }
+    let deadline = Instant::now() + SMOKE_WAIT;
+    let status = loop {
+        if let Some(status) =
+            child.try_wait().map_err(|e| format!("cannot poll the daemon: {e}"))?
+        {
+            break status;
+        }
+        if Instant::now() > deadline {
+            return Err(format!("daemon still running {}s after shutdown", SMOKE_WAIT.as_secs()));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    if !status.success() {
+        return Err(format!("daemon exited with {status} after shutdown"));
+    }
+    Ok((generation, scraped))
+}
+
+/// Scrapes `GET /metrics` with a raw HTTP/1.1 request (what a Prometheus
+/// scraper sends), writes the body to `artifact`, and validates it: the
+/// 0.0.4 content type, the format rules of [`metricscheck`], every serve
+/// family, and a latency series per query kind.
+fn scrape_metrics(addr: &str, artifact: &Path) -> Result<metricscheck::ExpositionSummary, String> {
+    let mut conn = TcpStream::connect(addr)
+        .map_err(|e| format!("cannot connect to metrics listener {addr}: {e}"))?;
+    conn.set_read_timeout(Some(SMOKE_WAIT)).map_err(|e| format!("cannot set a timeout: {e}"))?;
+    conn.write_all(
+        format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
+    )
+    .map_err(|e| format!("cannot send scrape request: {e}"))?;
+    let mut response = String::new();
+    conn.read_to_string(&mut response).map_err(|e| format!("cannot read scrape response: {e}"))?;
+    let (head, body) =
+        response.split_once("\r\n\r\n").ok_or("metrics response has no header/body separator")?;
+    let status = head.lines().next().unwrap_or("");
+    if !status.starts_with("HTTP/1.1 200") {
+        return Err(format!("metrics scrape returned {status:?}"));
+    }
+    let content_type_ok = head
+        .lines()
+        .any(|l| l.to_ascii_lowercase().starts_with("content-type:") && l.contains("0.0.4"));
+    if !content_type_ok {
+        return Err("metrics response lacks the text/plain; version=0.0.4 content type".to_owned());
+    }
+    std::fs::write(artifact, body)
+        .map_err(|e| format!("cannot write {}: {e}", artifact.display()))?;
+
+    let required = [
+        "linkclustd_serve_queries_total",
+        "linkclustd_serve_cache_hits_total",
+        "linkclustd_serve_cache_misses_total",
+        "linkclustd_serve_admissions_total",
+        "linkclustd_serve_swaps_total",
+        "linkclustd_phase_seconds_total",
+        "linkclustd_phase_calls_total",
+        "linkclustd_query_latency_seconds",
+        "linkclustd_uptime_seconds",
+        "linkclustd_rss_bytes",
+        "linkclustd_cache_entries",
+        "linkclustd_cache_hit_ratio",
+        "linkclustd_pool_queue_depth",
+        "linkclustd_index_generation",
+        "linkclustd_runtime_ticks_total",
+    ];
+    let summary = metricscheck::check_exposition(body, &required)
+        .map_err(|e| format!("{} is not valid exposition: {e}", artifact.display()))?;
+    for kind in benchcheck::SERVE_KINDS {
+        if !summary.has_labeled_sample("linkclustd_query_latency_seconds_bucket", "kind", kind) {
+            return Err(format!("latency histogram has no series for kind {kind:?}"));
+        }
+    }
+    Ok(summary)
+}
+
+/// One line-protocol connection to the daemon under test.
+struct SmokeClient {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl SmokeClient {
+    fn connect(addr: &str) -> Result<Self, String> {
+        let writer = TcpStream::connect(addr)
+            .map_err(|e| format!("cannot connect to serve listener {addr}: {e}"))?;
+        writer
+            .set_read_timeout(Some(SMOKE_WAIT))
+            .map_err(|e| format!("cannot set a timeout: {e}"))?;
+        let reader =
+            writer.try_clone().map_err(|e| format!("cannot clone the query socket: {e}"))?;
+        Ok(SmokeClient { reader: BufReader::new(reader), writer })
+    }
+
+    /// Sends one request line and returns the answer line with its parse.
+    fn ask(&mut self, request: &[u8]) -> Result<(String, Json), String> {
+        self.writer
+            .write_all(&[request, b"\n"].concat())
+            .map_err(|e| format!("cannot send {}: {e}", shown(request)))?;
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Ok(0) => {
+                return Err(format!(
+                    "daemon closed the connection instead of answering {}",
+                    shown(request)
+                ))
+            }
+            Ok(_) => {}
+            Err(e) => return Err(format!("no answer to {}: {e}", shown(request))),
+        }
+        let line = line.trim_end().to_owned();
+        let answer = json::parse(&line)
+            .map_err(|e| format!("answer to {} is not JSON ({e}): {line}", shown(request)))?;
+        Ok((line, answer))
+    }
+}
+
+/// A request line as text for a message, its bytes escaped if it is not
+/// UTF-8.
+fn shown(request: &[u8]) -> String {
+    std::str::from_utf8(request).map_or_else(|_| request.escape_ascii().to_string(), str::to_owned)
 }
 
 fn run_scan(root: &Path) -> Result<(), String> {

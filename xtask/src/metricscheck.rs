@@ -1,5 +1,5 @@
 //! Structural validation of Prometheus text exposition (format 0.0.4),
-//! for the `metrics-smoke` gate.
+//! for the `serve-smoke` gate.
 //!
 //! Re-parses the body a live `linkclustd --metrics-port` daemon served
 //! over HTTP with the harness's own reader, so a bug in the serve
