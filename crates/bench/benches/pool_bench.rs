@@ -1,35 +1,20 @@
-//! Criterion benchmark isolating the persistent-pool win: `pool_dispatch`
-//! measures raw fan-out overhead, dispatching a batch of tiny tasks
-//! through the persistent [`WorkerPool`] vs spawning fresh scoped
-//! threads for the same batch. This is the per-chunk fixed cost the pool
-//! amortises.
+//! Criterion benchmark of the fixed cost of one parallel dispatch:
+//! `pool_dispatch` times [`WorkerPool::fan_out`] over one tiny item per
+//! thread — thread creation, the caller's own lane, and the joins — the
+//! overhead every Phase I pass, ufsweep local pass and coarse chunk pays
+//! on top of its work.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use linkclust_parallel::pool::{Task, WorkerPool};
+use linkclust_parallel::pool::WorkerPool;
 
 fn bench_pool_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_dispatch");
     for threads in [2usize, 4] {
         let pool = WorkerPool::new(threads);
-        group.bench_with_input(BenchmarkId::new("pooled", threads), &threads, |b, &t| {
-            b.iter(|| {
-                let tasks: Vec<Task<u64>> = (0..t as u64)
-                    .map(|i| Box::new(move || black_box(i) * 3 + 1) as Task<u64>)
-                    .collect();
-                black_box(pool.run_tasks(tasks))
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("spawn_scoped", threads), &threads, |b, &t| {
-            b.iter(|| {
-                let out: Vec<u64> = std::thread::scope(|s| {
-                    let handles: Vec<_> =
-                        (0..t as u64).map(|i| s.spawn(move || black_box(i) * 3 + 1)).collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                black_box(out)
-            });
+        group.bench_with_input(BenchmarkId::new("fan_out", threads), &threads, |b, &t| {
+            b.iter(|| black_box(pool.fan_out((0..t as u64).collect(), |i| black_box(i) * 3 + 1)));
         });
     }
     group.finish();

@@ -28,7 +28,6 @@ pub mod machine;
 mod epoch;
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use linkclust_graph::{EdgeIndex, GraphView};
 
@@ -381,13 +380,12 @@ impl CoarseResult {
 /// Edge lookups go through a precomputed [`EdgeIndex`] rather than the
 /// graph itself — the only graph access the merge loop needs is
 /// `(vertex, vertex) → edge id`, and the index answers it in O(1) for
-/// any [`GraphView`] backend. The index is
-/// passed as an [`Arc`] so multi-threaded processors can clone the
-/// handle into worker tasks without copying the table.
+/// any [`GraphView`] backend. Multi-threaded processors lend the index
+/// and the list to their threads by reference.
 ///
 /// A chunk is a range of entries of the sorted list, which is passed
 /// whole: a processor reads the chunk's common neighbors from the list's
-/// arena, and a multi-threaded one can share the list with its workers.
+/// arena.
 ///
 /// Implementations must bring `c` to the partition obtained by merging,
 /// for every entry and every common neighbor `vₖ`, the clusters of edges
@@ -399,7 +397,7 @@ pub trait ChunkProcessor {
     /// returning the merge events.
     fn process_entries(
         &mut self,
-        index: &Arc<EdgeIndex>,
+        index: &EdgeIndex,
         slot_of_edge: &[u32],
         sorted: &PairSimilarities,
         chunk: Range<usize>,
@@ -420,7 +418,7 @@ impl ChunkProcessor for SerialChunkProcessor {
     /// computed over the same graph the index was built from.
     fn process_entries(
         &mut self,
-        index: &Arc<EdgeIndex>,
+        index: &EdgeIndex,
         slot_of_edge: &[u32],
         sorted: &PairSimilarities,
         chunk: Range<usize>,
@@ -510,9 +508,8 @@ pub fn coarse_sweep_instrumented<G: GraphView + ?Sized, P: ChunkProcessor>(
     config.validate().unwrap_or_else(|e| panic!("invalid coarse config: {e}"));
 
     let m = g.edge_count();
-    // One index serves every epoch (including rollback retries); shared
-    // by Arc so parallel processors can hand it to worker tasks.
-    let index = Arc::new(EdgeIndex::for_graph(g));
+    // One index serves every epoch (including rollback retries).
+    let index = EdgeIndex::for_graph(g);
     let slot_of_edge = config.edge_order.permutation(m);
     let entries = sorted.entries();
     let pairs_total = sorted.incident_pair_count();

@@ -82,9 +82,9 @@ pub enum Phase {
     ChunkProcess = 6,
     /// Chain-union combination of per-thread cluster arrays.
     ChunkCombine = 7,
-    /// Time a worker-pool task spent queued before a worker picked it up
-    /// (one span per pooled task; high totals mean the pool is
-    /// oversubscribed).
+    /// Time from a worker-pool dispatch to the start of one of its tasks
+    /// (one span per task): thread start-up, plus the earlier tasks of
+    /// the same lane. High totals mean dispatch overhead rivals the work.
     PoolQueueWait = 8,
     /// Owner-thread fold of routed shard records into the flat
     /// accumulators (parallel pass 2 only).
@@ -182,7 +182,8 @@ pub enum Counter {
     SerialFallbackChunks = 10,
     /// Pairwise chain-union combinations of per-thread cluster arrays.
     ArrayCombines = 11,
-    /// Tasks executed by the persistent worker pool (across all phases).
+    /// Tasks run by the worker pool: `fan_out` items across all phases, plus
+    /// `submit` jobs.
     PoolTasks = 12,
     /// `(pair, weight-product, common-neighbor)` records routed between
     /// producer and owner threads by the sharded parallel pass 2 (the
@@ -272,7 +273,7 @@ impl Counter {
             Counter::ChunksProcessed => "Chunks handed to a chunk processor.",
             Counter::SerialFallbackChunks => "Chunks handled serially (too small to fan out).",
             Counter::ArrayCombines => "Pairwise chain-union combinations of cluster arrays.",
-            Counter::PoolTasks => "Tasks executed by the persistent worker pool.",
+            Counter::PoolTasks => "Tasks run by the worker pool.",
             Counter::ShardRecords => "Records routed between threads by sharded pass 2.",
             Counter::TraceEventsDropped => "Trace events lost to ring-buffer overflow.",
             Counter::ServeQueries => "Light queries answered (all kinds, hit or miss).",
@@ -459,7 +460,7 @@ impl Telemetry {
     /// Records one completed span of `phase` whose duration was measured
     /// externally — for timings that cross thread boundaries (e.g. the
     /// queue wait of a pooled task, where the clock starts on the
-    /// submitting thread and stops on the worker) and therefore cannot
+    /// dispatching thread and stops on the worker) and therefore cannot
     /// use the guard-based [`span`](Self::span) API. Such timings feed
     /// the aggregate report (including its latency histograms) but not
     /// the trace timeline: an interval that straddles two threads has no

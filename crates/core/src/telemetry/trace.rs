@@ -19,8 +19,10 @@
 //!   fully written slots for every index below it.
 //! * A thread finds its ring through a `thread_local` cache keyed by the
 //!   collector's unique id; only the *first* event a thread records
-//!   against a given collector takes the registry lock (and allocates
-//!   the ring).
+//!   against a given collector takes the registry lock — to take over
+//!   the ring an exited thread of the same name left behind, or else to
+//!   allocate one. Scoped workers that live for one dispatch thus reuse
+//!   one lane per worker name.
 //! * On overflow the cursor keeps advancing and the slot index wraps:
 //!   the **oldest events are overwritten** and counted as dropped
 //!   ([`TraceCollector::dropped`]; the facades surface the total as the
@@ -64,10 +66,10 @@ thread_local! {
 pub enum TraceLabel {
     /// A [`Phase`] span (the same vocabulary the aggregate report uses).
     Phase(Phase),
-    /// Execution of one pool task; `seq` is the submission sequence
-    /// number, unique per pool.
+    /// Execution of one pool task; `seq` numbers a pool's tasks in
+    /// dispatch order, unique per pool.
     PoolTask {
-        /// Pool-wide task submission sequence number.
+        /// Pool-wide task sequence number.
         seq: u64,
     },
 }
@@ -270,11 +272,27 @@ impl TraceCollector {
 
     /// Returns the calling thread's ring, creating and registering it on
     /// first use (the one lock-taking step of the recording path).
+    ///
+    /// A ring whose owner has let go of it — the thread exited, and its
+    /// thread-local cache dropped the only other handle — passes to the
+    /// next thread of the same name. Short-lived scoped workers named
+    /// `worker-i` therefore share one lane per worker index instead of
+    /// registering a ring per dispatch. `Arc::get_mut` under the registry
+    /// lock is the ownership test: it succeeds only while the registry
+    /// holds the sole handle, and its acquire pairs with the previous
+    /// owner's release of its handle, so the new owner sees the ring's
+    /// cursor and slots as the old one left them.
     fn register_current_thread(&self) -> Arc<ThreadRing> {
         let thread = std::thread::current();
         let name = thread.name().map_or_else(|| format!("{:?}", thread.id()), str::to_owned);
-        let ring = Arc::new(ThreadRing::new(self.capacity));
         let mut rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
+        let free = rings.iter_mut().find_map(|r| {
+            (r.name == name && Arc::get_mut(&mut r.ring).is_some()).then(|| Arc::clone(&r.ring))
+        });
+        if let Some(ring) = free {
+            return ring;
+        }
+        let ring = Arc::new(ThreadRing::new(self.capacity));
         rings.push(Registration { name, ring: Arc::clone(&ring) });
         ring
     }
@@ -443,6 +461,7 @@ pub fn check_events(events: &[TraceEvent]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
     use std::time::Duration;
 
     fn ev(tid: u32, start: u64, dur: u64) -> TraceEvent {
@@ -543,6 +562,54 @@ mod tests {
         for tid in 1..5u32 {
             assert_eq!(events.iter().filter(|e| e.tid == tid).count(), 100);
         }
+        check_events(&events).unwrap();
+    }
+
+    #[test]
+    fn exited_threads_hand_their_ring_to_the_next_thread_of_the_same_name() {
+        let c = Arc::new(TraceCollector::new());
+        let t0 = c.epoch();
+        // Records `seq` on a fresh thread called `name`, after `wait`
+        // returns; the handle joins once the thread has exited.
+        let record_on = |name: &str, seq: u64, wait: Box<dyn FnOnce() + Send>| {
+            let c = Arc::clone(&c);
+            std::thread::Builder::new()
+                .name(name.to_owned())
+                .spawn(move || {
+                    c.record(TraceLabel::PoolTask { seq }, t0 + Duration::from_nanos(seq * 10), 5);
+                    wait();
+                })
+                .unwrap()
+        };
+        for seq in 0..10 {
+            record_on("lane", seq, Box::new(|| {})).join().unwrap();
+        }
+        record_on("other", 10, Box::new(|| {})).join().unwrap();
+        assert_eq!(c.thread_names(), vec!["lane", "other"]);
+
+        // A ring whose owner is still alive is not handed out: the
+        // holder takes the free "lane" ring and keeps it while a second
+        // "lane" thread records.
+        let (registered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let (r, l) = (Arc::clone(&registered), Arc::clone(&release));
+        let holder = record_on(
+            "lane",
+            100,
+            Box::new(move || {
+                r.wait();
+                l.wait();
+            }),
+        );
+        registered.wait();
+        record_on("lane", 101, Box::new(|| {})).join().unwrap();
+        release.wait();
+        holder.join().unwrap();
+        assert_eq!(c.thread_names(), vec!["lane", "other", "lane"]);
+
+        let events = c.events();
+        assert_eq!(events.iter().filter(|e| e.tid == 0).count(), 11);
+        assert_eq!(events.iter().filter(|e| e.tid == 2).count(), 1);
+        assert_eq!(c.dropped(), 0);
         check_events(&events).unwrap();
     }
 

@@ -2,25 +2,33 @@
 //!
 //! One builder covers the whole repo: `threads(1)` (the default) runs
 //! the exact serial code path of [`linkclust_core::LinkClustering`] —
-//! bit-for-bit identical dendrograms — while `threads(n)` for `n > 1`
-//! dispatches Phase I, the fine-grained sweep (the union-find engine of
-//! [`crate::ufsweep`], which reproduces the serial dendrogram exactly),
-//! and (for the coarse sweep) the chunk processing to the
-//! multi-threaded implementations in this crate; the sort of `L` between
-//! them stays serial. The paper's coarse chunk pipeline remains
-//! available through [`run_coarse`](LinkClustering::run_coarse) as the
-//! explicit approximate mode.
+//! bit-for-bit identical dendrograms — at every entry point, while
+//! `threads(n)` for `n > 1` dispatches Phase I, the fine-grained sweep
+//! (the union-find engine of [`crate::ufsweep`], which reproduces the
+//! serial dendrogram exactly), and (for the coarse sweep) the chunk
+//! processing to the multi-threaded implementations in this crate; the
+//! sort of `L` between them stays serial. The paper's coarse chunk
+//! pipeline remains available through
+//! [`run_coarse`](LinkClustering::run_coarse) as the explicit
+//! approximate mode.
+//!
+//! Every method borrows the graph: the parallel phases run on scoped
+//! threads that read it in place, so `G` needs only
+//! `GraphView + Sync` — no `Clone`, no `'static`, no copy.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use linkclust_core::coarse::{coarse_sweep_instrumented, CoarseConfig, CoarseResult};
+use linkclust_core::init::compute_similarities_with;
 use linkclust_core::sweep::{EdgeOrder, SweepConfig};
-use linkclust_core::telemetry::{Counter, Recorder, Telemetry, TelemetrySink, TraceCollector};
+use linkclust_core::telemetry::{
+    Counter, Recorder, RunRecorder, Telemetry, TelemetrySink, TraceCollector,
+};
 use linkclust_core::{ClusteringResult, ConfigError, PairSimilarities};
 use linkclust_graph::GraphView;
 
-use crate::init::compute_similarities_pooled;
+use crate::init::compute_similarities_on;
 use crate::pool::WorkerPool;
 use crate::sort::parallel_into_sorted_pooled;
 use crate::sweep::ParallelChunkProcessor;
@@ -239,47 +247,48 @@ impl LinkClustering {
         Ok(config)
     }
 
-    /// One persistent worker pool plus the `Arc`-shared graph for a run:
-    /// every parallel phase (init passes, sweep, coarse chunks) submits
-    /// tasks to this pool instead of spawning threads of its own.
-    fn run_context<G>(&self, g: &G, telemetry: &Telemetry) -> (Arc<WorkerPool>, Arc<G>)
-    where
-        G: GraphView + Clone + Send + Sync + 'static,
-    {
-        let pool = Arc::new(WorkerPool::new(self.threads).with_telemetry(telemetry.clone()));
-        (pool, Arc::new(g.clone()))
+    /// The run's telemetry handle (with the tracer attached when tracing)
+    /// and, for `stats(true)`, the recorder whose report the result
+    /// carries.
+    fn run_telemetry(
+        &self,
+        collector: Option<&Arc<TraceCollector>>,
+    ) -> (Telemetry, Option<Arc<RunRecorder>>) {
+        let (telemetry, recorder) = self.sink.build();
+        match collector {
+            Some(c) => (telemetry.with_tracer(Arc::clone(c)), recorder),
+            None => (telemetry, recorder),
+        }
     }
 
     /// Phase I on the configured threads plus the serial sort: the list
-    /// `L`, ready to sweep. Accepts any [`GraphView`] backend
-    /// (adjacency-list or CSR) and yields bit-identical similarities
-    /// from either.
+    /// `L`, ready to sweep. `threads(1)` runs the serial passes. Accepts
+    /// any [`GraphView`] backend (adjacency-list or CSR) and yields
+    /// bit-identical similarities from either, at every thread count.
     pub fn similarities<G>(&self, g: &G) -> Result<PairSimilarities, ConfigError>
     where
-        G: GraphView + Clone + Send + Sync + 'static,
+        G: GraphView + Sync + ?Sized,
     {
         self.check_config()?;
         let collector = self.active_collector();
-        let (telemetry, _) = self.sink.build();
-        let telemetry = match &collector {
-            Some(c) => telemetry.with_tracer(Arc::clone(c)),
-            None => telemetry,
-        };
-        let (pool, g) = self.run_context(g, &telemetry);
-        let sims = Self::sorted_similarities(&pool, &g, &telemetry);
+        let (telemetry, _) = self.run_telemetry(collector.as_ref());
+        let pool = WorkerPool::new(self.threads).with_telemetry(telemetry.clone());
+        let sims = Self::sorted_similarities(&pool, g, &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
         Ok(sims)
     }
 
-    fn sorted_similarities<G>(
-        pool: &WorkerPool,
-        g: &Arc<G>,
-        telemetry: &Telemetry,
-    ) -> PairSimilarities
+    /// Phase I and the sort of `L` under the run's telemetry: the serial
+    /// passes on a one-thread pool, the pooled passes otherwise.
+    fn sorted_similarities<G>(pool: &WorkerPool, g: &G, telemetry: &Telemetry) -> PairSimilarities
     where
-        G: GraphView + Send + Sync + 'static,
+        G: GraphView + Sync + ?Sized,
     {
-        let sims = compute_similarities_pooled(pool, g, telemetry);
+        let sims = if pool.threads() == 1 {
+            compute_similarities_with(g, telemetry)
+        } else {
+            compute_similarities_on(pool, g, telemetry)
+        };
         parallel_into_sorted_pooled(pool, sims, telemetry)
     }
 
@@ -295,7 +304,7 @@ impl LinkClustering {
     /// produce bit-identical dendrograms.
     pub fn run<G>(&self, g: &G) -> Result<ClusteringResult, ConfigError>
     where
-        G: GraphView + Clone + Send + Sync + 'static,
+        G: GraphView + Sync + ?Sized,
     {
         self.check_config()?;
         let collector = self.active_collector();
@@ -304,18 +313,11 @@ impl LinkClustering {
             self.write_trace_file(collector.as_ref())?;
             return Ok(result);
         }
-        let (telemetry, recorder) = self.sink.build();
-        let telemetry = match &collector {
-            Some(c) => telemetry.with_tracer(Arc::clone(c)),
-            None => telemetry,
-        };
-        let (pool, g) = self.run_context(g, &telemetry);
-        let sims = Arc::new(Self::sorted_similarities(&pool, &g, &telemetry));
-        let output = ufsweep_with(&*g, &sims, self.sweep_config(), &pool, &telemetry);
+        let (telemetry, recorder) = self.run_telemetry(collector.as_ref());
+        let pool = WorkerPool::new(self.threads).with_telemetry(telemetry.clone());
+        let sims = Self::sorted_similarities(&pool, g, &telemetry);
+        let output = ufsweep_with(g, &sims, self.sweep_config(), &pool, &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
-        // All worker clones are gone once the pool tasks rendezvoused;
-        // the unwrap only clones if a tracer/recorder still holds one.
-        let sims = Arc::try_unwrap(sims).unwrap_or_else(|shared| (*shared).clone());
         Ok(ClusteringResult::from_parts(sims, output, recorder.map(|r| r.report())))
     }
 
@@ -330,7 +332,7 @@ impl LinkClustering {
     /// of silently overwritten.
     pub fn run_coarse<G>(&self, g: &G, config: CoarseConfig) -> Result<CoarseResult, ConfigError>
     where
-        G: GraphView + Clone + Send + Sync + 'static,
+        G: GraphView + Sync + ?Sized,
     {
         self.check_config()?;
         let collector = self.active_collector();
@@ -340,21 +342,11 @@ impl LinkClustering {
             return Ok(result);
         }
         let config = self.reconcile_coarse(config)?;
-        let (telemetry, recorder) = self.sink.build();
-        let telemetry = match &collector {
-            Some(c) => telemetry.with_tracer(Arc::clone(c)),
-            None => telemetry,
-        };
-        let (pool, g) = self.run_context(g, &telemetry);
-        let sims = Arc::new(Self::sorted_similarities(&pool, &g, &telemetry));
-        // The processor shares the run's pool, graph, and similarity
-        // list, so chunk fan-out reuses the warm workers and the workers
-        // read each chunk straight from the list.
-        let mut processor = ParallelChunkProcessor::new(self.threads)?
-            .telemetry(telemetry.clone())
-            .with_pool(pool)
-            .shared_entries(Arc::clone(&sims));
-        let result = coarse_sweep_instrumented(&*g, &sims, config, &mut processor, &telemetry);
+        let (telemetry, recorder) = self.run_telemetry(collector.as_ref());
+        let pool = WorkerPool::new(self.threads).with_telemetry(telemetry.clone());
+        let sims = Self::sorted_similarities(&pool, g, &telemetry);
+        let mut processor = ParallelChunkProcessor::new(self.threads)?.telemetry(telemetry.clone());
+        let result = coarse_sweep_instrumented(g, &sims, config, &mut processor, &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
         Ok(match recorder {
             Some(r) => result.with_report(r.report()),

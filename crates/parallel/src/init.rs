@@ -27,22 +27,21 @@
 //!    contiguous ranges; each thread applies the adjacency correction
 //!    and final similarity to its own range. The arena stays put.
 //!
-//! All passes execute on the persistent [`WorkerPool`]: the facade
-//! spawns one pool per run and shares it with the fine-grained and the
-//! coarse sweep ([`compute_similarities_pooled`]); the standalone entry points
-//! spin up a transient pool of their own. The paper's per-thread map
-//! merge is gone; its last A/B run (gnm(600, 2400), 4 threads) had the
-//! sharded pass 2.35× faster.
+//! Every pass is one [`WorkerPool::fan_out`] over borrowed data: the
+//! threads read the caller's graph in place, and pass 3 finalizes
+//! disjoint `&mut` sub-slices of the one entry vector. The paper's
+//! per-thread map merge is gone; its last A/B run (gnm(600, 2400), 4
+//! threads) had the sharded pass 2.35× faster.
 
 use std::sync::Arc;
 
 use linkclust_core::flatacc::{pack_pair, FlatPairAccumulator};
 use linkclust_core::init::{finalize_entries, vertex_norms_range, VertexNorms};
 use linkclust_core::telemetry::{Counter, Gauge, Phase, Telemetry};
-use linkclust_core::{PairSimilarities, SimilarityEntry};
+use linkclust_core::PairSimilarities;
 use linkclust_graph::{EdgeIndex, GraphView, VertexId};
 
-use crate::pool::{partition_ranges, Task, WorkerPool};
+use crate::pool::{partition_ranges, WorkerPool};
 
 /// One routed pass-2 record: a pair key packed by
 /// [`pack_pair`], the weight product `w_vi·w_vj`, and the common
@@ -142,17 +141,27 @@ fn fold_shard(bufs: Vec<Vec<ShardRecord>>) -> (PairSimilarities, f64) {
 #[must_use]
 pub fn compute_similarities_parallel<G>(g: &G, threads: usize) -> PairSimilarities
 where
-    G: GraphView + Clone + Send + Sync + 'static,
+    G: GraphView + Sync + ?Sized,
 {
     assert!(threads > 0, "need at least one thread");
-    let pool = WorkerPool::new(threads);
-    compute_similarities_pooled(&pool, &Arc::new(g.clone()), &Telemetry::disabled())
+    compute_similarities_on(&WorkerPool::new(threads), g, &Telemetry::disabled())
 }
 
-/// Phase I on a caller-supplied [`WorkerPool`] — the variant the facade
-/// uses so one pool serves the whole run (init and sweep). The
-/// graph is shared with the workers via `Arc`, so the only per-run copy
-/// is whatever the caller paid to build it.
+/// [`compute_similarities_on`] for a graph held in an [`Arc`].
+#[must_use]
+pub fn compute_similarities_pooled<G>(
+    pool: &WorkerPool,
+    g: &Arc<G>,
+    telemetry: &Telemetry,
+) -> PairSimilarities
+where
+    G: GraphView + Sync + ?Sized,
+{
+    compute_similarities_on(pool, &**g, telemetry)
+}
+
+/// Phase I on a caller-supplied [`WorkerPool`], with the pool's threads
+/// reading `g` in place — the variant the facade runs.
 ///
 /// Each pass runs under its own span (the owner fold of pass 2 gets a
 /// separate [`Phase::InitShardFold`] span), the K₁/K₂ counters and the
@@ -161,13 +170,13 @@ where
 /// counts for load-imbalance analysis, and every owner table's final
 /// load factor is sampled into [`Gauge::TableOccupancy`].
 #[must_use]
-pub fn compute_similarities_pooled<G>(
+pub fn compute_similarities_on<G>(
     pool: &WorkerPool,
-    g: &Arc<G>,
+    g: &G,
     telemetry: &Telemetry,
 ) -> PairSimilarities
 where
-    G: GraphView + Send + Sync + 'static,
+    G: GraphView + Sync + ?Sized,
 {
     let threads = pool.threads();
     let n = g.vertex_count();
@@ -177,9 +186,7 @@ where
     let mut norms = VertexNorms { h1: Vec::with_capacity(n), h2: Vec::with_capacity(n) };
     {
         let _span = telemetry.span(Phase::InitPass1);
-        let g = Arc::clone(g);
-        let parts = pool.run_on_ranges(ranges.clone(), move |r| vertex_norms_range(&*g, r));
-        for part in parts {
+        for part in pool.fan_out(ranges.clone(), |r| vertex_norms_range(g, r)) {
             norms.h1.extend(part.h1);
             norms.h2.extend(part.h2);
         }
@@ -188,12 +195,10 @@ where
     // Pass 2, step 1 (produce): each producer scans its vertex range and
     // routes records into per-(producer, owner) buffers. The owner of a
     // pair is the thread whose range holds the pair's first vertex.
-    let starts: Arc<Vec<usize>> = Arc::new(ranges.iter().map(|r| r.start).collect());
+    let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
     let produced: Vec<Vec<Vec<ShardRecord>>> = {
         let _span = telemetry.span(Phase::InitPass2);
-        let g = Arc::clone(g);
-        let starts = Arc::clone(&starts);
-        pool.run_on_ranges(ranges, move |r| produce_shard_records(&*g, r, &starts))
+        pool.fan_out(ranges, |r| produce_shard_records(g, r, &starts))
     };
 
     // Transpose: hand every owner exactly its buffers, by move, in
@@ -222,11 +227,7 @@ where
     // owner order *is* the deterministic key-sorted list.
     let folded: Vec<(PairSimilarities, f64)> = {
         let _span = telemetry.span(Phase::InitShardFold);
-        let tasks: Vec<Task<(PairSimilarities, f64)>> = shards
-            .into_iter()
-            .map(|shard| Box::new(move || fold_shard(shard)) as Task<(PairSimilarities, f64)>)
-            .collect();
-        pool.run_tasks(tasks)
+        pool.fan_out(shards, fold_shard)
     };
     let mut slabs = Vec::with_capacity(folded.len());
     for (slab, occupancy) in folded {
@@ -238,39 +239,18 @@ where
     let (mut entries, common) = PairSimilarities::concat(slabs).into_parts();
     telemetry.add(Counter::PairsK1, entries.len() as u64);
 
-    // Pass 3: finalize disjoint entry ranges in parallel. The entry
-    // vector is carved into owned chunks (tasks need `'static` data),
-    // finalized on the pool, and stitched back together in order; the
-    // common-neighbor arena is not touched. One
-    // O(m) edge index serves every chunk — the adjacency correction is
-    // then an O(1) probe per entry instead of an O(degree) scan.
-    let total = entries.len();
-    let chunk = total.div_ceil(threads).max(1);
+    // Pass 3: each thread applies the adjacency correction and the final
+    // similarity to its own contiguous sub-slice of the entries, in
+    // place; the common-neighbor arena is not touched. One O(m) edge
+    // index serves every slice — the adjacency correction is then an
+    // O(1) probe per entry instead of an O(degree) scan.
     {
         let _span = telemetry.span(Phase::InitPass3);
-        let norms = Arc::new(norms);
-        let index = Arc::new(EdgeIndex::for_graph(&**g));
-        let bounds = partition_ranges(total, total.div_ceil(chunk).max(1));
-        let mut chunks: Vec<Vec<SimilarityEntry>> = Vec::with_capacity(bounds.len());
-        for range in bounds.into_iter().rev() {
-            chunks.push(entries.split_off(range.start));
-        }
-        chunks.reverse();
-        let tasks: Vec<Task<Vec<SimilarityEntry>>> = chunks
-            .into_iter()
-            .map(|mut slice| {
-                let index = Arc::clone(&index);
-                let norms = Arc::clone(&norms);
-                Box::new(move || {
-                    finalize_entries(&index, &norms, &mut slice);
-                    slice
-                }) as Task<Vec<SimilarityEntry>>
-            })
-            .collect();
-        entries = Vec::with_capacity(total);
-        for mut done in pool.run_tasks(tasks) {
-            entries.append(&mut done);
-        }
+        let index = EdgeIndex::for_graph(g);
+        let chunk = entries.len().div_ceil(threads).max(1);
+        let _: Vec<()> = pool.fan_out(entries.chunks_mut(chunk).collect(), |slice| {
+            finalize_entries(&index, &norms, slice);
+        });
     }
     let sims = PairSimilarities::from_parts(entries, common);
     telemetry.add(Counter::IncidentPairsK2, sims.incident_pair_count());
@@ -330,10 +310,15 @@ mod tests {
         let standalone = compute_similarities_parallel(&g, 4);
         let pool = WorkerPool::new(4);
         let shared = Arc::new(g);
-        // The same pool serves repeated runs.
+        // The same pool serves repeated runs, and the `Arc` wrapper is
+        // the borrowing pass.
         for _ in 0..3 {
             let pooled = compute_similarities_pooled(&pool, &shared, &Telemetry::disabled());
             assert_eq!(standalone, pooled);
+            assert_eq!(
+                standalone,
+                compute_similarities_on(&pool, &*shared, &Telemetry::disabled())
+            );
         }
     }
 

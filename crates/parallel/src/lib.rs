@@ -15,12 +15,13 @@
 //!   naive scheme is flawed — both schemes are implemented here, and the
 //!   flaw is reproduced in a test).
 //!
-//! All parallel phases run as tasks on a persistent [`pool::WorkerPool`]
-//! — spawned once per clustering run and reused by the init passes, the
-//! union-find sweep, and every coarse chunk — instead of spawning scoped
-//! OS threads per call. The entry point is the unified
-//! [`LinkClustering`] facade: serial by default, parallel via
-//! `.threads(n)`, with optional phase-level telemetry via `.stats(true)`.
+//! Every parallel phase — the init passes, the union-find sweep's local
+//! pass, and each coarse chunk with its combine rounds — is one scoped
+//! dispatch, [`pool::WorkerPool::fan_out`], whose threads borrow the caller's
+//! graph, similarity list and scratch arrays in place; nothing is copied
+//! into a task. The entry point is the unified [`LinkClustering`]
+//! facade: serial by default, parallel via `.threads(n)`, with optional
+//! phase-level telemetry via `.stats(true)`.
 //!
 //! # Examples
 //!

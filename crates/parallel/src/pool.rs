@@ -1,30 +1,33 @@
-//! Work partitioning and the persistent worker pool.
+//! Work partitioning and thread dispatch.
 //!
-//! Earlier revisions spawned fresh scoped OS threads for every parallel
-//! call — every init pass, every sort merge round, and (worst) every
-//! coarse chunk. The many-small-chunk regime the head/tail machine
-//! produces was therefore dominated by thread setup, not merging. The
-//! [`WorkerPool`] here is spawned **once per clustering run** and reused
-//! by all phases: it keeps `threads - 1` OS workers parked on a
-//! condition variable, dispatches boxed tasks through a shared queue,
-//! and rendezvouses over an `mpsc` channel. The submitting thread
-//! *helps*: while waiting for its tasks it drains the queue and executes
-//! jobs inline, so a pool with `threads == n` delivers `n`-way
-//! parallelism with `n - 1` workers, `threads == 1` never spawns at all,
-//! and nested submissions (a pooled phase started from a pooled task) cannot
-//! deadlock — the nested caller simply executes its own tasks.
+//! Every parallel phase of a clustering run — the Phase I passes, the
+//! union-find sweep's local pass, and the §VI-B chunk step with its
+//! combine rounds — fans out through [`WorkerPool::fan_out`], a scoped
+//! fan-out built on [`std::thread::scope`]. The items and the closure
+//! may borrow from the caller: the graph, the sorted list `L`, the edge
+//! index, the slot permutation and `&mut` scratch arrays reach the
+//! threads by reference, so nothing is copied into a task and nothing
+//! needs a `'static` bound. The calling thread runs the first lane of
+//! items; named `worker-i` threads run the others and are joined before
+//! `fan_out` returns, and a panic in any lane is re-raised on the caller
+//! with its own payload. A one-thread pool never creates a thread.
 //!
-//! Panics inside tasks are contained on the worker (so the pool stays
-//! usable) and re-raised on the submitting thread with their original
-//! payload, preserving the propagation semantics of the old scoped
-//! implementation.
+//! The one long-lived part is the queue behind [`WorkerPool::submit`]:
+//! fire-and-forget jobs (`linkclustd`'s admissions) that outlive the
+//! call that submits them. Its `threads - 1` parked workers start on
+//! the first submission, so a pool that only dispatches `fan_out` calls
+//! owns no thread between them. [`ServiceThread`] runs the daemon's
+//! resident loops.
+//!
+//! This module is the workspace's only thread-creation site: the
+//! `bare-spawn` lint denies `thread::spawn`, `thread::Builder` and
+//! `thread::scope` everywhere else.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -141,11 +144,7 @@ pub fn join_propagating<T>(result: std::thread::Result<T>) -> T {
     }
 }
 
-/// A unit of work submitted to the pool: produces a `T` on whichever
-/// thread picks it up.
-pub type Task<T> = Box<dyn FnOnce() -> T + Send>;
-
-/// A queued, type-erased job (result delivery is baked into the closure).
+/// A queued [`WorkerPool::submit`] job.
 type Job = Box<dyn FnOnce() + Send>;
 
 /// State behind the queue mutex: pending jobs plus the shutdown flag the
@@ -167,15 +166,11 @@ impl PoolShared {
     fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
-
-    fn pop_job(&self) -> Option<Job> {
-        self.lock().jobs.pop_front()
-    }
 }
 
-/// The worker body: pop and run jobs until shutdown. Jobs are wrapped in
-/// `catch_unwind` by the submitter, so a panicking task never kills the
-/// worker — the pool stays usable afterwards.
+/// The queue worker body: pop and run jobs until shutdown. Jobs are
+/// wrapped in `catch_unwind` by [`WorkerPool::submit`], so a panicking
+/// job never kills the worker.
 fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
@@ -194,127 +189,167 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// A persistent pool of worker threads, spawned once and reused by every
-/// parallel phase of a clustering run.
+/// The queue behind [`WorkerPool::submit`] and its parked workers.
+/// Dropping it shuts the workers down and joins them.
+struct SubmitQueue {
+    shared: Arc<PoolShared>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl SubmitQueue {
+    /// Starts `workers` parked queue threads, named `queue-i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses to spawn a thread.
+    fn start(workers: usize) -> Self {
+        let shared = Arc::new(PoolShared {
+            state: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
+            work_ready: Condvar::new(),
+        });
+        let workers = (1..=workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("queue-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawning a pool queue thread failed")
+            })
+            .collect();
+        SubmitQueue { shared, workers }
+    }
+}
+
+impl Drop for SubmitQueue {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.work_ready.notify_all();
+        for h in self.workers.drain(..) {
+            // Workers contain job panics, so a join error would mean a
+            // bug in the worker loop itself; swallowing it here avoids a
+            // double panic if the pool is dropped during unwinding.
+            let _ = h.join();
+        }
+    }
+}
+
+/// Thread dispatch for a clustering run or a daemon: the scoped
+/// [`fan_out`](Self::fan_out) every parallel phase runs on, and the
+/// [`submit`](Self::submit) queue for jobs that outlive their caller.
 ///
-/// A pool for `threads` keeps `threads - 1` parked OS workers; the
-/// submitting thread always participates in execution, so `threads == 1`
-/// spawns nothing and runs everything inline (the exact serial path).
+/// A pool for `threads` delivers `threads`-way parallelism: `fan_out`
+/// runs on the calling thread plus up to `threads - 1` scoped threads,
+/// and the submit queue, once started, keeps `threads - 1` parked
+/// workers. `threads == 1` never creates a thread, and creating a pool
+/// creates none either.
 ///
 /// # Examples
 ///
 /// ```
 /// use linkclust_parallel::pool::WorkerPool;
 ///
+/// let data: Vec<usize> = (0..100).collect();
 /// let pool = WorkerPool::new(4);
-/// let sums = pool.run_on_ranges((0..4).map(|i| i * 25..(i + 1) * 25).collect(), |r| {
-///     r.sum::<usize>()
-/// });
+/// let sums = pool.fan_out(data.chunks(25).collect(), |chunk| chunk.iter().sum::<usize>());
 /// assert_eq!(sums.iter().sum::<usize>(), (0..100).sum());
 /// ```
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
     threads: usize,
     telemetry: Telemetry,
-    /// Next pool-task sequence number, used to label per-task trace
-    /// events when the telemetry handle carries a tracer.
+    /// Next task sequence number, used to label per-task trace events
+    /// when the telemetry handle carries a tracer.
     task_seq: AtomicU64,
+    /// The submit queue, started by the first [`submit`](Self::submit).
+    queue: OnceLock<SubmitQueue>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("threads", &self.threads)
-            .field("workers", &self.workers.len())
+            .field("queue_started", &self.queue.get().is_some())
             .finish()
     }
 }
 
 impl WorkerPool {
-    /// Spawns a pool delivering `threads`-way parallelism
-    /// (`threads - 1` OS workers plus the submitting thread).
+    /// A pool delivering `threads`-way parallelism. Creates no thread:
+    /// [`fan_out`](Self::fan_out) creates its scoped threads per
+    /// dispatch, and the submit queue starts on the first
+    /// [`submit`](Self::submit).
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or if the OS refuses to spawn a worker
-    /// thread.
+    /// Panics if `threads == 0`.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
-            work_ready: Condvar::new(),
-        });
-        let workers = (1..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                // Named so trace timelines and debuggers show "worker-i"
-                // instead of an anonymous thread id.
-                std::thread::Builder::new()
-                    .name(format!("worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning a pool worker thread failed")
-            })
-            .collect();
         WorkerPool {
-            shared,
-            workers,
             threads,
             telemetry: Telemetry::disabled(),
             task_seq: AtomicU64::new(0),
+            queue: OnceLock::new(),
         }
     }
 
-    /// Attaches a telemetry handle: every submitted task bumps
-    /// [`Counter::PoolTasks`], and each task's queue wait (submission to
-    /// pickup) is recorded as a [`Phase::PoolQueueWait`] span. If the
-    /// handle carries a tracer, each task's execution additionally lands
-    /// on the executing thread's trace timeline as a `pool_task` event
-    /// labelled with its submission sequence number.
+    /// Attaches a telemetry handle: every task bumps
+    /// [`Counter::PoolTasks`], and every [`fan_out`](Self::fan_out) item
+    /// records the time from its dispatch to its start as a
+    /// [`Phase::PoolQueueWait`] span. If the handle carries a tracer,
+    /// each item's execution additionally lands on the executing
+    /// thread's trace timeline as a `pool_task` event labelled with its
+    /// sequence number.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
     }
 
-    /// The parallelism this pool delivers (workers + submitting thread).
+    /// The parallelism this pool delivers (helper threads + the caller).
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Number of jobs currently sitting in the queue waiting for a
-    /// thread (submitted but not yet picked up). A sustained non-zero
-    /// depth means the pool is oversubscribed; `linkclustd` samples
-    /// this as a runtime gauge.
+    /// The telemetry handle the pool's tasks report to.
     #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.shared.lock().jobs.len()
+    pub(crate) fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 
-    /// Runs every task to completion and returns the results in task
-    /// order. Tasks run on the pool workers *and* the calling thread,
-    /// which drains the shared queue while it waits — so the call never
-    /// deadlocks even when invoked from inside another pooled task.
+    /// Number of [`submit`](Self::submit) jobs waiting for a queue
+    /// worker. A sustained non-zero depth means admissions arrive faster
+    /// than they run; `linkclustd` samples this as a runtime gauge.
+    #[must_use]
+    pub fn queue_depth(&self) -> usize {
+        self.queue.get().map_or(0, |q| q.shared.lock().jobs.len())
+    }
+
+    /// Runs `f` on every item and returns the results in item order.
+    ///
+    /// The items are split into at most [`threads`](Self::threads)
+    /// contiguous lanes. The calling thread runs lane 0 and a scoped
+    /// thread named `worker-i` runs lane `i`, so the items and `f` may
+    /// borrow anything the caller can. Every thread is joined before
+    /// `fan_out` returns. With one lane (one item, or a one-thread
+    /// pool) everything runs inline.
     ///
     /// # Panics
     ///
-    /// If any task panics, the first panic (in task order) is re-raised
-    /// here with its original payload after every task has finished; the
-    /// pool itself stays usable.
-    #[must_use]
-    pub fn run_tasks<T>(&self, tasks: Vec<Task<T>>) -> Vec<T>
+    /// If `f` panics, the first panic in lane order is re-raised here
+    /// with its original payload once every lane has been joined. Panics
+    /// if the OS refuses to spawn a thread.
+    pub fn fan_out<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
-        T: Send + 'static,
+        I: Send,
+        T: Send,
+        F: Fn(I) -> T + Sync,
     {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
+        let n = items.len();
         self.telemetry.add(Counter::PoolTasks, n as u64);
         // Sequence numbers label per-task trace events; the counter only
-        // advances when a tracer is attached (one relaxed RMW per batch).
+        // advances when a tracer is attached (one relaxed RMW per
+        // dispatch).
         // ordering: uniqueness of the reserved range comes from RMW
         // atomicity alone — no other memory is published through this
         // counter, so Relaxed is exactly strong enough.
@@ -323,85 +358,76 @@ impl WorkerPool {
         } else {
             0
         };
-        let mut results: Vec<Option<std::thread::Result<T>>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-
-        if self.workers.is_empty() || n == 1 {
-            // No parallelism available (or needed): run inline. Panics
-            // are still contained per task so one failing task cannot
-            // skip its siblings, matching the pooled path.
-            for (idx, task) in tasks.into_iter().enumerate() {
-                let _trace = self.telemetry.trace_task(base_seq + idx as u64);
-                results[idx] = Some(std::panic::catch_unwind(AssertUnwindSafe(task)));
-            }
-            return collect_results(results);
-        }
-
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        {
-            let mut st = self.shared.lock();
-            for (idx, task) in tasks.into_iter().enumerate() {
-                let tx = tx.clone();
-                let telemetry = self.telemetry.clone();
-                let queued_at = telemetry.is_enabled().then(Instant::now);
-                let seq = base_seq + idx as u64;
-                st.jobs.push_back(Box::new(move || {
-                    if let Some(t0) = queued_at {
+        let dispatched = self.telemetry.is_enabled().then(Instant::now);
+        let telemetry = &self.telemetry;
+        let run_lane = |lane: Vec<(usize, I)>| -> Vec<T> {
+            lane.into_iter()
+                .map(|(idx, item)| {
+                    if let Some(t0) = dispatched {
                         let nanos = t0.elapsed().as_nanos() as u64;
                         telemetry.record_phase_nanos(Phase::PoolQueueWait, nanos);
                     }
-                    let result = {
-                        let _trace = telemetry.trace_task(seq);
-                        std::panic::catch_unwind(AssertUnwindSafe(task))
-                    };
-                    let _ = tx.send((idx, result));
-                }));
-            }
-        }
-        self.shared.work_ready.notify_all();
-        drop(tx);
+                    let _trace = telemetry.trace_task(base_seq + idx as u64);
+                    f(item)
+                })
+                .collect()
+        };
 
-        // Rendezvous with caller help: prefer executing queued jobs over
-        // blocking, so the queue always drains even if every worker is
-        // busy with (or blocked inside) other submissions.
-        let mut received = 0;
-        while received < n {
-            match rx.try_recv() {
-                Ok((idx, result)) => {
-                    results[idx] = Some(result);
-                    received += 1;
-                    continue;
-                }
-                Err(mpsc::TryRecvError::Empty | mpsc::TryRecvError::Disconnected) => {}
-            }
-            if let Some(job) = self.shared.pop_job() {
-                job();
-                continue;
-            }
-            // Queue empty, results pending: workers are executing them.
-            let (idx, result) = rx.recv().expect("every pooled task delivers exactly one result");
-            results[idx] = Some(result);
-            received += 1;
+        let mut items = items.into_iter().enumerate();
+        let mut lanes: Vec<Vec<(usize, I)>> = partition_ranges(n, self.threads)
+            .iter()
+            .map(|r| items.by_ref().take(r.len()).collect())
+            .collect();
+        if lanes.len() <= 1 {
+            return lanes.pop().map_or_else(Vec::new, run_lane);
         }
-        collect_results(results)
+        let head = lanes.remove(0);
+        let run_lane = &run_lane;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = lanes
+                .into_iter()
+                .enumerate()
+                .map(|(i, lane)| {
+                    // Named so trace lanes and debuggers show the worker
+                    // index, the same name at every dispatch.
+                    std::thread::Builder::new()
+                        .name(format!("worker-{}", i + 1))
+                        .spawn_scoped(scope, move || run_lane(lane))
+                        .expect("spawning a pool worker thread failed")
+                })
+                .collect();
+            let head = std::panic::catch_unwind(AssertUnwindSafe(|| run_lane(head)));
+            // Join every worker before re-raising anything. A joined
+            // thread has also run its thread-local destructors, which is
+            // what frees its trace ring for the next dispatch's thread
+            // of the same name.
+            let rest: Vec<std::thread::Result<Vec<T>>> =
+                workers.into_iter().map(std::thread::ScopedJoinHandle::join).collect();
+            let mut out = Vec::with_capacity(n);
+            for lane in std::iter::once(head).chain(rest) {
+                out.extend(join_propagating(lane));
+            }
+            out
+        })
     }
 
     /// Enqueues a fire-and-forget job and returns without waiting for
-    /// it: the asynchronous counterpart of [`run_tasks`](Self::run_tasks),
-    /// used by batch admission in `linkclust-serve`, where a full
-    /// recluster must run *behind* the submitting thread while it keeps
-    /// serving queries.
+    /// it — how batch admission in `linkclust-serve` runs a full
+    /// recluster *behind* the submitting thread while it keeps serving
+    /// queries. The first call starts the queue's `threads - 1` parked
+    /// workers, and one of them picks the job up. With `threads == 1`
+    /// the job runs inline before returning, so "submitted" still means
+    /// "executes"; callers needing background execution must size the
+    /// pool at ≥ 2 threads.
     ///
-    /// A parked worker picks the job up. With no workers
-    /// (`threads == 1`) the job runs inline before returning — the
-    /// degenerate serial pool keeps the "submitted means it executes"
-    /// guarantee without spawning; callers needing true background
-    /// execution must size the pool at ≥ 2 threads.
+    /// Panics inside the job are contained and *discarded* (nothing
+    /// rendezvouses to re-raise them), so jobs must report failure
+    /// through their own channel — e.g. the swap handshake admission
+    /// jobs already perform.
     ///
-    /// Panics inside the job are contained and *discarded* (the pool
-    /// stays usable; nothing rendezvouses to re-raise them), so jobs
-    /// must report failure through their own channel — e.g. the swap
-    /// handshake admission jobs already perform.
+    /// # Panics
+    ///
+    /// Panics if the OS refuses to spawn a queue worker.
     pub fn submit<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'static,
@@ -410,55 +436,13 @@ impl WorkerPool {
         let wrapped: Job = Box::new(move || {
             let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
         });
-        if self.workers.is_empty() {
+        if self.threads == 1 {
             wrapped();
             return;
         }
-        self.shared.lock().jobs.push_back(wrapped);
-        self.shared.work_ready.notify_one();
-    }
-
-    /// Runs `f` over each range on the pool, collecting the results in
-    /// range order — the pooled replacement for per-call scoped spawns.
-    ///
-    /// # Panics
-    ///
-    /// A panic in `f` on any task is propagated to the caller with its
-    /// original payload (see [`run_tasks`](Self::run_tasks)).
-    #[must_use]
-    pub fn run_on_ranges<T, F>(&self, ranges: Vec<Range<usize>>, f: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(Range<usize>) -> T + Send + Sync + 'static,
-    {
-        if ranges.len() <= 1 {
-            return ranges.into_iter().map(f).collect();
-        }
-        let f = Arc::new(f);
-        let tasks: Vec<Task<T>> = ranges
-            .into_iter()
-            .map(|r| {
-                let f = Arc::clone(&f);
-                Box::new(move || f(r)) as Task<T>
-            })
-            .collect();
-        self.run_tasks(tasks)
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.lock();
-            st.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        for h in self.workers.drain(..) {
-            // Workers contain task panics, so a join error would mean a
-            // bug in the worker loop itself; swallowing it here avoids a
-            // double panic if the pool is dropped during unwinding.
-            let _ = h.join();
-        }
+        let queue = self.queue.get_or_init(|| SubmitQueue::start(self.threads - 1));
+        queue.shared.lock().jobs.push_back(wrapped);
+        queue.shared.work_ready.notify_one();
     }
 }
 
@@ -524,9 +508,9 @@ impl ShutdownFlag {
 /// A named background service thread with a cooperative shutdown
 /// handshake — the resident-service counterpart of [`WorkerPool`].
 ///
-/// The pool module is the workspace's single sanctioned thread-spawn
-/// site (the `bare-spawn` lint denies `thread::spawn` everywhere else),
-/// and [`WorkerPool::submit`] intentionally runs *inline* on a
+/// The pool module is the workspace's single sanctioned thread-creation
+/// site (the `bare-spawn` lint denies it everywhere else), and
+/// [`WorkerPool::submit`] intentionally runs *inline* on a
 /// single-thread pool — which would wedge a caller submitting an
 /// infinite service loop. Long-lived service bodies (the `linkclustd`
 /// metrics ticker and `/metrics` HTTP listener) therefore get a
@@ -610,32 +594,6 @@ impl Drop for ServiceThread {
     }
 }
 
-/// Unwraps the collected per-task results, re-raising the first panic
-/// (in task order) with its original payload.
-///
-/// # Panics
-///
-/// Propagates the first task panic; panics on a missing result slot,
-/// which would be a rendezvous bug.
-fn collect_results<T>(results: Vec<Option<std::thread::Result<T>>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(results.len());
-    let mut first_panic = None;
-    for slot in results {
-        match slot.expect("rendezvous collected every task result") {
-            Ok(v) => out.push(v),
-            Err(payload) => {
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,90 +661,96 @@ mod tests {
     }
 
     #[test]
-    fn run_on_ranges_preserves_order() {
+    fn fan_out_preserves_item_order() {
         let pool = WorkerPool::new(4);
-        let ranges = partition_ranges(100, 7);
-        let sums = pool.run_on_ranges(ranges.clone(), |r| r.sum::<usize>());
-        let direct: Vec<usize> = ranges.into_iter().map(|r| r.sum()).collect();
-        assert_eq!(sums, direct);
+        for n in [0usize, 1, 3, 4, 7, 100] {
+            let items: Vec<usize> = (0..n).collect();
+            let got = pool.fan_out(items, |i| i * 3 + 1);
+            assert_eq!(got, (0..n).map(|i| i * 3 + 1).collect::<Vec<_>>(), "n={n}");
+        }
     }
 
     #[test]
-    fn single_thread_pool_spawns_nothing_and_runs_inline() {
+    fn fan_out_borrows_from_the_caller_and_writes_through_mut_items() {
+        let data: Vec<u64> = (0..64).collect();
+        let mut sums = [0u64; 4];
+        let pool = WorkerPool::new(4);
+        let items: Vec<(&[u64], &mut u64)> = data.chunks(16).zip(sums.iter_mut()).collect();
+        let _: Vec<()> = pool.fan_out(items, |(chunk, out)| *out = chunk.iter().sum());
+        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn single_thread_pool_runs_inline_on_the_caller() {
         let pool = WorkerPool::new(1);
-        assert_eq!(pool.workers.len(), 0);
-        let out = pool.run_on_ranges(partition_ranges(10, 4), |r| r.len());
-        assert_eq!(out.iter().sum::<usize>(), 10);
+        let caller = std::thread::current().id();
+        let ids = pool.fan_out((0..5).collect(), |_: i32| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        assert!(pool.queue.get().is_none(), "fan_out never starts the submit queue");
     }
 
     #[test]
-    fn pool_is_reusable_across_many_submissions() {
+    fn fan_out_runs_lane_zero_on_the_caller_and_the_rest_on_named_workers() {
+        let pool = WorkerPool::new(3);
+        let caller = std::thread::current().id();
+        let seen = pool.fan_out((0..3).collect(), |_: i32| {
+            let t = std::thread::current();
+            (t.id(), t.name().map(str::to_owned))
+        });
+        assert_eq!(seen[0].0, caller);
+        assert_eq!(seen[1].1.as_deref(), Some("worker-1"));
+        assert_eq!(seen[2].1.as_deref(), Some("worker-2"));
+    }
+
+    #[test]
+    fn pool_is_reusable_across_many_dispatches() {
         let pool = WorkerPool::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
+        let counter = AtomicUsize::new(0);
         for round in 0..50 {
-            let tasks: Vec<Task<usize>> = (0..8)
-                .map(|i| {
-                    let counter = Arc::clone(&counter);
-                    Box::new(move || {
-                        // ordering: relaxed is enough — the reader below
-                        // happens-after this task via run_tasks' result
-                        // rendezvous, not via this RMW's ordering.
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        round * 8 + i
-                    }) as Task<usize>
-                })
-                .collect();
-            let got = pool.run_tasks(tasks);
+            let got = pool.fan_out((0..8).collect(), |i: usize| {
+                // ordering: relaxed is enough — the read below
+                // happens-after every worker's increment through the
+                // joins that end each fan_out call.
+                counter.fetch_add(1, Ordering::Relaxed);
+                round * 8 + i
+            });
             let expected: Vec<usize> = (0..8).map(|i| round * 8 + i).collect();
             assert_eq!(got, expected);
         }
-        // ordering: every fetch_add happens-before this read because
-        // each run_tasks call returned (its mpsc recv of the last result
-        // synchronizes-with the worker's send after the increment).
+        // ordering: every fetch_add happens-before this read (joined).
         assert_eq!(counter.load(Ordering::Relaxed), 400);
     }
 
     #[test]
     fn task_panic_propagates_original_payload_and_pool_survives() {
         let pool = WorkerPool::new(4);
-        let tasks: Vec<Task<u32>> = (0..6u32)
-            .map(|i| {
-                Box::new(move || {
-                    assert!(i != 3, "task 3 exploded");
+        for bad in [0u32, 3, 5] {
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.fan_out((0..6u32).collect(), |i| {
+                    assert!(i != bad, "task {bad} exploded");
                     i
-                }) as Task<u32>
-            })
-            .collect();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run_tasks(tasks)))
+                })
+            }))
             .expect_err("the panicking task must propagate");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .expect("payload is a string");
-        assert!(msg.contains("task 3 exploded"), "unexpected payload: {msg}");
-        // The pool keeps working after the panic.
-        let got = pool.run_tasks((0..4u32).map(|i| Box::new(move || i) as Task<u32>).collect());
-        assert_eq!(got, vec![0, 1, 2, 3]);
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .expect("payload is a string");
+            assert!(msg.contains(&format!("task {bad} exploded")), "unexpected payload: {msg}");
+        }
+        // The pool keeps working after the panics.
+        assert_eq!(pool.fan_out((0..4u32).collect(), |i| i), vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn nested_submission_from_inside_a_task_does_not_deadlock() {
-        // Even a 2-thread pool (one worker) must survive a task that
-        // itself submits to the pool: the nested call drains the queue
-        // inline instead of blocking.
+    fn nested_fan_out_inside_a_task_completes() {
         for threads in [2usize, 4] {
-            let pool = Arc::new(WorkerPool::new(threads));
-            let inner_pool = Arc::clone(&pool);
-            let tasks: Vec<Task<usize>> = vec![
-                Box::new(move || {
-                    let sums =
-                        inner_pool.run_on_ranges(partition_ranges(40, 4), |r| r.sum::<usize>());
-                    sums.iter().sum()
-                }),
-                Box::new(|| 1000),
-            ];
-            let got = pool.run_tasks(tasks);
+            let pool = WorkerPool::new(threads);
+            let got = pool.fan_out(vec![40usize, 0], |n| {
+                let sums = pool.fan_out(partition_ranges(n, 4), |r| r.sum::<usize>());
+                sums.iter().sum::<usize>() + 1000 * usize::from(n == 0)
+            });
             assert_eq!(got, vec![(0..40).sum::<usize>(), 1000], "threads={threads}");
         }
     }
@@ -801,9 +765,8 @@ mod tests {
             let _ = tx.send(7);
         });
         assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(7));
-        // The pool still serves synchronous batches afterwards.
-        let got = pool.run_tasks((0..3u32).map(|i| Box::new(move || i) as Task<u32>).collect());
-        assert_eq!(got, vec![0, 1, 2]);
+        // The pool still serves scoped dispatches afterwards.
+        assert_eq!(pool.fan_out((0..3u32).collect(), |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -895,7 +858,7 @@ mod tests {
         use linkclust_core::telemetry::RunRecorder;
         let recorder = Arc::new(RunRecorder::new());
         let pool = WorkerPool::new(3).with_telemetry(Telemetry::new(recorder.clone()));
-        let _ = pool.run_tasks((0..5u32).map(|i| Box::new(move || i) as Task<u32>).collect());
+        let _ = pool.fan_out((0..5u32).collect(), |i| i);
         let report = recorder.report();
         assert_eq!(report.counter(Counter::PoolTasks), 5);
         assert_eq!(report.phase_calls(Phase::PoolQueueWait), 5);
@@ -907,25 +870,9 @@ mod tests {
         let collector = Arc::new(TraceCollector::new());
         let pool =
             WorkerPool::new(4).with_telemetry(Telemetry::disabled().with_tracer(collector.clone()));
-        // Two rendezvous tasks: neither finishes until both are running,
-        // and the caller-help loop executes only one job at a time, so at
-        // least one task lands on a pool worker — the worker-name
-        // assertion below is deterministic, not a race against the
-        // caller draining the whole queue before the workers wake.
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let (a, b) = (Arc::clone(&gate), Arc::clone(&gate));
-        let _ = pool.run_tasks(vec![
-            Box::new(move || {
-                a.wait();
-                0u32
-            }) as Task<u32>,
-            Box::new(move || {
-                b.wait();
-                1u32
-            }) as Task<u32>,
-        ]);
-        let _ = pool.run_tasks((0..14u32).map(|i| Box::new(move || i) as Task<u32>).collect());
-        let _ = pool.run_tasks((0..8u32).map(|i| Box::new(move || i) as Task<u32>).collect());
+        let _ = pool.fan_out((0..2u32).collect(), |i| i);
+        let _ = pool.fan_out((0..14u32).collect(), |i| i);
+        let _ = pool.fan_out((0..8u32).collect(), |i| i);
         let events = collector.events();
         let mut seqs: Vec<u64> = events
             .iter()
@@ -935,11 +882,13 @@ mod tests {
             })
             .collect();
         seqs.sort_unstable();
-        // Every submitted task traced exactly once, seqs dense from 0.
+        // Every dispatched task traced exactly once, seqs dense from 0.
         assert_eq!(seqs, (0..24).collect::<Vec<u64>>());
         trace::check_events(&events).unwrap();
-        // Worker threads registered under their builder-given names.
+        // Worker threads registered under their builder-given names, one
+        // lane per worker index however many dispatches ran.
         let names = collector.thread_names();
         assert!(names.iter().any(|n| n.starts_with("worker-")), "names: {names:?}");
+        assert_eq!(names.len(), 4, "names: {names:?}");
     }
 }

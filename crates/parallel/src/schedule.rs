@@ -19,7 +19,6 @@
 //! one ([`crate::merge::merge_cluster_arrays`]) passes every schedule.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use linkclust_core::coarse::ChunkProcessor;
 use linkclust_core::coarse::SerialChunkProcessor;
@@ -189,7 +188,7 @@ pub fn replay_chunk_schedules<G: GraphView + ?Sized>(
     threads: usize,
     seed: u64,
 ) -> Result<ScheduleReport, Box<ScheduleViolation>> {
-    let index = Arc::new(EdgeIndex::for_graph(g));
+    let index = EdgeIndex::for_graph(g);
     let weights: Vec<u64> =
         sorted.entries()[chunk.clone()].iter().map(|e| e.pair_count() as u64).collect();
     let ranges = balanced_partition_by_weight(&weights, threads);
@@ -309,7 +308,7 @@ mod tests {
         let slot_of_edge: Vec<u32> = (0..g.edge_count() as u32).collect();
         let mut base = ClusterArray::new(g.edge_count());
         let half = sims.len() / 2;
-        let index = Arc::new(EdgeIndex::for_graph(&g));
+        let index = EdgeIndex::for_graph(&g);
         let _ =
             SerialChunkProcessor.process_entries(&index, &slot_of_edge, &sims, 0..half, &mut base);
         let report =

@@ -41,7 +41,6 @@
 //! the candidates keeps the serial merge set, in the serial order.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use linkclust_core::dendrogram::Dendrogram;
 use linkclust_core::sweep::{KruskalMerges, SweepConfig, SweepOutput};
@@ -50,7 +49,7 @@ use linkclust_core::unionfind::UnionFind;
 use linkclust_core::PairSimilarities;
 use linkclust_graph::{EdgeIndex, GraphView};
 
-use crate::pool::{balanced_partition_with_loads, Task, WorkerPool};
+use crate::pool::{balanced_partition_with_loads, WorkerPool};
 
 /// One union operation that survived its block's local pass. Blocks are
 /// contiguous and keep in-block order, so candidates taken in block
@@ -83,16 +82,16 @@ struct Candidate {
 #[must_use]
 pub fn ufsweep_with<G: GraphView + ?Sized>(
     g: &G,
-    sorted: &Arc<PairSimilarities>,
+    sorted: &PairSimilarities,
     config: SweepConfig,
-    pool: &Arc<WorkerPool>,
+    pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> SweepOutput {
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
     let span = telemetry.span(Phase::Sweep);
     let m = g.edge_count();
-    let index = Arc::new(EdgeIndex::for_graph(g));
-    let slot_of_edge = Arc::new(config.edge_order.permutation(m));
+    let index = EdgeIndex::for_graph(g);
+    let slot_of_edge = config.edge_order.permutation(m);
 
     // The serial sweep stops at the first entry below the threshold (the
     // list is sorted); mirror that exactly with a linear cutoff.
@@ -106,22 +105,11 @@ pub fn ufsweep_with<G: GraphView + ?Sized>(
     let pairs_processed: u64 = weights.iter().sum();
 
     // Step 1 + 2: weight-balanced contiguous blocks, local candidate
-    // passes in parallel on the run's pool.
+    // passes in parallel, reading the list and the index in place.
     let (ranges, _loads) = balanced_partition_with_loads(&weights, pool.threads());
-    let locals: Vec<Vec<Candidate>> = pool.run_tasks(
-        ranges
-            .into_iter()
-            .map(|range| {
-                let sorted = Arc::clone(sorted);
-                let index = Arc::clone(&index);
-                let slot_of_edge = Arc::clone(&slot_of_edge);
-                let telemetry = telemetry.clone();
-                Box::new(move || {
-                    local_candidates(&sorted, range, &index, &slot_of_edge, m, &telemetry)
-                }) as Task<Vec<Candidate>>
-            })
-            .collect(),
-    );
+    let locals: Vec<Vec<Candidate>> = pool.fan_out(ranges, |range| {
+        local_candidates(sorted, range, &index, &slot_of_edge, m, telemetry)
+    });
     let total: usize = locals.iter().map(Vec::len).sum();
     assert!(u32::try_from(total).is_ok(), "candidate count exceeds the u32 id budget");
 
@@ -140,13 +128,12 @@ pub fn ufsweep_with<G: GraphView + ?Sized>(
     telemetry.add(Counter::PairsProcessed, pairs_processed);
     let dendrogram = Dendrogram::from_merges(m, merges);
     linkclust_core::invariants::debug_check_dendrogram(&dendrogram);
-    let slot_of_edge = Arc::try_unwrap(slot_of_edge).unwrap_or_else(|shared| (*shared).clone());
     SweepOutput::with_scores(dendrogram, slot_of_edge, scores)
 }
 
 /// One block's local pass: resolves the block's union operations and
 /// compresses them to a spanning forest of candidates with a private
-/// serial union-find. Runs on a pool worker under a
+/// serial union-find. Runs on a pool thread under a
 /// [`Phase::SweepLocal`] span.
 ///
 /// # Panics
@@ -189,18 +176,14 @@ mod tests {
     use linkclust_core::sweep::{sweep, EdgeOrder};
     use linkclust_graph::generate::{gnm, WeightMode};
 
-    fn pool(threads: usize) -> Arc<WorkerPool> {
-        Arc::new(WorkerPool::new(threads))
-    }
-
     fn engine_output(
         g: &linkclust_graph::WeightedGraph,
         config: SweepConfig,
         threads: usize,
     ) -> (SweepOutput, SweepOutput) {
-        let sims = Arc::new(compute_similarities(g).into_sorted());
+        let sims = compute_similarities(g).into_sorted();
         let serial = sweep(g, &sims, config);
-        let par = ufsweep_with(g, &sims, config, &pool(threads), &Telemetry::disabled());
+        let par = ufsweep_with(g, &sims, config, &WorkerPool::new(threads), &Telemetry::disabled());
         (serial, par)
     }
 

@@ -1,9 +1,10 @@
-//! Property tests for the persistent worker pool: every pooled phase
-//! must match its serial counterpart for any thread count — including
-//! more threads than CPUs — the pool must survive task panics with the
-//! original payload re-raised, and one pool must serve every phase of a
-//! clustering run. (Nested submission from inside a pooled task is
-//! covered by the pool's own unit tests.)
+//! Property tests for the worker pool: every pooled phase must match its
+//! serial counterpart for any thread count — including more threads
+//! than CPUs — a dispatch must re-raise a task panic with the original
+//! payload and leave the pool usable, and traced dispatches must keep
+//! one trace lane per worker index however many dispatches run.
+//! (Nested dispatch from inside a task is covered by the pool's own
+//! unit tests.)
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -13,10 +14,9 @@ use linkclust_core::init::compute_similarities;
 use linkclust_core::reference::canonical_labels;
 use linkclust_core::Telemetry;
 use linkclust_graph::generate::{gnm, WeightMode};
-use linkclust_parallel::compute_similarities_parallel;
-use linkclust_parallel::pool::{Task, WorkerPool};
+use linkclust_parallel::pool::WorkerPool;
 use linkclust_parallel::sort::parallel_into_sorted_pooled;
-use linkclust_parallel::{parallel_coarse_sweep, parallel_coarse_sweep_shared};
+use linkclust_parallel::{compute_similarities_parallel, parallel_coarse_sweep};
 use proptest::prelude::*;
 
 /// Thread counts to exercise: 1 (inline), a few small ones, and 8 —
@@ -72,11 +72,11 @@ proptest! {
     #[test]
     fn pooled_coarse_sweep_matches_serial(seed in 0u64..1000, phi in 1usize..8) {
         let g = gnm(45, 190, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
-        let sims = Arc::new(compute_similarities(&g).into_sorted());
+        let sims = compute_similarities(&g).into_sorted();
         let cfg = CoarseConfig { phi, initial_chunk: 8, ..Default::default() };
         let serial = coarse_sweep(&g, &sims, cfg);
         for threads in THREADS {
-            let par = parallel_coarse_sweep_shared(&g, &sims, cfg, threads);
+            let par = parallel_coarse_sweep(&g, &sims, cfg, threads);
             let sl: Vec<_> = serial.levels().iter().map(|l| (l.level, l.clusters)).collect();
             let pl: Vec<_> = par.levels().iter().map(|l| (l.level, l.clusters)).collect();
             prop_assert_eq!(sl, pl, "threads {}", threads);
@@ -89,10 +89,11 @@ proptest! {
     }
 }
 
-/// The nested shape the facade actually runs: a coarse sweep whose
-/// chunk processor shares the pool that also ran init and sort.
+/// The shape the facade actually runs: Phase I, the sort and every
+/// chunk of the coarse sweep dispatched over the caller's borrowed graph
+/// and list.
 #[test]
-fn facade_reuses_one_pool_across_phases_and_matches_serial() {
+fn facade_coarse_matches_serial_at_every_thread_count() {
     let g = gnm(50, 220, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 11);
     let cfg = CoarseConfig { phi: 5, initial_chunk: 8, ..Default::default() };
     let serial = linkclust_parallel::LinkClustering::new().run_coarse(&g, cfg).unwrap();
@@ -105,40 +106,37 @@ fn facade_reuses_one_pool_across_phases_and_matches_serial() {
     }
 }
 
-/// A worker panic must re-raise on the submitting thread with the
+/// A worker panic must re-raise on the dispatching thread with the
 /// original payload, and the pool must stay fully usable afterwards.
 #[test]
 fn worker_panic_payload_survives_and_pool_stays_usable() {
     let pool = WorkerPool::new(4);
     for round in 0..3 {
-        let tasks: Vec<Task<u64>> = (0..8u64)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 5 {
-                        panic!("boom-{i}");
-                    }
-                    i * 10
-                }) as Task<u64>
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.fan_out((0..8u64).collect(), |i| {
+                if i == 5 {
+                    panic!("boom-{i}");
+                }
+                i * 10
             })
-            .collect();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run_tasks(tasks)))
-            .expect_err("panicking task must propagate");
+        }))
+        .expect_err("panicking task must propagate");
         let msg = err
             .downcast_ref::<String>()
             .cloned()
             .expect("panic! with format args yields a String payload");
         assert_eq!(msg, "boom-5", "round {round}");
         // The same pool keeps delivering correct results.
-        let ok = pool.run_tasks((0..6u64).map(|i| Box::new(move || i + 1) as Task<u64>).collect());
+        let ok = pool.fan_out((0..6u64).collect(), |i| i + 1);
         assert_eq!(ok, vec![1, 2, 3, 4, 5, 6], "round {round}");
     }
 }
 
 /// Cross-thread `record_phase_nanos` (`Phase::PoolQueueWait`) from ≥4
-/// pool workers must never lose a count: the mutex-aggregated report
-/// must equal an independent per-thread tally, call for call and
-/// nanosecond for nanosecond. A barrier forces every batch to be
-/// executed by four distinct threads concurrently.
+/// threads must never lose a count: the mutex-aggregated report must
+/// equal an independent per-thread tally, call for call and nanosecond
+/// for nanosecond. A barrier forces every dispatch to run on four
+/// distinct threads concurrently.
 #[test]
 fn concurrent_queue_wait_records_are_never_lost() {
     use std::collections::HashMap;
@@ -182,21 +180,15 @@ fn concurrent_queue_wait_records_are_never_lost() {
     let pool = WorkerPool::new(WORKERS)
         .with_telemetry(Telemetry::new(Arc::clone(&tally) as Arc<dyn Recorder>));
     for _ in 0..BATCHES {
-        let barrier = Arc::new(Barrier::new(WORKERS));
-        let tasks: Vec<Task<()>> = (0..WORKERS)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                Box::new(move || {
-                    barrier.wait();
-                }) as Task<()>
-            })
-            .collect();
-        let _ = pool.run_tasks(tasks);
+        let barrier = Barrier::new(WORKERS);
+        let _: Vec<()> = pool.fan_out((0..WORKERS).collect(), |_| {
+            barrier.wait();
+        });
     }
 
     let report = tally.inner.report();
     let expected = (WORKERS * BATCHES) as u64;
-    assert_eq!(report.phase_calls(Phase::PoolQueueWait), expected, "one span per queued task");
+    assert_eq!(report.phase_calls(Phase::PoolQueueWait), expected, "one span per task");
     let map = tally.queue_waits.lock().expect("tally mutex");
     assert!(map.len() >= WORKERS, "queue waits recorded by only {} threads", map.len());
     let (calls, nanos) = map.values().fold((0u64, 0u64), |(c, n), &(dc, dn)| (c + dc, n + dn));
@@ -205,17 +197,36 @@ fn concurrent_queue_wait_records_are_never_lost() {
     assert_eq!(report.phase_histogram(Phase::PoolQueueWait).count(), expected);
 }
 
-/// Standalone `parallel_coarse_sweep` (which copies the list into an
-/// `Arc` of its own, lazily created pool) must agree with the path over
-/// the caller's `Arc`-shared list.
+/// Scoped workers live for one dispatch, yet a traced pool must not
+/// register a trace ring per dispatch: each exited `worker-i` hands its
+/// ring to the next dispatch's `worker-i`, so 200 four-thread dispatches
+/// leave four lanes (the caller plus three workers), every task traced
+/// once with gap-free sequence numbers, and a timeline that nests.
 #[test]
-fn copied_and_shared_list_paths_agree() {
-    let g = gnm(40, 170, WeightMode::Uniform { lo: 0.3, hi: 1.6 }, 3);
-    let sims = Arc::new(compute_similarities(&g).into_sorted());
-    let cfg = CoarseConfig { phi: 4, initial_chunk: 8, ..Default::default() };
-    for threads in [2usize, 4] {
-        let copied = parallel_coarse_sweep(&g, &sims, cfg, threads);
-        let shared = parallel_coarse_sweep_shared(&g, &sims, cfg, threads);
-        assert_eq!(copied.levels(), shared.levels(), "threads {threads}");
+fn traced_dispatches_reuse_one_lane_per_worker() {
+    use linkclust_core::telemetry::{trace, TraceCollector, TraceLabel};
+
+    const THREADS: usize = 4;
+    const DISPATCHES: u64 = 200;
+    let collector = Arc::new(TraceCollector::new());
+    let pool = WorkerPool::new(THREADS)
+        .with_telemetry(Telemetry::disabled().with_tracer(Arc::clone(&collector)));
+    for round in 0..DISPATCHES {
+        let got = pool.fan_out((0..THREADS as u64).collect(), |i| round * 10 + i);
+        assert_eq!(got, (0..THREADS as u64).map(|i| round * 10 + i).collect::<Vec<_>>());
     }
+    let names = collector.thread_names();
+    assert_eq!(names.len(), THREADS, "lanes: {names:?}");
+    assert_eq!(collector.dropped(), 0);
+    let events = collector.events();
+    let mut seqs: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e.label {
+            TraceLabel::PoolTask { seq } => Some(seq),
+            TraceLabel::Phase(_) => None,
+        })
+        .collect();
+    seqs.sort_unstable();
+    assert_eq!(seqs, (0..DISPATCHES * THREADS as u64).collect::<Vec<u64>>());
+    trace::check_events(&events).unwrap();
 }

@@ -76,7 +76,8 @@ pub struct RuntimeSample {
 /// into. Bounded memory regardless of process lifetime; the stats
 /// document reports each ring's latest value and window extremes.
 pub(crate) struct RuntimeRings {
-    /// Ticker invocations since startup.
+    /// Ticker samples since startup ([`tick`](Self::tick)); the samples
+    /// a `stats` request pushes to freshen the rings do not count.
     pub(crate) ticks: u64,
     /// One named ring per gauge, in stable display order.
     pub(crate) rings: Vec<(&'static str, TimeSeriesRing)>,
@@ -101,10 +102,15 @@ impl RuntimeRings {
         }
     }
 
+    /// Pushes one ticker sample: [`push`](Self::push) plus one tick.
+    pub(crate) fn tick(&mut self, sample: &RuntimeSample) {
+        self.ticks += 1;
+        self.push(sample);
+    }
+
     /// Pushes one sample of every gauge, timestamped with the uptime
     /// second it was taken at.
     pub(crate) fn push(&mut self, sample: &RuntimeSample) {
-        self.ticks += 1;
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         // uptime is non-negative and far below 2^53 seconds
         let at = sample.uptime_seconds.max(0.0) as u64;
@@ -272,7 +278,7 @@ mod tests {
                 pool_queue_depth: 4.0,
                 index_generation: 5.0,
             };
-            rings.push(&sample);
+            rings.tick(&sample);
         }
         assert_eq!(rings.ticks, RING_CAPACITY as u64 + 10);
         for (name, ring) in &rings.rings {

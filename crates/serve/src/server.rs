@@ -351,15 +351,15 @@ impl Server {
         }
     }
 
-    /// Takes one runtime sample and pushes it into the time-series
-    /// rings (bounded memory; see `metrics::RING_CAPACITY`). The
-    /// daemon's ticker calls this once per second;
-    /// [`stats_json`](Self::stats_json) also calls it so the stats
-    /// document is never staler than its own request.
+    /// Takes one runtime sample, pushes it into the time-series rings
+    /// (bounded memory; see `metrics::RING_CAPACITY`) and counts it as
+    /// one `runtime.ticks`. The daemon's ticker calls this once per
+    /// second, and nothing else does, so `ticks` reads 0 exactly when
+    /// the ticker never ran.
     pub fn sample_runtime(&self) {
         let sample = self.runtime_sample();
         let mut runtime = self.shared.runtime.lock().unwrap_or_else(PoisonError::into_inner);
-        runtime.push(&sample);
+        runtime.tick(&sample);
     }
 
     /// Renders the full Prometheus text exposition: every telemetry
@@ -744,8 +744,10 @@ impl Server {
 
     /// Renders the stats document: per-kind latency quantiles, cache
     /// hit rate, admission/swap counts, the serve-phase telemetry
-    /// totals, trace-drop count, and the runtime-gauge rings (one
-    /// sample is taken first, so `runtime` is never empty or stale).
+    /// totals, trace-drop count, and the runtime-gauge rings. One
+    /// sample is pushed first, so no ring is empty or staler than the
+    /// request, but it is not a tick: `runtime.ticks` counts only the
+    /// ticker's samples ([`sample_runtime`](Self::sample_runtime)).
     /// Schema `linkclust-serve-stats/v2`.
     ///
     /// # Panics
@@ -753,7 +755,8 @@ impl Server {
     /// Never — lock poisoning is recovered from.
     #[must_use]
     pub fn stats_json(&self) -> String {
-        self.sample_runtime();
+        let sample = self.runtime_sample();
+        self.shared.runtime.lock().unwrap_or_else(PoisonError::into_inner).push(&sample);
         let generation = self.generation();
         let (hits, misses) = {
             let cache = self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1061,13 +1064,22 @@ mod tests {
         assert_eq!(stats.get("schema").and_then(Json::as_str), Some("linkclust-serve-stats/v2"));
         assert!(stats.get("uptime_seconds").and_then(Json::as_f64).is_some());
         assert!(stats.get("trace_events_dropped").and_then(Json::as_index).is_some());
+        // No ticker runs here: however many `stats` requests freshen the
+        // rings, `ticks` stays 0 while every gauge holds samples.
+        let _ = ok_json(&server, r#"{"op":"stats"}"#);
+        let stats = ok_json(&server, r#"{"op":"stats"}"#);
         let runtime = stats.get("runtime").expect("v2 stats carry a runtime object");
-        assert!(runtime.get("ticks").and_then(Json::as_index).is_some_and(|t| t >= 1));
+        assert_eq!(runtime.get("ticks").and_then(Json::as_index), Some(0));
         let gauges = runtime.get("gauges").expect("runtime gauges");
         for name in crate::metrics::RING_NAMES {
             let g = gauges.get(name).unwrap_or_else(|| panic!("runtime gauge {name}"));
             assert!(g.get("samples").and_then(Json::as_index).is_some_and(|s| s >= 1), "{name}");
         }
+        // One ticker sample is one tick.
+        server.sample_runtime();
+        let stats = ok_json(&server, r#"{"op":"stats"}"#);
+        let runtime = stats.get("runtime").expect("v2 stats carry a runtime object");
+        assert_eq!(runtime.get("ticks").and_then(Json::as_index), Some(1));
     }
 
     #[test]

@@ -11,8 +11,8 @@ use linkclust::core::telemetry::{Counter, Phase, RunRecorder, Telemetry};
 use linkclust::graph::generate::{gnm, planted_partition, WeightMode};
 use linkclust::graph::stats::count_common_neighbor_pairs;
 use linkclust::{
-    compute_similarities, CoarseConfig, ConfigError, EdgeOrder, LinkClustering, SweepConfig,
-    WeightedGraph,
+    compute_similarities, CoarseConfig, ConfigError, CsrGraph, EdgeOrder, LinkClustering,
+    SweepConfig, WeightedGraph,
 };
 use proptest::prelude::*;
 
@@ -71,6 +71,39 @@ proptest! {
         prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()));
         prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge());
     }
+}
+
+/// The facade borrows the graph: every method accepts `&&g` for a local
+/// `CsrGraph` `g` — so `G = &CsrGraph`, a borrow that is not `'static`
+/// — at every thread count, and matches the run over the graph itself.
+#[test]
+fn facade_borrows_the_graph_at_every_thread_count() {
+    let g = CsrGraph::from_weighted(&gnm(50, 220, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 4));
+    let cfg = CoarseConfig { phi: 5, initial_chunk: 8, ..Default::default() };
+    for threads in [1usize, 2, 4] {
+        let facade = LinkClustering::new().threads(threads);
+        let owned = facade.run(&g).unwrap();
+        let lent = facade.run(&&g).unwrap();
+        assert_eq!(owned.dendrogram(), lent.dendrogram(), "threads {threads}");
+        assert_eq!(score_bits(owned.output()), score_bits(lent.output()), "threads {threads}");
+        assert_eq!(owned.output().slot_of_edge(), lent.output().slot_of_edge());
+        let owned = facade.run_coarse(&g, cfg).unwrap();
+        let lent = facade.run_coarse(&&g, cfg).unwrap();
+        assert_eq!(owned.levels(), lent.levels(), "threads {threads}");
+        let owned = facade.similarities(&g).unwrap();
+        assert_eq!(owned, facade.similarities(&&g).unwrap(), "threads {threads}");
+    }
+
+    // `similarities()` at `threads(1)` is the serial Phase I: the same
+    // list, and none of the sharded pass's telemetry.
+    let recorder = Arc::new(RunRecorder::new());
+    let sims = LinkClustering::new().recorder(recorder.clone()).similarities(&&g).unwrap();
+    assert_eq!(sims, compute_similarities(&g).into_sorted());
+    let report = recorder.report();
+    assert_eq!(report.phase_calls(Phase::InitPass2), 1);
+    assert_eq!(report.phase_calls(Phase::Sort), 1);
+    assert_eq!(report.phase_calls(Phase::InitShardFold), 0);
+    assert_eq!(report.counter(Counter::ShardRecords), 0);
 }
 
 #[test]

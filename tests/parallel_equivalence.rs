@@ -1,8 +1,6 @@
 //! Property tests: the multi-threaded implementation computes exactly
 //! the same results as the serial one, for any thread count.
 
-use std::sync::Arc;
-
 use linkclust::core::coarse::coarse_sweep_with;
 use linkclust::graph::generate::{gnm, WeightMode};
 use linkclust::parallel::merge::{merge_cluster_arrays, merge_cluster_arrays_reference};
@@ -43,13 +41,10 @@ proptest! {
         threads in 2usize..6,
         chunk in 2u64..32,
     ) {
-        let sims = Arc::new(compute_similarities(&g).into_sorted());
+        let sims = compute_similarities(&g).into_sorted();
         let cfg = CoarseConfig { phi: 2, initial_chunk: chunk, ..Default::default() };
         let serial = coarse_sweep(&g, &sims, cfg);
-        let mut proc = ParallelChunkProcessor::new(threads)
-            .unwrap()
-            .min_entries_per_thread(1)
-            .shared_entries(Arc::clone(&sims));
+        let mut proc = ParallelChunkProcessor::new(threads).unwrap().min_entries_per_thread(1);
         let parallel = coarse_sweep_with(&g, &sims, cfg, &mut proc);
         prop_assert_eq!(serial.levels(), parallel.levels());
         // Same final partition (labels may be identical here because the
@@ -91,14 +86,11 @@ proptest! {
 #[test]
 fn thread_count_does_not_change_results_on_a_real_workload() {
     let g = gnm(60, 500, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 9);
-    let sims = Arc::new(compute_similarities(&g).into_sorted());
+    let sims = compute_similarities(&g).into_sorted();
     let cfg = CoarseConfig { phi: 5, initial_chunk: 16, ..Default::default() };
     let reference = coarse_sweep(&g, &sims, cfg);
     for threads in [1, 2, 3, 4, 6, 8] {
-        let mut proc = ParallelChunkProcessor::new(threads)
-            .unwrap()
-            .min_entries_per_thread(1)
-            .shared_entries(Arc::clone(&sims));
+        let mut proc = ParallelChunkProcessor::new(threads).unwrap().min_entries_per_thread(1);
         let r = coarse_sweep_with(&g, &sims, cfg, &mut proc);
         assert_eq!(reference.levels(), r.levels(), "threads = {threads}");
         assert_eq!(

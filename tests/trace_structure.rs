@@ -37,6 +37,12 @@ fn traced_acceptance_run_produces_valid_chrome_trace_and_quantiles() {
     check_events(&events).expect("monotone, properly nested per tid");
     let tids: std::collections::HashSet<u32> = events.iter().map(|e| e.tid).collect();
     assert!(tids.len() >= 2, "phase spans plus ≥1 worker thread, got tids {tids:?}");
+    // Every dispatch starts fresh scoped threads, yet the run keeps one
+    // lane per thread index — the caller and `worker-1..3` — and every
+    // event fits its ring.
+    let lanes = collector.thread_names();
+    assert!(lanes.len() <= 4, "one trace lane per thread index, got {lanes:?}");
+    assert_eq!(collector.dropped(), 0, "no trace event dropped");
     assert!(
         events.iter().any(|e| matches!(e.label, TraceLabel::PoolTask { .. })),
         "pooled task executions appear on the timeline"

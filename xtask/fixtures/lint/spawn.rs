@@ -8,4 +8,5 @@ fn rogue_spawn() {
 
 fn rogue_builder() {
     let b = thread::Builder::new();
+    thread::scope(|s| s.spawn(|| heavy_work()).join());
 }

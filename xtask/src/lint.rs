@@ -24,9 +24,9 @@
 //!   narrowing in the `graph`/`core` hot paths (where u32 vertex/edge
 //!   ids silently wrap past 2³²) must be `try_from` or carry a
 //!   `// cast:` justification.
-//! * **Bare-`thread::spawn` ban** — all thread creation goes through
-//!   `parallel::pool`; `thread::spawn`/`thread::Builder` anywhere else
-//!   is denied.
+//! * **Bare-`thread::spawn` ban** — all thread creation, scoped or not,
+//!   goes through `parallel::pool`; `thread::spawn`/`thread::Builder`/
+//!   `thread::scope` anywhere else is denied.
 //!
 //! Pre-existing, human-reviewed sites are pinned by the committed
 //! ratchet file `xtask/lint.baseline`: the gate recomputes per-file
@@ -492,7 +492,7 @@ impl Cx<'_> {
             // --- rule (e): bare thread::spawn ban ----------------------
             if t.text == "thread"
                 && self.is(i + 1, "::")
-                && self.ident_at(i + 2).is_some_and(|v| v == "spawn" || v == "Builder")
+                && self.ident_at(i + 2).is_some_and(|v| matches!(v, "spawn" | "Builder" | "scope"))
                 && !SPAWN_MODULES.contains(&self.module)
             {
                 let site = self.code[i + 2];
@@ -501,8 +501,8 @@ impl Cx<'_> {
                     site,
                     "bare-spawn",
                     format!(
-                        "`thread::{what}` in module `{}`: all thread creation goes through \
-                         `parallel::pool::WorkerPool`",
+                        "`thread::{what}` in module `{}`: all thread creation, scoped or not, \
+                         goes through `parallel::pool::WorkerPool`",
                         self.module
                     ),
                 );
@@ -1028,7 +1028,7 @@ mod tests {
     fn spawn_ban_fires_on_the_seeded_fixture() {
         let text = include_str!("../fixtures/lint/spawn.rs");
         let fs = findings("crates/core/src/fixture.rs", text);
-        assert_eq!(rules(&fs), vec!["bare-spawn", "bare-spawn"], "{fs:?}");
+        assert_eq!(rules(&fs), vec!["bare-spawn", "bare-spawn", "bare-spawn"], "{fs:?}");
         // The pool module is the sanctioned home of thread creation.
         assert!(findings("crates/parallel/src/pool.rs", text).is_empty());
     }
