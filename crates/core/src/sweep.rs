@@ -20,11 +20,21 @@
 //!   rewrites behind Theorem 2's `√K₂·|E|` term. The `ufsweep` engine's
 //!   final pass and the MST baseline feed the same builder.
 //!
+//! **The stop rule.** Every union operation joins two edges that share
+//! a vertex, so the merge forest over the `m` edges is complete after
+//! `m − c` merges, where `c` counts the components of `G` that have an
+//! edge ([`edge_component_count`]). No later operation can join two
+//! clusters. [`kruskal_sweep_with`] therefore stops at the first entry
+//! boundary after the forest is complete; on a dense word-association
+//! graph that is a few percent of `L`. Algorithm 2 keeps sweeping the
+//! whole list, as the paper states it.
+//!
 //! [`fixed_chunk_sweep`] is the instrumented variant behind Fig. 2(1)/(2):
 //! the pair list is processed in fixed-size chunks of incident edge pairs,
 //! all merges in a chunk share a level, and per-level statistics (writes
 //! to `C`, surviving clusters) are traced.
 
+use linkclust_graph::algo::edge_component_count;
 use linkclust_graph::{EdgeIndex, GraphView};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -283,6 +293,10 @@ pub fn sweep_with<G: GraphView + ?Sized>(
 /// operands' cluster ids (set minima) before the merge, and `into` is
 /// the smaller of them.
 ///
+/// The builder also knows how many merges complete the forest (its
+/// *target*), so a caller can stop offering operations once
+/// [`is_complete`](Self::is_complete) holds.
+///
 /// # Examples
 ///
 /// ```
@@ -292,6 +306,7 @@ pub fn sweep_with<G: GraphView + ?Sized>(
 /// assert!(kruskal.offer(3, 1, 0.9));
 /// assert!(!kruskal.offer(1, 3, 0.8)); // closes a cycle
 /// assert!(kruskal.offer(0, 3, 0.5));
+/// assert!(!kruskal.is_complete()); // slot 2 is still alone
 /// let (merges, scores) = kruskal.into_parts();
 /// assert_eq!((merges[1].level, merges[1].left, merges[1].right, merges[1].into), (2, 0, 1, 0));
 /// assert_eq!(scores, [0.9, 0.5]);
@@ -301,17 +316,49 @@ pub struct KruskalMerges {
     clusters: UnionFind,
     merges: Vec<MergeRecord>,
     scores: Vec<f64>,
+    /// The merge count at which the forest is complete.
+    target: usize,
 }
 
 impl KruskalMerges {
-    /// Starts with each of `m` slots in its own cluster.
+    /// Starts with each of `m` slots in its own cluster. The target is
+    /// `m − 1`, a single tree: without knowing the components, that is
+    /// the most merges any stream can make.
     #[must_use]
     pub fn new(m: usize) -> Self {
+        Self::with_target(m, m.saturating_sub(1))
+    }
+
+    /// Starts with each of `m` slots in its own cluster, for a stream
+    /// whose complete forest has `target` merges: `m − c` for the union
+    /// operations of `L`, where `c` is [`edge_component_count`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use linkclust_core::sweep::KruskalMerges;
+    ///
+    /// // Slots {0, 1} and {2, 3} are two components: two merges finish.
+    /// let mut kruskal = KruskalMerges::with_target(4, 2);
+    /// assert!(kruskal.offer(0, 1, 0.9));
+    /// assert!(!kruskal.is_complete());
+    /// assert!(kruskal.offer(3, 2, 0.7));
+    /// assert!(kruskal.is_complete());
+    /// ```
+    #[must_use]
+    pub fn with_target(m: usize, target: usize) -> Self {
         KruskalMerges {
             clusters: UnionFind::new(m),
-            merges: Vec::with_capacity(m.saturating_sub(1)),
-            scores: Vec::with_capacity(m.saturating_sub(1)),
+            merges: Vec::with_capacity(target),
+            scores: Vec::with_capacity(target),
+            target,
         }
+    }
+
+    /// `true` once the builder has made its target number of merges.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.merges.len() >= self.target
     }
 
     /// Offers the union of slots `s1` and `s2`, generated by an entry of
@@ -350,15 +397,22 @@ impl KruskalMerges {
 /// dendrogram, the merge scores and the slot permutation equal
 /// [`sweep_with`]'s bit for bit.
 ///
+/// The pass stops at the first entry boundary after the forest is
+/// complete, at `m − c` merges (the module's stop rule); `c` is counted
+/// once per call in `O(|V| + |E|)`.
+///
 /// The whole sweep runs under one [`Phase::Sweep`] span, and the merge
 /// and processed-pair counters are recorded once at the end.
+/// [`Counter::PairsProcessed`] counts the incident pairs of every entry
+/// up to and including the one whose operation completes the forest,
+/// or of every live entry if the forest is never completed.
 ///
 /// # Panics
 ///
 /// Panics if `sorted` is not actually sorted (call
-/// [`PairSimilarities::into_sorted`] first), or if it lists a common
-/// neighbor with no edge to both endpoints in `g` — i.e. if the
-/// similarities were computed over a different graph.
+/// [`PairSimilarities::into_sorted`] first), or if an entry it reads
+/// lists a common neighbor with no edge to both endpoints in `g` — i.e.
+/// if the similarities were computed over a different graph.
 ///
 /// # Examples
 ///
@@ -387,9 +441,12 @@ pub fn kruskal_sweep_with<G: GraphView + ?Sized>(
     let m = g.edge_count();
     let index = EdgeIndex::for_graph(g);
     let slot_of_edge = config.edge_order.permutation(m);
-    let mut kruskal = KruskalMerges::new(m);
+    let mut kruskal = KruskalMerges::with_target(m, m - edge_component_count(g));
     let mut pairs_processed = 0u64;
     for entry in sorted.entries() {
+        if kruskal.is_complete() {
+            break;
+        }
         if let Some(theta) = config.min_similarity {
             if entry.score < theta {
                 break;
@@ -508,8 +565,8 @@ mod tests {
     use super::*;
     use crate::init::compute_similarities;
     use crate::reference::{canonical_labels, single_linkage_at_threshold};
-    use linkclust_graph::generate::{gnm, WeightMode};
-    use linkclust_graph::{GraphBuilder, WeightedGraph};
+    use linkclust_graph::generate::{complete, gnm, WeightMode};
+    use linkclust_graph::{GraphBuilder, VertexId, WeightedGraph};
 
     fn two_triangles_with_bridge() -> WeightedGraph {
         GraphBuilder::from_edges(
@@ -661,9 +718,9 @@ mod tests {
         let g = gnm(10, 20, WeightMode::Unit, 0);
         let sims = compute_similarities(&g).into_sorted();
         let trace = fixed_chunk_sweep(&g, &sims, 5, EdgeOrder::Insertion);
-        if trace.output.dendrogram().merge_count() == 0 {
-            panic!("per-merge similarities"); // degenerate: still satisfies the test intent
-        }
+        // With no merge, the score list would be complete and nothing
+        // would panic; this assertion's own message fails the test.
+        assert!(trace.output.dendrogram().merge_count() > 0, "the input must have merges");
         let _ = trace.output.edge_assignments_at_similarity(0.5);
     }
 
@@ -717,6 +774,53 @@ mod tests {
         }
         assert!(reports[1].counter(Counter::PairsProcessed) < sims.incident_pair_count());
         assert_eq!(reports[1].phase_calls(Phase::Sweep), 1);
+    }
+
+    #[test]
+    fn kruskal_sweep_counts_pairs_up_to_the_completing_entry() {
+        use crate::telemetry::TelemetrySink;
+        // A dense graph, and a K4 plus a triangle among isolated
+        // vertices: both complete their forest before the end of `L`.
+        let w = WeightMode::Uniform { lo: 0.2, hi: 2.0 };
+        let mut b = GraphBuilder::with_vertices(17);
+        for (u, v) in [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3), (10, 11), (11, 12), (10, 12)]
+        {
+            b.add_edge(VertexId::new(u), VertexId::new(v), 0.5 + 0.1 * (u + v) as f64).unwrap();
+        }
+        for (name, g) in [("complete(14)", complete(14, w, 2)), ("two components", b.build())] {
+            let sims = compute_similarities(&g).into_sorted();
+            let reports: Vec<_> = [sweep_with, kruskal_sweep_with]
+                .iter()
+                .map(|engine| {
+                    let (telemetry, recorder) = TelemetrySink::Stats.build();
+                    let out = engine(&g, &sims, SweepConfig::default(), &telemetry);
+                    (out, recorder.expect("stats sink records").report())
+                })
+                .collect();
+            let (oracle, all) = (&reports[0].0, &reports[0].1);
+            let (out, stopped) = (&reports[1].0, &reports[1].1);
+            let target = g.edge_count() - edge_component_count(&g);
+            assert_eq!(out.dendrogram().merge_count(), target as u64, "{name}");
+            assert_eq!(stopped.counter(Counter::MergesApplied), target as u64, "{name}");
+            // Algorithm 2 counts every pair it sweeps: all of them.
+            assert_eq!(all.counter(Counter::PairsProcessed), sims.incident_pair_count(), "{name}");
+            let processed = stopped.counter(Counter::PairsProcessed);
+            assert!(processed < sims.incident_pair_count(), "{name}: {processed}");
+            // The count is a whole prefix of `L`, ending at the entry that
+            // generated the last merge.
+            let mut prefix = 0u64;
+            let end = sims
+                .entries()
+                .iter()
+                .position(|e| {
+                    prefix += e.pair_count() as u64;
+                    prefix == processed
+                })
+                .expect("the count ends at an entry boundary");
+            let last = out.merge_scores().last().expect("merges").to_bits();
+            assert_eq!(sims.entries()[end].score.to_bits(), last, "{name}");
+            assert_eq!(score_bits(out), score_bits(oracle), "{name}");
+        }
     }
 
     #[test]

@@ -162,7 +162,10 @@ pub enum Counter {
     IncidentPairsK2 = 1,
     /// Merges recorded into the dendrogram.
     MergesApplied = 2,
-    /// Incident edge pairs actually swept (≤ K₂ under φ-termination).
+    /// Incident edge pairs actually swept: ≤ K₂ under φ-termination, a
+    /// threshold, or the exact engines' stop once the merge forest is
+    /// complete (the pairs of every entry up to and including the one
+    /// that completes it).
     PairsProcessed = 3,
     /// Committed coarse epochs (head or tail mode).
     EpochsCommitted = 4,

@@ -1,8 +1,9 @@
-//! Basic graph algorithms used around the clustering pipeline.
+//! Basic graph algorithms used around the clustering pipeline. Each is
+//! generic over [`GraphView`], so it runs on every graph backend.
 
 use std::collections::VecDeque;
 
-use crate::{VertexId, WeightedGraph};
+use crate::{GraphView, VertexId};
 
 /// Labels each vertex with its connected component (components are
 /// numbered 0.. in order of their smallest vertex).
@@ -17,7 +18,7 @@ use crate::{VertexId, WeightedGraph};
 /// # Ok::<(), linkclust_graph::GraphError>(())
 /// ```
 #[must_use]
-pub fn connected_components(g: &WeightedGraph) -> Vec<usize> {
+pub fn connected_components<G: GraphView + ?Sized>(g: &G) -> Vec<usize> {
     let n = g.vertex_count();
     let mut labels = vec![usize::MAX; n];
     let mut next = 0usize;
@@ -45,8 +46,31 @@ pub fn connected_components(g: &WeightedGraph) -> Vec<usize> {
 /// Number of connected components (isolated vertices count as their own
 /// component).
 #[must_use]
-pub fn component_count(g: &WeightedGraph) -> usize {
+pub fn component_count<G: GraphView + ?Sized>(g: &G) -> usize {
     connected_components(g).iter().copied().max().map_or(0, |m| m + 1)
+}
+
+/// Number of connected components that contain at least one edge: the
+/// components of [`component_count`] less the isolated vertices.
+///
+/// Every such component's edges are connected through shared vertices,
+/// so a spanning forest over the `m` edges — the complete single-linkage
+/// merge forest of Phase II — has exactly `m − edge_component_count(g)`
+/// merges.
+///
+/// # Examples
+///
+/// ```
+/// use linkclust_graph::{GraphBuilder, algo::edge_component_count};
+///
+/// // Two edge components and one isolated vertex.
+/// let g = GraphBuilder::from_edges(6, &[(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])?.build();
+/// assert_eq!(edge_component_count(&g), 2);
+/// # Ok::<(), linkclust_graph::GraphError>(())
+/// ```
+#[must_use]
+pub fn edge_component_count<G: GraphView + ?Sized>(g: &G) -> usize {
+    component_count(g) - g.vertices().filter(|&v| g.degree(v) == 0).count()
 }
 
 /// Unweighted breadth-first distances from `source` (`None` for
@@ -56,7 +80,7 @@ pub fn component_count(g: &WeightedGraph) -> usize {
 ///
 /// Panics if `source` is out of bounds.
 #[must_use]
-pub fn bfs_distances(g: &WeightedGraph, source: VertexId) -> Vec<Option<u32>> {
+pub fn bfs_distances<G: GraphView + ?Sized>(g: &G, source: VertexId) -> Vec<Option<u32>> {
     let n = g.vertex_count();
     assert!(source.index() < n, "source vertex out of bounds");
     let mut dist = vec![None; n];
@@ -79,7 +103,7 @@ pub fn bfs_distances(g: &WeightedGraph, source: VertexId) -> Vec<Option<u32>> {
 /// the plain (unweighted) one is handy for sanity-checking generated
 /// workloads. Returns 0.0 for degree < 2.
 #[must_use]
-pub fn clustering_coefficient(g: &WeightedGraph, v: VertexId) -> f64 {
+pub fn clustering_coefficient<G: GraphView + ?Sized>(g: &G, v: VertexId) -> f64 {
     let nbrs = g.neighbors(v);
     let d = nbrs.len();
     if d < 2 {
@@ -99,8 +123,8 @@ pub fn clustering_coefficient(g: &WeightedGraph, v: VertexId) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{complete, ring, WeightMode};
-    use crate::GraphBuilder;
+    use crate::generate::{complete, gnm, ring, WeightMode};
+    use crate::{CsrGraph, GraphBuilder};
 
     #[test]
     fn components_of_disconnected_graph() {
@@ -108,6 +132,30 @@ mod tests {
             GraphBuilder::from_edges(6, &[(0, 1, 1.0), (1, 2, 1.0), (4, 5, 1.0)]).unwrap().build();
         assert_eq!(connected_components(&g), vec![0, 0, 0, 1, 2, 2]);
         assert_eq!(component_count(&g), 3);
+        assert_eq!(edge_component_count(&g), 2);
+    }
+
+    #[test]
+    fn csr_components_equal_adjacency_with_isolated_vertices() {
+        // 30 edges cannot touch all 42 vertices.
+        let g = gnm(42, 30, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 3);
+        let csr = CsrGraph::from_weighted(&g);
+        assert!(g.vertices().any(|v| g.degree(v) == 0), "the input must have isolated vertices");
+        let labels = connected_components(&g);
+        assert_eq!(connected_components(&csr), labels);
+        assert_eq!(component_count(&csr), component_count(&g));
+        // The components with an edge are the labels of edge endpoints.
+        let with_edges: std::collections::BTreeSet<usize> = (0..g.edge_count())
+            .map(|e| labels[g.edge_endpoints(crate::EdgeId::new(e)).0.index()])
+            .collect();
+        assert_eq!(edge_component_count(&g), with_edges.len());
+        assert_eq!(edge_component_count(&csr), with_edges.len());
+        let source = VertexId::new(0);
+        assert_eq!(bfs_distances(&csr, source), bfs_distances(&g, source));
+        for v in g.vertices() {
+            let (a, c) = (clustering_coefficient(&g, v), clustering_coefficient(&csr, v));
+            assert_eq!(a.to_bits(), c.to_bits());
+        }
     }
 
     #[test]
@@ -149,6 +197,7 @@ mod tests {
     fn empty_graph_component_count() {
         let g = GraphBuilder::new().build();
         assert_eq!(component_count(&g), 0);
+        assert_eq!(edge_component_count(&g), 0);
         assert!(connected_components(&g).is_empty());
     }
 }

@@ -302,6 +302,13 @@ impl LinkClustering {
     /// gives Algorithm 2's dendrogram bit for bit. Generic over the graph
     /// backend; adjacency-list and CSR inputs — at every thread count —
     /// produce bit-identical dendrograms.
+    ///
+    /// Both engines stop sweeping once the merge forest is complete: at
+    /// `m − c` merges, where `c` counts the components of `g` that have
+    /// an edge. No later entry of `L` can join two clusters, so the
+    /// dendrogram is unchanged; on dense graphs most of `L` is never
+    /// read. The report's `PairsProcessed` counts the pairs swept up to
+    /// that point, the same at every thread count.
     pub fn run<G>(&self, g: &G) -> Result<ClusteringResult, ConfigError>
     where
         G: GraphView + Sync + ?Sized,

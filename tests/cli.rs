@@ -126,6 +126,37 @@ fn stats_json_alone_is_a_single_json_line() {
     linkclust::core::json::parse(json_lines[0]).expect("stats JSON must be parseable");
 }
 
+/// The counter named `name` in a `--stats-json` report.
+fn stats_counter(stderr: &str, name: &str) -> u64 {
+    let line = stderr.lines().find(|l| l.starts_with('{')).expect("a JSON report line");
+    let report = linkclust::core::json::parse(line).expect("stats JSON must be parseable");
+    report.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_index()).expect(name)
+}
+
+#[test]
+fn stats_json_counts_the_same_sweep_at_one_and_two_threads() {
+    // A complete graph: its merge forest is complete long before the
+    // end of the pair list, so both engines stop early.
+    let (edges, stderr, ok) = run_cli(&["generate", "complete", "20", "5"], "");
+    assert!(ok, "stderr: {stderr}");
+    let counts: Vec<(u64, u64, u64)> = ["1", "2"]
+        .iter()
+        .map(|threads| {
+            let (_, stderr, ok) = run_cli(&["-", "--stats-json", "--threads", threads], &edges);
+            assert!(ok, "stderr: {stderr}");
+            (
+                stats_counter(&stderr, "merges_applied"),
+                stats_counter(&stderr, "pairs_processed"),
+                stats_counter(&stderr, "incident_pairs_k2"),
+            )
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "threads 1 vs 2: (merges, pairs, K2)");
+    let (merges, pairs, k2) = counts[0];
+    assert_eq!(merges, 190 - 1, "one tree over the 190 edges");
+    assert!(pairs < k2, "the sweep stops before the end of L: {pairs} of {k2}");
+}
+
 #[test]
 fn trace_flag_writes_chrome_trace_json() {
     let path =

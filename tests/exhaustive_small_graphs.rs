@@ -2,12 +2,15 @@
 //! the optimized sweep, both baselines, and the brute-force reference
 //! must agree on all 2¹⁰ = 1,024 edge subsets (and all 2⁶ on 4
 //! vertices with a different weight pattern). No sampling, no seeds —
-//! total coverage of the small-graph space.
+//! total coverage of the small-graph space, including every edgeless,
+//! disconnected and isolated-vertex case the engines' stop rule must
+//! get right.
 
 use linkclust::core::reference::{canonical_labels, single_linkage_at_threshold};
+use linkclust::core::sweep::SweepOutput;
 use linkclust::{
-    compute_similarities, sweep, GraphBuilder, MstClustering, NbmClustering, SweepConfig,
-    WeightedGraph,
+    compute_similarities, sweep, GraphBuilder, LinkClustering, MstClustering, NbmClustering,
+    SweepConfig, WeightedGraph,
 };
 
 fn all_pairs(n: usize) -> Vec<(usize, usize)> {
@@ -38,6 +41,10 @@ fn canon(labels: &[u32]) -> Vec<usize> {
     canonical_labels(&labels.iter().map(|&x| x as usize).collect::<Vec<_>>())
 }
 
+fn score_bits(output: &SweepOutput) -> Vec<u64> {
+    output.merge_scores().iter().map(|s| s.to_bits()).collect()
+}
+
 #[test]
 fn all_five_vertex_graphs_agree() {
     let n = 5;
@@ -46,11 +53,22 @@ fn all_five_vertex_graphs_agree() {
         let g = graph_for_mask(n, &pairs, mask, false);
         let sims = compute_similarities(&g);
         let sorted = sims.clone().into_sorted();
-        let sweep_labels = canon(&sweep(&g, &sorted, SweepConfig::default()).edge_assignments());
+        let oracle = sweep(&g, &sorted, SweepConfig::default());
+        let sweep_labels = canon(&oracle.edge_assignments());
         let nbm_labels = canon(&NbmClustering::new().run(&g, &sims).final_assignments());
         let mst_labels = canon(&MstClustering::new().run(&g, &sims).final_assignments());
         assert_eq!(sweep_labels, nbm_labels, "mask {mask:#b}");
         assert_eq!(nbm_labels, mst_labels, "mask {mask:#b}");
+        // The facade's exact engines: the Kruskal pass at one thread,
+        // the union-find engine above, both stopping once the merge
+        // forest is complete.
+        for threads in [1, 2, 3] {
+            let result = LinkClustering::new().threads(threads).run(&g).expect("default config");
+            let out = result.output();
+            assert_eq!(out.dendrogram(), oracle.dendrogram(), "mask {mask:#b} t={threads}");
+            assert_eq!(score_bits(out), score_bits(&oracle), "mask {mask:#b} t={threads}");
+            assert_eq!(out.slot_of_edge(), oracle.slot_of_edge(), "mask {mask:#b} t={threads}");
+        }
     }
 }
 
