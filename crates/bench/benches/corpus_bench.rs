@@ -1,11 +1,14 @@
 //! Criterion bench: text-substrate throughput — tokenizer, Porter
-//! stemmer, pipeline, and association-network construction.
+//! stemmer, pipeline, and association-network construction — plus
+//! `corpus/setup_path`, the raw-tweets-to-graph calls of the
+//! `cluster-dense` benchmark workload at its full size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use linkclust_corpus::assoc::AssocNetworkBuilder;
 use linkclust_corpus::porter::stem;
 use linkclust_corpus::synth::{SynthCorpus, SynthCorpusConfig};
 use linkclust_corpus::TextPipeline;
+use linkclust_graph::CsrGraph;
 
 fn bench_corpus(c: &mut Criterion) {
     let sc = SynthCorpus::generate(&SynthCorpusConfig {
@@ -66,9 +69,46 @@ fn bench_corpus(c: &mut Criterion) {
     });
 }
 
+/// The dense workload's set-up path, layer by layer: 25,000 rendered
+/// tweets through the text pipeline, the top-350-word association
+/// network, and its CSR graph.
+fn bench_setup_path(c: &mut Criterion) {
+    let sc = SynthCorpus::generate(&SynthCorpusConfig {
+        documents: 25_000,
+        vocabulary: 4_000,
+        topics: 20,
+        seed: 1,
+        ..Default::default()
+    });
+    let tweets = sc.render_tweets(2);
+    let corpus = TextPipeline::new().process_all(&tweets);
+    let net = AssocNetworkBuilder::new()
+        .top_words(350)
+        .build(corpus.documents())
+        .expect("the corpus has words");
+
+    let mut group = c.benchmark_group("corpus/setup_path");
+    group.bench_function("text", |b| b.iter(|| TextPipeline::new().process_all(&tweets)));
+    group.bench_function("assoc", |b| {
+        b.iter(|| AssocNetworkBuilder::new().top_words(350).build(corpus.documents()));
+    });
+    group.bench_function("csr", |b| b.iter(|| CsrGraph::from_weighted(net.graph())));
+    group.bench_function("all", |b| {
+        b.iter(|| {
+            let corpus = TextPipeline::new().process_all(&tweets);
+            let net = AssocNetworkBuilder::new()
+                .top_words(350)
+                .build(corpus.documents())
+                .expect("the corpus has words");
+            CsrGraph::from_weighted(net.graph())
+        });
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_corpus
+    targets = bench_corpus, bench_setup_path
 }
 criterion_main!(benches);

@@ -232,8 +232,8 @@ pub struct PhaseSplit {
     pub init_ms: f64,
     /// Sorting the similarity list.
     pub sort_ms: f64,
-    /// The sweep (outer span — for the ufsweep engine this contains the
-    /// local and replay sub-phases).
+    /// The sweep (outer span — it contains the set-up sub-phase of both
+    /// exact engines and ufsweep's local and replay sub-phases).
     pub sweep_ms: f64,
 }
 
@@ -514,6 +514,18 @@ pub fn document_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_split_counts_nested_sweep_spans_once() {
+        use linkclust_core::telemetry::{Recorder, RunRecorder};
+        let recorder = RunRecorder::new();
+        recorder.record_phase(Phase::Sweep, 10_000_000);
+        recorder.record_phase(Phase::SweepSetup, 2_000_000);
+        recorder.record_phase(Phase::SweepLocal, 5_000_000);
+        recorder.record_phase(Phase::SweepReplay, 1_000_000);
+        let split = PhaseSplit::from_report(&recorder.report());
+        assert!((split.sweep_ms - 10.0).abs() < 1e-9, "{split:?}");
+    }
 
     #[test]
     fn rung_ids_round_trip() {

@@ -401,8 +401,10 @@ impl KruskalMerges {
 /// complete, at `m − c` merges (the module's stop rule); `c` is counted
 /// once per call in `O(|V| + |E|)`.
 ///
-/// The whole sweep runs under one [`Phase::Sweep`] span, and the merge
-/// and processed-pair counters are recorded once at the end.
+/// The whole sweep runs under one [`Phase::Sweep`] span, with a
+/// [`Phase::SweepSetup`] sub-span over the edge index, the component
+/// count and the slot permutation; the merge and processed-pair counters
+/// are recorded once at the end.
 /// [`Counter::PairsProcessed`] counts the incident pairs of every entry
 /// up to and including the one whose operation completes the forest,
 /// or of every live entry if the forest is never completed.
@@ -438,10 +440,12 @@ pub fn kruskal_sweep_with<G: GraphView + ?Sized>(
 ) -> SweepOutput {
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
     let span = telemetry.span(Phase::Sweep);
+    let setup_span = telemetry.span(Phase::SweepSetup);
     let m = g.edge_count();
     let index = EdgeIndex::for_graph(g);
     let slot_of_edge = config.edge_order.permutation(m);
     let mut kruskal = KruskalMerges::with_target(m, m - edge_component_count(g));
+    setup_span.finish();
     let mut pairs_processed = 0u64;
     for entry in sorted.entries() {
         if kruskal.is_complete() {

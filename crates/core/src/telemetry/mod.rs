@@ -104,17 +104,22 @@ pub enum Phase {
     /// The atomic index swap publishing a freshly built index to query
     /// traffic (one span per swap; should be nanoseconds).
     ServeSwap = 14,
+    /// The set-up of an exact sweep engine, inside its [`Phase::Sweep`]
+    /// span: the edge index, the edge-component count and the slot
+    /// permutation (and, for `ufsweep`, the block partition).
+    SweepSetup = 15,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 15] = [
+    pub const ALL: [Phase; 16] = [
         Phase::InitPass1,
         Phase::InitPass2,
         Phase::InitShardFold,
         Phase::InitPass3,
         Phase::Sort,
         Phase::Sweep,
+        Phase::SweepSetup,
         Phase::SweepLocal,
         Phase::SweepReplay,
         Phase::CoarseEpoch,
@@ -142,6 +147,7 @@ impl Phase {
             Phase::InitShardFold => "init_shard_fold",
             Phase::SweepLocal => "sweep_local",
             Phase::SweepReplay => "sweep_replay",
+            Phase::SweepSetup => "sweep_setup",
             Phase::ServeQuery => "serve_query",
             Phase::ServeAdmit => "serve_admit",
             Phase::ServeSwap => "serve_swap",

@@ -16,7 +16,9 @@
 //!
 //! The text pipeline mirrors the paper's: tokenization ([`token`]), Porter
 //! stemming ([`porter`] — the full 1980 algorithm, replacing nltk), and
-//! stop-word removal ([`stopwords`]).
+//! stop-word removal ([`stopwords`]). A processed [`Corpus`] holds `u32`
+//! token ids over one shared vocabulary ([`doc`]), so the network builder
+//! ([`assoc`]) counts with dense arrays instead of string-keyed maps.
 //!
 //! # Examples
 //!
@@ -52,6 +54,6 @@ pub mod synth;
 pub mod token;
 
 pub use assoc::{AssocNetwork, AssocNetworkBuilder};
-pub use doc::{Corpus, Document};
+pub use doc::{Corpus, Document, Documents};
 pub use error::CorpusError;
 pub use pipeline::TextPipeline;

@@ -12,10 +12,11 @@ use std::path::Path;
 use crate::doc::Corpus;
 use crate::pipeline::TextPipeline;
 
-/// Reads a one-message-per-line corpus from a reader, processing each
-/// line with `pipeline`. Blank lines are skipped; lines producing no
-/// tokens yield empty documents (kept, so document indices line up with
-/// input lines minus blanks).
+/// Reads a one-message-per-line corpus from a reader, processing the
+/// lines with `pipeline` in one pass (one [`TextPipeline::process_all`]
+/// call). Blank lines are skipped; lines producing no tokens yield empty
+/// documents (kept, so document indices line up with input lines minus
+/// blanks).
 ///
 /// # Errors
 ///
@@ -29,19 +30,17 @@ use crate::pipeline::TextPipeline;
 /// let text = "The cats are sleeping\n\nBig storms coming!\n";
 /// let corpus = read_messages(text.as_bytes(), &TextPipeline::new())?;
 /// assert_eq!(corpus.len(), 2);
-/// assert_eq!(corpus.documents()[0].tokens(), ["cat", "sleep"]);
+/// assert_eq!(corpus.document(0).words(), ["cat", "sleep"]);
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub fn read_messages<R: BufRead>(reader: R, pipeline: &TextPipeline) -> std::io::Result<Corpus> {
-    let mut corpus = Corpus::new();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        corpus.push(pipeline.process(&line));
+    let mut error = None;
+    let lines = reader.lines().map_while(|line| line.map_err(|e| error = Some(e)).ok());
+    let corpus = pipeline.process_all(lines.filter(|line| !line.trim().is_empty()));
+    match error {
+        Some(e) => Err(e),
+        None => Ok(corpus),
     }
-    Ok(corpus)
 }
 
 /// Reads a one-message-per-line corpus from a file path.
@@ -66,9 +65,9 @@ mod tests {
         let text = "Running fast!\n@bob check https://x.io #clusters\n\nthe the the\n";
         let corpus = read_messages(text.as_bytes(), &TextPipeline::new()).unwrap();
         assert_eq!(corpus.len(), 3);
-        assert_eq!(corpus.documents()[0].tokens(), ["run", "fast"]);
-        assert_eq!(corpus.documents()[1].tokens(), ["check", "cluster"]);
-        assert!(corpus.documents()[2].is_empty()); // all stop words
+        assert_eq!(corpus.document(0).words(), ["run", "fast"]);
+        assert_eq!(corpus.document(1).words(), ["check", "cluster"]);
+        assert!(corpus.document(2).is_empty()); // all stop words
     }
 
     #[test]
@@ -79,7 +78,7 @@ mod tests {
         std::fs::write(&path, "storms ahead\nsunny days\n").unwrap();
         let corpus = read_messages_file(&path, &TextPipeline::new()).unwrap();
         assert_eq!(corpus.len(), 2);
-        assert_eq!(corpus.documents()[0].tokens(), ["storm", "ahead"]);
+        assert_eq!(corpus.document(0).words(), ["storm", "ahead"]);
         let _ = std::fs::remove_dir_all(dir);
     }
 

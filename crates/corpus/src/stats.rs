@@ -5,9 +5,7 @@
 //! paper's Twitter workload relies on. Both checks appear in the
 //! EXPERIMENTS report.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::doc::Document;
+use crate::doc::Documents;
 
 /// Rank-frequency statistics over a corpus.
 #[derive(Clone, PartialEq, Debug)]
@@ -23,18 +21,20 @@ pub struct FrequencyStats {
 impl FrequencyStats {
     /// Computes token frequencies for `documents`.
     #[must_use]
-    pub fn compute(documents: &[Document]) -> Self {
-        let mut counts: HashMap<&str, u64> = HashMap::new();
-        let mut total = 0u64;
+    pub fn compute(documents: Documents<'_>) -> Self {
+        let mut counts = vec![0u64; documents.vocabulary().len()];
         for d in documents {
-            for t in d.tokens() {
-                *counts.entry(t.as_str()).or_default() += 1;
-                total += 1;
+            for &id in d.ids() {
+                counts[id as usize] += 1;
             }
         }
-        let mut sorted: Vec<u64> = counts.values().copied().collect();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        FrequencyStats { distinct_words: sorted.len(), counts: sorted, total_tokens: total }
+        counts.retain(|&c| c > 0);
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        FrequencyStats {
+            distinct_words: counts.len(),
+            counts,
+            total_tokens: documents.token_count() as u64,
+        }
     }
 
     /// Least-squares estimate of the Zipf exponent `s` from the
@@ -76,14 +76,17 @@ impl FrequencyStats {
 /// The vocabulary-growth curve: distinct words seen after each document
 /// (Heaps' law predicts `V(n) ∝ n^β` with β < 1).
 #[must_use]
-pub fn vocabulary_growth(documents: &[Document]) -> Vec<usize> {
-    let mut seen: HashSet<&str> = HashSet::new();
+pub fn vocabulary_growth(documents: Documents<'_>) -> Vec<usize> {
+    let mut seen = vec![false; documents.vocabulary().len()];
+    let mut distinct = 0;
     let mut curve = Vec::with_capacity(documents.len());
     for d in documents {
-        for t in d.tokens() {
-            seen.insert(t.as_str());
+        for &id in d.ids() {
+            if !std::mem::replace(&mut seen[id as usize], true) {
+                distinct += 1;
+            }
         }
-        curve.push(seen.len());
+        curve.push(distinct);
     }
     curve
 }
@@ -92,7 +95,7 @@ pub fn vocabulary_growth(documents: &[Document]) -> Vec<usize> {
 /// regression of distinct words against tokens seen. Returns `None` for
 /// degenerate curves.
 #[must_use]
-pub fn heaps_exponent(documents: &[Document]) -> Option<f64> {
+pub fn heaps_exponent(documents: Documents<'_>) -> Option<f64> {
     let growth = vocabulary_growth(documents);
     if growth.len() < 8 {
         return None;
@@ -113,10 +116,12 @@ pub fn heaps_exponent(documents: &[Document]) -> Option<f64> {
         sxy += x * y;
         n += 1.0;
     }
+    // float-cmp: `n` counts the regression's points, an exact small integer.
     if n < 8.0 {
         return None;
     }
     let denom = n * sxx - sx * sx;
+    // float-cmp: the epsilon test itself; equal abscissae leave no slope to fit.
     if denom.abs() < 1e-12 {
         return None;
     }
@@ -126,16 +131,15 @@ pub fn heaps_exponent(documents: &[Document]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::Corpus;
     use crate::synth::{SynthCorpus, SynthCorpusConfig};
-
-    fn doc(words: &[&str]) -> Document {
-        Document::new(words.iter().map(|s| s.to_string()).collect())
-    }
 
     #[test]
     fn frequency_counts() {
-        let docs = vec![doc(&["a", "b", "a"]), doc(&["a", "c"])];
-        let s = FrequencyStats::compute(&docs);
+        let mut docs = Corpus::new();
+        docs.push(["a", "b", "a"]);
+        docs.push(["a", "c"]);
+        let s = FrequencyStats::compute(docs.documents());
         assert_eq!(s.total_tokens, 5);
         assert_eq!(s.distinct_words, 3);
         assert_eq!(s.counts, vec![3, 1, 1]);
@@ -145,15 +149,15 @@ mod tests {
     #[test]
     fn zipf_exponent_recovers_synthetic_law() {
         // Build an exactly-Zipfian corpus: word r appears ⌊1000/r⌋ times.
-        let mut docs = Vec::new();
+        let mut docs = Corpus::new();
         for r in 1..=60usize {
             let count = 1000 / r;
             let word = format!("w{r}");
             for _ in 0..count {
-                docs.push(doc(&[&word]));
+                docs.push([&word]);
             }
         }
-        let s = FrequencyStats::compute(&docs);
+        let s = FrequencyStats::compute(docs.documents());
         let exp = s.zipf_exponent(60).unwrap();
         assert!((exp - 1.0).abs() < 0.05, "expected s near 1.0, got {exp}");
     }
@@ -194,9 +198,10 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert_eq!(FrequencyStats::compute(&[]).total_tokens, 0);
-        assert_eq!(FrequencyStats::compute(&[]).head_mass(5), 0.0);
-        assert!(FrequencyStats::compute(&[]).zipf_exponent(10).is_none());
-        assert!(heaps_exponent(&[]).is_none());
+        let empty = Corpus::new();
+        assert_eq!(FrequencyStats::compute(empty.documents()).total_tokens, 0);
+        assert_eq!(FrequencyStats::compute(empty.documents()).head_mass(5), 0.0);
+        assert!(FrequencyStats::compute(empty.documents()).zipf_exponent(10).is_none());
+        assert!(heaps_exponent(empty.documents()).is_none());
     }
 }

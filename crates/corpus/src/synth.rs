@@ -24,7 +24,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::doc::{Corpus, Document};
+use crate::doc::{Corpus, Documents};
 use crate::stopwords::STOP_WORDS;
 
 /// Configuration of the synthetic corpus generator.
@@ -80,11 +80,11 @@ impl Default for SynthCorpusConfig {
     }
 }
 
-/// A generated corpus together with its vocabulary.
+/// A generated corpus. Its vocabulary holds the pseudo-words in rank
+/// order, so a token's id is its word's global frequency rank.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SynthCorpus {
     corpus: Corpus,
-    words: Vec<String>,
     config: SynthCorpusConfig,
 }
 
@@ -96,16 +96,20 @@ impl SynthCorpus {
     /// Panics if `config` is degenerate (zero documents/vocabulary/topics,
     /// `min_words > max_words`, `global_mix` outside `[0, 1]`, or a
     /// non-positive Zipf exponent).
+    #[must_use]
     pub fn generate(config: &SynthCorpusConfig) -> Self {
         assert!(config.documents > 0, "need at least one document");
         assert!(config.vocabulary > 0, "need a non-empty vocabulary");
         assert!(config.topics > 0, "need at least one topic");
         assert!(config.min_words <= config.max_words, "min_words must not exceed max_words");
         assert!((0.0..=1.0).contains(&config.global_mix), "global_mix must lie in [0, 1]");
+        // float-cmp: a domain check on a configured exponent, NaN refused too.
         assert!(config.zipf_exponent > 0.0, "zipf exponent must be positive");
 
         let mut rng = SmallRng::seed_from_u64(config.seed);
-        let words: Vec<String> = (0..config.vocabulary).map(pseudo_word).collect();
+        let mut corpus = Corpus::new();
+        let id_of_rank: Vec<u32> =
+            (0..config.vocabulary).map(|rank| corpus.intern(&pseudo_word(rank))).collect();
 
         let global = ZipfSampler::new(config.vocabulary, config.zipf_exponent);
         // Topic t owns ranks t, t+T, t+2T, … — Zipf-sampled by local index,
@@ -127,7 +131,6 @@ impl SynthCorpus {
         let chatter_mix = (config.global_mix + 0.4).min(0.95);
         let topical_mix = (config.global_mix - 0.45).max(0.05);
 
-        let mut documents = Vec::with_capacity(config.documents);
         for _ in 0..config.documents {
             let topic = rng.gen_range(0..config.topics);
             let chatter = rng.gen_bool(0.5);
@@ -139,7 +142,6 @@ impl SynthCorpus {
             } else {
                 rng.gen_range(config.min_words..=config.max_words)
             };
-            let mut tokens = Vec::with_capacity(len);
             for _ in 0..len {
                 let rank = if rng.gen_bool(mix) {
                     global.sample(&mut rng)
@@ -148,11 +150,11 @@ impl SynthCorpus {
                     let rank = topic + local * config.topics;
                     rank.min(config.vocabulary - 1)
                 };
-                tokens.push(words[rank].clone());
+                corpus.push_token(id_of_rank[rank]);
             }
-            documents.push(Document::new(tokens));
+            corpus.end_document();
         }
-        SynthCorpus { corpus: documents.into_iter().collect(), words, config: *config }
+        SynthCorpus { corpus, config: *config }
     }
 
     /// The processed corpus (documents of base-word tokens, as if already
@@ -164,7 +166,7 @@ impl SynthCorpus {
 
     /// Shorthand for `self.corpus().documents()`.
     #[must_use]
-    pub fn documents(&self) -> &[Document] {
+    pub fn documents(&self) -> Documents<'_> {
         self.corpus.documents()
     }
 
@@ -172,7 +174,7 @@ impl SynthCorpus {
     /// frequent).
     #[must_use]
     pub fn vocabulary(&self) -> &[String] {
-        &self.words
+        self.corpus.vocabulary()
     }
 
     /// The configuration this corpus was generated from.
@@ -192,6 +194,7 @@ impl SynthCorpus {
     #[must_use]
     pub fn render_tweets(&self, seed: u64) -> Vec<String> {
         let mut rng = SmallRng::seed_from_u64(seed);
+        let words = self.corpus.vocabulary();
         self.corpus
             .documents()
             .iter()
@@ -200,7 +203,8 @@ impl SynthCorpus {
                 if rng.gen_bool(0.2) {
                     parts.push(format!("@user{}", rng.gen_range(0..1000)));
                 }
-                for tok in doc.tokens() {
+                for &id in doc.ids() {
+                    let tok = &words[id as usize];
                     if rng.gen_bool(0.35) {
                         parts.push(STOP_WORDS[rng.gen_range(0..STOP_WORDS.len())].to_string());
                     }
@@ -306,8 +310,8 @@ mod tests {
         let sc = SynthCorpus::generate(&small_config());
         let mut counts: HashMap<&str, usize> = HashMap::new();
         for d in sc.documents() {
-            for t in d.tokens() {
-                *counts.entry(t.as_str()).or_default() += 1;
+            for t in d.words() {
+                *counts.entry(t).or_default() += 1;
             }
         }
         let top = counts.get(sc.vocabulary()[0].as_str()).copied().unwrap_or(0);
@@ -356,13 +360,16 @@ mod tests {
         let pipeline = TextPipeline::new();
         for (raw, original) in tweets.iter().zip(sc.documents()) {
             let doc = pipeline.process(raw);
-            assert_eq!(doc.tokens(), original.tokens(), "raw: {raw}");
+            assert_eq!(doc.document(0).words(), original.words(), "raw: {raw}");
         }
+        // The whole batch through one call gives the same documents.
+        let processed = pipeline.process_all(&tweets);
+        assert!(processed.documents().iter().eq(sc.documents()));
     }
 
     #[test]
     #[should_panic(expected = "at least one document")]
     fn rejects_zero_documents() {
-        SynthCorpus::generate(&SynthCorpusConfig { documents: 0, ..Default::default() });
+        let _ = SynthCorpus::generate(&SynthCorpusConfig { documents: 0, ..Default::default() });
     }
 }

@@ -4,6 +4,12 @@
 //! removal (§VII). This tokenizer handles the artifacts typical of that
 //! domain: URLs, @-mentions, and #-hashtags are dropped or unwrapped, text
 //! is lower-cased, and only alphabetic tokens of length ≥ 2 survive.
+//!
+//! [`tokenize`] states the rules and returns owned tokens; it is the
+//! reference the text pipeline is tested against. The pipeline itself
+//! reads words through `for_each_word`, which applies the same rules to
+//! the message's bytes and lends each word as a slice of the input, so
+//! scanning allocates nothing.
 
 /// Splits `text` into normalized word tokens.
 ///
@@ -54,9 +60,39 @@ fn push_word(out: &mut Vec<String>, word: &mut String) {
     }
 }
 
+/// Calls `emit` with every token [`tokenize`] returns for `text`, in
+/// order, as a slice of `text` before lower-casing.
+pub(crate) fn for_each_word<'a>(text: &'a str, mut emit: impl FnMut(&'a str)) {
+    for chunk in text.split_whitespace() {
+        if is_url(chunk) || chunk.starts_with('@') {
+            continue;
+        }
+        let chunk = chunk.strip_prefix('#').unwrap_or(chunk);
+        // Every byte of a non-ASCII character is ≥ 0x80, so it ends a word
+        // as the character does, and both ends of a run of ASCII letters
+        // are character boundaries.
+        let mut start = 0;
+        for (i, b) in chunk.bytes().enumerate() {
+            if !b.is_ascii_alphabetic() {
+                if i - start >= 2 {
+                    emit(&chunk[start..i]);
+                }
+                start = i + 1;
+            }
+        }
+        if chunk.len() - start >= 2 {
+            emit(&chunk[start..]);
+        }
+    }
+}
+
 fn is_url(chunk: &str) -> bool {
-    let lower = chunk.to_ascii_lowercase();
-    lower.starts_with("http://") || lower.starts_with("https://") || lower.starts_with("www.")
+    ["http://", "https://", "www."].iter().any(|prefix| {
+        chunk
+            .as_bytes()
+            .get(..prefix.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
+    })
 }
 
 #[cfg(test)]

@@ -92,8 +92,9 @@ struct Candidate {
 /// complete (the module's stop rule).
 ///
 /// The whole engine runs under one [`Phase::Sweep`] span (so reports
-/// stay comparable across engines) with [`Phase::SweepLocal`] and
-/// [`Phase::SweepReplay`] sub-spans. [`Counter::PairsProcessed`] counts
+/// stay comparable across engines) with [`Phase::SweepSetup`] (edge
+/// index, component count, slot permutation, block partition),
+/// [`Phase::SweepLocal`] and [`Phase::SweepReplay`] sub-spans. [`Counter::PairsProcessed`] counts
 /// what the `threads(1)` pass counts: the incident pairs of every entry
 /// up to and including the one whose operation completes the forest,
 /// or of every live entry if the forest is never completed.
@@ -113,6 +114,7 @@ pub fn ufsweep_with<G: GraphView + ?Sized>(
 ) -> SweepOutput {
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
     let span = telemetry.span(Phase::Sweep);
+    let setup_span = telemetry.span(Phase::SweepSetup);
     let m = g.edge_count();
     let target = m - edge_component_count(g);
     let index = EdgeIndex::for_graph(g);
@@ -131,6 +133,7 @@ pub fn ufsweep_with<G: GraphView + ?Sized>(
     // Step 1 + 2: weight-balanced contiguous blocks, local candidate
     // passes in parallel, reading the list and the index in place.
     let (ranges, _loads) = balanced_partition_with_loads(&weights, pool.threads());
+    setup_span.finish();
     let cutoff = ItemCutoff::new();
     let local = LocalPass {
         sorted,

@@ -424,6 +424,24 @@ mod tests {
     }
 
     #[test]
+    fn sweep_setup_nested_in_the_sweep_counts_once() {
+        let trace = ParsedTrace {
+            spans: vec![
+                span(0, "sweep", 0.0, 100.0),
+                span(0, "sweep_setup", 0.0, 10.0),
+                span(0, "sweep_local", 10.0, 60.0),
+                span(0, "sweep_replay", 90.0, 5.0),
+            ],
+            ..ParsedTrace::default()
+        };
+        let a = analyze(&trace);
+        let self_sum: f64 = a.phases.iter().map(|p| p.self_us).sum();
+        assert!((self_sum - 100.0).abs() < 1e-9, "self times tile the sweep once");
+        let setup = a.phases.iter().find(|p| p.name == "sweep_setup").unwrap();
+        assert!((setup.self_us - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn queue_wait_share_counts_only_wait_spans() {
         let trace = ParsedTrace {
             spans: vec![span(0, "chunk_process", 0.0, 60.0), span(1, "pool_queue_wait", 0.0, 40.0)],

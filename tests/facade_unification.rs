@@ -132,6 +132,26 @@ fn report_counters_match_graph_statistics() {
     }
 }
 
+/// Each exact engine's set-up (edge index, component count, slot
+/// permutation) is one `SweepSetup` span per run, nested in the
+/// `Sweep` span.
+#[test]
+fn sweep_setup_is_recorded_once_per_run_inside_the_sweep() {
+    let g = gnm(60, 400, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 3);
+    for threads in [1usize, 2] {
+        for _ in 0..2 {
+            let r = LinkClustering::new().threads(threads).stats(true).run(&g).unwrap();
+            let report = r.report().expect("stats(true) attaches a report");
+            assert_eq!(report.phase_calls(Phase::Sweep), 1, "threads {threads}");
+            assert_eq!(report.phase_calls(Phase::SweepSetup), 1, "threads {threads}");
+            assert!(
+                report.phase_nanos(Phase::SweepSetup) <= report.phase_nanos(Phase::Sweep),
+                "threads {threads}: the set-up is part of the sweep"
+            );
+        }
+    }
+}
+
 #[test]
 fn coarse_report_counters_match_dendrogram() {
     let planted = planted_partition(5, 10, 0.7, 0.01, 3);
