@@ -1,8 +1,8 @@
 //! Criterion benchmark of the fixed cost of one parallel dispatch:
 //! `pool_dispatch` times [`WorkerPool::fan_out`] over one tiny item per
 //! thread — thread creation, the caller's own lane, and the joins — the
-//! overhead every Phase I pass, ufsweep local pass and coarse chunk pays
-//! on top of its work.
+//! overhead every parallel Phase I pass and coarse chunk pays on top of
+//! its work.
 
 use std::hint::black_box;
 

@@ -1,18 +1,16 @@
 //! Criterion bench: Phase II (sweeping) across graph sizes — the
 //! `Sweeping` series of Fig. 4(2) in micro form. Initialization and
 //! sorting are done once outside the timed loop to isolate the sweep.
-//! The `sweep/engines` group sets Algorithm 2 beside the two exact
-//! engines the facade runs — the Kruskal pass at one thread and the
-//! union-find engine at two — on a sparse and a dense input; the dense
-//! one completes its merge forest early in `L`, where both engines stop.
+//! The `sweep/engines` group sets Algorithm 2 beside the Kruskal pass
+//! the facade runs at every thread count, on a sparse and a dense input;
+//! the dense one completes its merge forest early in `L`, where the
+//! Kruskal pass stops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use linkclust_core::init::compute_similarities;
 use linkclust_core::sweep::{kruskal_sweep_with, sweep, EdgeOrder, SweepConfig};
 use linkclust_core::telemetry::Telemetry;
 use linkclust_graph::generate::{complete, gnm, k_regular, WeightMode};
-use linkclust_parallel::pool::WorkerPool;
-use linkclust_parallel::ufsweep::ufsweep_with;
 
 fn bench_sweep(c: &mut Criterion) {
     let w = WeightMode::Uniform { lo: 0.2, hi: 2.0 };
@@ -60,7 +58,6 @@ fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep/engines");
     let config = SweepConfig::default();
     let off = Telemetry::disabled();
-    let pool = WorkerPool::new(2);
     for (name, g) in
         [("gnm_n400_m8000", gnm(400, 8000, w, 42)), ("complete60", complete(60, w, 42))]
     {
@@ -69,9 +66,6 @@ fn bench_sweep(c: &mut Criterion) {
         group.bench_function(format!("algorithm2/{name}"), |b| b.iter(|| sweep(&g, &sims, config)));
         group.bench_function(format!("kruskal/{name}"), |b| {
             b.iter(|| kruskal_sweep_with(&g, &sims, config, &off));
-        });
-        group.bench_function(format!("ufsweep_2t/{name}"), |b| {
-            b.iter(|| ufsweep_with(&g, &sims, config, &pool, &off));
         });
     }
     group.finish();

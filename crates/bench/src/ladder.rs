@@ -232,8 +232,8 @@ pub struct PhaseSplit {
     pub init_ms: f64,
     /// Sorting the similarity list.
     pub sort_ms: f64,
-    /// The sweep (outer span — it contains the set-up sub-phase of both
-    /// exact engines and ufsweep's local and replay sub-phases).
+    /// The sweep (outer span — it contains the exact sweep's set-up
+    /// sub-phase).
     pub sweep_ms: f64,
 }
 
@@ -521,8 +521,6 @@ mod tests {
         let recorder = RunRecorder::new();
         recorder.record_phase(Phase::Sweep, 10_000_000);
         recorder.record_phase(Phase::SweepSetup, 2_000_000);
-        recorder.record_phase(Phase::SweepLocal, 5_000_000);
-        recorder.record_phase(Phase::SweepReplay, 1_000_000);
         let split = PhaseSplit::from_report(&recorder.report());
         assert!((split.sweep_ms - 10.0).abs() < 1e-9, "{split:?}");
     }

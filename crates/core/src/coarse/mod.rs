@@ -142,6 +142,42 @@ impl CoarseConfig {
         }
         Ok(())
     }
+
+    /// Validates the config, then reconciles its
+    /// [`edge_order`](Self::edge_order) with an order a facade set
+    /// explicitly (`None` if it set none): the explicit order wins over
+    /// a default-valued config, and a **conflicting** non-default config
+    /// value is rejected with [`ConfigError::EdgeOrderConflict`] instead
+    /// of silently overwritten. Both clustering facades' `run_coarse`
+    /// call this.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use linkclust_core::coarse::CoarseConfig;
+    /// use linkclust_core::sweep::EdgeOrder;
+    /// use linkclust_core::ConfigError;
+    ///
+    /// let shuffled = EdgeOrder::Shuffled { seed: 7 };
+    /// let cfg = CoarseConfig::default().reconcile_edge_order(Some(shuffled))?;
+    /// assert_eq!(cfg.edge_order, shuffled);
+    /// let other = CoarseConfig { edge_order: EdgeOrder::Shuffled { seed: 8 }, ..cfg };
+    /// assert_eq!(other.reconcile_edge_order(Some(shuffled)), Err(ConfigError::EdgeOrderConflict));
+    /// # Ok::<(), ConfigError>(())
+    /// ```
+    pub fn reconcile_edge_order(
+        mut self,
+        explicit: Option<EdgeOrder>,
+    ) -> Result<CoarseConfig, ConfigError> {
+        self.validate()?;
+        if let Some(order) = explicit {
+            if self.edge_order != EdgeOrder::default() && self.edge_order != order {
+                return Err(ConfigError::EdgeOrderConflict);
+            }
+            self.edge_order = order;
+        }
+        Ok(self)
+    }
 }
 
 /// Builder for [`CoarseConfig`] returned by [`CoarseConfig::builder`];
@@ -745,6 +781,24 @@ mod tests {
 
     fn default_small() -> CoarseConfig {
         CoarseConfig { phi: 5, initial_chunk: 4, ..Default::default() }
+    }
+
+    #[test]
+    fn edge_order_reconciliation() {
+        let facade = Some(EdgeOrder::Shuffled { seed: 7 });
+        let config =
+            |seed| CoarseConfig { edge_order: EdgeOrder::Shuffled { seed }, ..Default::default() };
+        // Default-valued config: the facade's explicit order wins.
+        let cfg = CoarseConfig::default().reconcile_edge_order(facade).unwrap();
+        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 7 });
+        // Matching explicit orders: fine.
+        let cfg = config(7).reconcile_edge_order(facade).unwrap();
+        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 7 });
+        // Conflicting explicit orders: rejected.
+        assert_eq!(config(8).reconcile_edge_order(facade), Err(ConfigError::EdgeOrderConflict));
+        // No facade order: the config's order is used untouched.
+        let cfg = config(3).reconcile_edge_order(None).unwrap();
+        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 3 });
     }
 
     #[test]

@@ -79,6 +79,8 @@ impl LinkClustering {
     }
 
     /// Stops sweeping below this similarity (cuts the dendrogram early).
+    /// Only [`run`](Self::run) applies it: [`run_coarse`](Self::run_coarse)
+    /// stops by its own rule, at φ clusters.
     #[must_use]
     pub fn min_similarity(mut self, theta: f64) -> Self {
         self.min_similarity = Some(theta);
@@ -167,7 +169,7 @@ impl LinkClustering {
         g: &G,
         config: CoarseConfig,
     ) -> Result<CoarseResult, ConfigError> {
-        let config = self.reconcile_coarse(config)?;
+        let config = config.reconcile_edge_order(self.edge_order)?;
         let (telemetry, recorder) = self.build_telemetry();
         let sims = compute_similarities_with(g, &telemetry);
         let sims = {
@@ -181,20 +183,6 @@ impl LinkClustering {
             Some(r) => result.with_report(r.report()),
             None => result,
         })
-    }
-
-    pub(crate) fn reconcile_coarse(
-        &self,
-        mut config: CoarseConfig,
-    ) -> Result<CoarseConfig, ConfigError> {
-        config.validate()?;
-        if let Some(facade_order) = self.edge_order {
-            if config.edge_order != EdgeOrder::default() && config.edge_order != facade_order {
-                return Err(ConfigError::EdgeOrderConflict);
-            }
-            config.edge_order = facade_order;
-        }
-        Ok(config)
     }
 }
 
@@ -318,38 +306,6 @@ mod tests {
         let g = gnm(10, 20, WeightMode::Unit, 0);
         let bad = CoarseConfig { gamma: 0.5, ..Default::default() };
         assert_eq!(LinkClustering::new().run_coarse(&g, bad), Err(ConfigError::InvalidGamma(0.5)));
-    }
-
-    #[test]
-    fn edge_order_reconciliation() {
-        let facade = LinkClustering::new().edge_order(EdgeOrder::Shuffled { seed: 7 });
-        // Default-valued config: the facade's explicit order wins.
-        let cfg = facade.reconcile_coarse(CoarseConfig::default()).unwrap();
-        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 7 });
-        // Matching explicit orders: fine.
-        let cfg = facade
-            .reconcile_coarse(CoarseConfig {
-                edge_order: EdgeOrder::Shuffled { seed: 7 },
-                ..Default::default()
-            })
-            .unwrap();
-        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 7 });
-        // Conflicting explicit orders: rejected.
-        assert_eq!(
-            facade.reconcile_coarse(CoarseConfig {
-                edge_order: EdgeOrder::Shuffled { seed: 8 },
-                ..Default::default()
-            }),
-            Err(ConfigError::EdgeOrderConflict)
-        );
-        // No facade order: the config's order is used untouched.
-        let cfg = LinkClustering::new()
-            .reconcile_coarse(CoarseConfig {
-                edge_order: EdgeOrder::Shuffled { seed: 3 },
-                ..Default::default()
-            })
-            .unwrap();
-        assert_eq!(cfg.edge_order, EdgeOrder::Shuffled { seed: 3 });
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   so it offers the same operations, in the same order, to a
 //!   min-tracking union-find ([`KruskalMerges`]) and emits the same
 //!   merge records, scores included, bit for bit — without the chain
-//!   rewrites behind Theorem 2's `√K₂·|E|` term. The `ufsweep` engine's
-//!   final pass and the MST baseline feed the same builder.
+//!   rewrites behind Theorem 2's `√K₂·|E|` term. It is the exact sweep
+//!   at every thread count, and the MST baseline feeds the same builder.
 //!
 //! **The stop rule.** Every union operation joins two edges that share
 //! a vertex, so the merge forest over the `m` edges is complete after
@@ -103,9 +103,7 @@ impl SweepOutput {
         SweepOutput { dendrogram, slot_of_edge, merge_scores: Vec::new() }
     }
 
-    /// Assembles a sweep output from its parts. Public so alternative
-    /// sweep engines (the parallel `ufsweep` backend) can produce the
-    /// same output type the serial sweep does; `merge_scores` must be
+    /// Assembles a sweep output from its parts; `merge_scores` must be
     /// aligned with `dendrogram.merges()`.
     ///
     /// # Panics
@@ -113,7 +111,7 @@ impl SweepOutput {
     /// Debug-asserts that `merge_scores` and the dendrogram's merge list
     /// have the same length.
     #[must_use]
-    pub fn with_scores(
+    pub(crate) fn with_scores(
         dendrogram: Dendrogram,
         slot_of_edge: Vec<u32>,
         merge_scores: Vec<f64>,

@@ -89,30 +89,24 @@ pub enum Phase {
     /// Owner-thread fold of routed shard records into the flat
     /// accumulators (parallel pass 2 only).
     InitShardFold = 9,
-    /// Per-block local union-find candidate pass of the `ufsweep` engine
-    /// (one span per block, recorded on the worker that ran it).
-    SweepLocal = 10,
-    /// Serial Kruskal pass of the `ufsweep` engine: filters the block
-    /// candidates and emits the dendrogram's merge records in one loop.
-    SweepReplay = 11,
     /// One light query answered by `linkclustd` (cut, membership, top-k,
     /// or profile — one span per request).
-    ServeQuery = 12,
+    ServeQuery = 10,
     /// One batch-admission job (full recluster) executed by the serve
     /// worker, from dequeue to fresh index built.
-    ServeAdmit = 13,
+    ServeAdmit = 11,
     /// The atomic index swap publishing a freshly built index to query
     /// traffic (one span per swap; should be nanoseconds).
-    ServeSwap = 14,
-    /// The set-up of an exact sweep engine, inside its [`Phase::Sweep`]
-    /// span: the edge index, the edge-component count and the slot
-    /// permutation (and, for `ufsweep`, the block partition).
-    SweepSetup = 15,
+    ServeSwap = 12,
+    /// The set-up of the exact sweep, inside its [`Phase::Sweep`] span:
+    /// the edge index, the edge-component count and the slot
+    /// permutation.
+    SweepSetup = 13,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 16] = [
+    pub const ALL: [Phase; 14] = [
         Phase::InitPass1,
         Phase::InitPass2,
         Phase::InitShardFold,
@@ -120,8 +114,6 @@ impl Phase {
         Phase::Sort,
         Phase::Sweep,
         Phase::SweepSetup,
-        Phase::SweepLocal,
-        Phase::SweepReplay,
         Phase::CoarseEpoch,
         Phase::ChunkProcess,
         Phase::ChunkCombine,
@@ -145,8 +137,6 @@ impl Phase {
             Phase::ChunkCombine => "chunk_combine",
             Phase::PoolQueueWait => "pool_queue_wait",
             Phase::InitShardFold => "init_shard_fold",
-            Phase::SweepLocal => "sweep_local",
-            Phase::SweepReplay => "sweep_replay",
             Phase::SweepSetup => "sweep_setup",
             Phase::ServeQuery => "serve_query",
             Phase::ServeAdmit => "serve_admit",

@@ -1,11 +1,10 @@
 //! Classic disjoint-set union-find (path compression + union by rank).
 //!
 //! [`UnionFind`] carries the Kruskal pass of
-//! [`sweep::KruskalMerges`](crate::sweep::KruskalMerges) — the Phase II
-//! of every exact engine and of the MST baseline
-//! ([`baseline::mst`](crate::baseline::mst)) — and the block-local
-//! passes of the `ufsweep` engine. It replaces the paper's chain array
-//! `C` ([`ClusterArray`](crate::ClusterArray)) there: union-find
+//! [`sweep::KruskalMerges`](crate::sweep::KruskalMerges) — the exact
+//! Phase II at every thread count and the MST baseline's
+//! ([`baseline::mst`](crate::baseline::mst)). It replaces the paper's
+//! chain array `C` ([`ClusterArray`](crate::ClusterArray)) there: union-find
 //! achieves near-O(1) amortized finds but does not preserve the "min
 //! index is the cluster id" labelling that the paper's dendrogram output
 //! relies on, so we track the minimum element per set explicitly.

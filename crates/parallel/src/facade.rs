@@ -1,16 +1,14 @@
 //! Unified serial/parallel clustering facade.
 //!
-//! One builder covers the whole repo: `threads(1)` (the default) runs
-//! the exact serial code path of [`linkclust_core::LinkClustering`] —
-//! bit-for-bit identical dendrograms — at every entry point, while
-//! `threads(n)` for `n > 1` dispatches Phase I, the fine-grained sweep
-//! (the union-find engine of [`crate::ufsweep`], which reproduces the
-//! serial dendrogram exactly), and (for the coarse sweep) the chunk
-//! processing to the multi-threaded implementations in this crate; the
-//! sort of `L` between them stays serial. The paper's coarse chunk
-//! pipeline remains available through
-//! [`run_coarse`](LinkClustering::run_coarse) as the explicit
-//! approximate mode.
+//! One builder covers the whole repo, and one pipeline serves every
+//! thread count: Phase I (the serial passes at `threads(1)`, the
+//! owner-sharded passes of [`crate::init`] above), the serial sort of
+//! `L`, and then either the exact fine-grained sweep — one Kruskal pass,
+//! [`kruskal_sweep_with`], which gives Algorithm 2's dendrogram bit for
+//! bit — or the coarse sweep of §V, whose chunks the §VI-B
+//! [`ParallelChunkProcessor`] fans out when there is more than one
+//! thread. `threads(1)` therefore gives exactly the results, counters
+//! and phase spans of the serial [`linkclust_core::LinkClustering`].
 //!
 //! Every method borrows the graph: the parallel phases run on scoped
 //! threads that read it in place, so `G` needs only
@@ -19,9 +17,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use linkclust_core::coarse::{coarse_sweep_instrumented, CoarseConfig, CoarseResult};
-use linkclust_core::init::compute_similarities_with;
-use linkclust_core::sweep::{EdgeOrder, SweepConfig};
+use linkclust_core::coarse::{
+    coarse_sweep_instrumented, CoarseConfig, CoarseResult, SerialChunkProcessor,
+};
+use linkclust_core::sweep::{kruskal_sweep_with, EdgeOrder, SweepConfig};
 use linkclust_core::telemetry::{
     Counter, Recorder, RunRecorder, Telemetry, TelemetrySink, TraceCollector,
 };
@@ -32,15 +31,14 @@ use crate::init::compute_similarities_on;
 use crate::pool::WorkerPool;
 use crate::sort::parallel_into_sorted_pooled;
 use crate::sweep::ParallelChunkProcessor;
-use crate::ufsweep::ufsweep_with;
 
 /// End-to-end link clustering with a configurable thread count.
 ///
 /// This is the facade the `linkclust` crate re-exports at its root. With
 /// the default single thread every run takes exactly the serial code
-/// path; raising [`threads`](Self::threads) switches Phase I, the
-/// fine-grained sweep and the coarse chunk processor to their parallel
-/// counterparts while producing the same dendrogram.
+/// path; raising [`threads`](Self::threads) switches Phase I and the
+/// coarse chunk processor to their parallel counterparts while
+/// producing the same dendrogram.
 ///
 /// # Examples
 ///
@@ -105,9 +103,10 @@ impl LinkClustering {
     }
 
     /// Stops sweeping below this similarity (cuts the dendrogram early).
-    /// The run methods reject a NaN `theta` with
-    /// [`ConfigError::InvalidThreshold`]; `f64::INFINITY` merges nothing
-    /// and `f64::NEG_INFINITY` everything.
+    /// Only [`run`](Self::run) applies it: [`run_coarse`](Self::run_coarse)
+    /// stops by its own rule, at φ clusters. The run methods reject a NaN
+    /// `theta` with [`ConfigError::InvalidThreshold`]; `f64::INFINITY`
+    /// merges nothing and `f64::NEG_INFINITY` everything.
     #[must_use]
     pub fn min_similarity(mut self, theta: f64) -> Self {
         self.min_similarity = Some(theta);
@@ -193,40 +192,11 @@ impl LinkClustering {
         if dropped > 0 {
             telemetry.add(Counter::TraceEventsDropped, dropped);
         }
-        self.write_trace_file(Some(collector))
-    }
-
-    /// Writes the Chrome trace file if a path was configured (the
-    /// drop-count accounting happens elsewhere — in the serial facade
-    /// for `threads == 1` runs).
-    fn write_trace_file(&self, collector: Option<&Arc<TraceCollector>>) -> Result<(), ConfigError> {
-        let (Some(collector), Some(path)) = (collector, &self.trace_path) else { return Ok(()) };
+        let Some(path) = &self.trace_path else { return Ok(()) };
         std::fs::write(path, collector.to_chrome_json()).map_err(|e| ConfigError::TraceWrite {
             path: path.display().to_string(),
             message: e.to_string(),
         })
-    }
-
-    /// The serial facade with this builder's settings (used for the
-    /// exact `threads == 1` path). The collector is passed in because
-    /// the parallel facade may have created one for a
-    /// [`trace`](Self::trace) path.
-    fn serial(&self, collector: Option<&Arc<TraceCollector>>) -> linkclust_core::LinkClustering {
-        let mut serial = linkclust_core::LinkClustering::new();
-        if let Some(order) = self.edge_order {
-            serial = serial.edge_order(order);
-        }
-        if let Some(theta) = self.min_similarity {
-            serial = serial.min_similarity(theta);
-        }
-        if let Some(c) = collector {
-            serial = serial.tracer(Arc::clone(c));
-        }
-        match &self.sink {
-            TelemetrySink::Off => serial,
-            TelemetrySink::Stats => serial.stats(true),
-            TelemetrySink::Custom(r) => serial.recorder(r.clone()),
-        }
     }
 
     fn sweep_config(&self) -> SweepConfig {
@@ -234,17 +204,6 @@ impl LinkClustering {
             edge_order: self.edge_order.unwrap_or_default(),
             min_similarity: self.min_similarity,
         }
-    }
-
-    fn reconcile_coarse(&self, mut config: CoarseConfig) -> Result<CoarseConfig, ConfigError> {
-        config.validate()?;
-        if let Some(facade_order) = self.edge_order {
-            if config.edge_order != EdgeOrder::default() && config.edge_order != facade_order {
-                return Err(ConfigError::EdgeOrderConflict);
-            }
-            config.edge_order = facade_order;
-        }
-        Ok(config)
     }
 
     /// The run's telemetry handle (with the tracer attached when tracing)
@@ -278,82 +237,67 @@ impl LinkClustering {
         Ok(sims)
     }
 
-    /// Phase I and the sort of `L` under the run's telemetry: the serial
-    /// passes on a one-thread pool, the pooled passes otherwise.
+    /// Phase I and the sort of `L` under the run's telemetry.
     fn sorted_similarities<G>(pool: &WorkerPool, g: &G, telemetry: &Telemetry) -> PairSimilarities
     where
         G: GraphView + Sync + ?Sized,
     {
-        let sims = if pool.threads() == 1 {
-            compute_similarities_with(g, telemetry)
-        } else {
-            compute_similarities_on(pool, g, telemetry)
-        };
-        parallel_into_sorted_pooled(pool, sims, telemetry)
+        parallel_into_sorted_pooled(pool, compute_similarities_on(pool, g, telemetry), telemetry)
     }
 
-    /// Runs both phases on `g`: initialization and the fine-grained
-    /// sweep on the configured threads, with the serial sort between
-    /// them. One thread runs the serial pipeline, whose sweep is one
-    /// Kruskal pass
-    /// ([`kruskal_sweep_with`](linkclust_core::sweep::kruskal_sweep_with));
-    /// two or more run the exact union-find engine of [`crate::ufsweep`],
-    /// parallel block-local filters followed by the same pass. Either
-    /// gives Algorithm 2's dendrogram bit for bit. Generic over the graph
-    /// backend; adjacency-list and CSR inputs — at every thread count —
-    /// produce bit-identical dendrograms.
+    /// Runs both phases on `g`: initialization on the configured
+    /// threads, the serial sort, and the fine-grained sweep, one Kruskal
+    /// pass ([`kruskal_sweep_with`]) that gives Algorithm 2's dendrogram
+    /// bit for bit at every thread count. Generic over the graph backend;
+    /// adjacency-list and CSR inputs produce bit-identical dendrograms.
     ///
-    /// Both engines stop sweeping once the merge forest is complete: at
-    /// `m − c` merges, where `c` counts the components of `g` that have
-    /// an edge. No later entry of `L` can join two clusters, so the
-    /// dendrogram is unchanged; on dense graphs most of `L` is never
-    /// read. The report's `PairsProcessed` counts the pairs swept up to
-    /// that point, the same at every thread count.
+    /// The sweep stops once the merge forest is complete: at `m − c`
+    /// merges, where `c` counts the components of `g` that have an edge.
+    /// No later entry of `L` can join two clusters, so the dendrogram is
+    /// unchanged; on dense graphs most of `L` is never read. The report's
+    /// `PairsProcessed` counts the pairs swept up to that point.
     pub fn run<G>(&self, g: &G) -> Result<ClusteringResult, ConfigError>
     where
         G: GraphView + Sync + ?Sized,
     {
         self.check_config()?;
         let collector = self.active_collector();
-        if self.threads == 1 {
-            let result = self.serial(collector.as_ref()).run(g);
-            self.write_trace_file(collector.as_ref())?;
-            return Ok(result);
-        }
         let (telemetry, recorder) = self.run_telemetry(collector.as_ref());
         let pool = WorkerPool::new(self.threads).with_telemetry(telemetry.clone());
         let sims = Self::sorted_similarities(&pool, g, &telemetry);
-        let output = ufsweep_with(g, &sims, self.sweep_config(), &pool, &telemetry);
+        let output = kruskal_sweep_with(g, &sims, self.sweep_config(), &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
         Ok(ClusteringResult::from_parts(sims, output, recorder.map(|r| r.report())))
     }
 
     /// Runs Phase I and the **coarse-grained** Phase II (§V), with
-    /// chunks fanned out over the configured threads (§VI-B).
+    /// chunks fanned out over the configured threads (§VI-B); one thread
+    /// processes each chunk serially.
     ///
     /// Validates `config` first and reconciles its
-    /// [`edge_order`](CoarseConfig::edge_order) with the facade's: an
-    /// order set through [`edge_order`](Self::edge_order) wins over a
-    /// default-valued config, and a **conflicting** non-default config
-    /// value is rejected with [`ConfigError::EdgeOrderConflict`] instead
-    /// of silently overwritten.
+    /// [`edge_order`](CoarseConfig::edge_order) with the facade's
+    /// ([`CoarseConfig::reconcile_edge_order`]): an order set through
+    /// [`edge_order`](Self::edge_order) wins over a default-valued
+    /// config, and a **conflicting** non-default config value is rejected
+    /// with [`ConfigError::EdgeOrderConflict`] instead of silently
+    /// overwritten.
     pub fn run_coarse<G>(&self, g: &G, config: CoarseConfig) -> Result<CoarseResult, ConfigError>
     where
         G: GraphView + Sync + ?Sized,
     {
         self.check_config()?;
+        let config = config.reconcile_edge_order(self.edge_order)?;
         let collector = self.active_collector();
-        if self.threads == 1 {
-            let result = self.serial(collector.as_ref()).run_coarse(g, config)?;
-            self.write_trace_file(collector.as_ref())?;
-            return Ok(result);
-        }
-        let config = self.reconcile_coarse(config)?;
         let (telemetry, recorder) = self.run_telemetry(collector.as_ref());
         let pool = WorkerPool::new(self.threads).with_telemetry(telemetry.clone());
         let sims = Self::sorted_similarities(&pool, g, &telemetry);
-        let mut processor = ParallelChunkProcessor::new(self.threads)?.telemetry(telemetry.clone());
-        let result = coarse_sweep_instrumented(g, &sims, config, &mut processor, &telemetry);
+        let result = if self.threads == 1 {
+            coarse_sweep_instrumented(g, &sims, config, &mut SerialChunkProcessor, &telemetry)
+        } else {
+            let mut processor =
+                ParallelChunkProcessor::new(self.threads)?.telemetry(telemetry.clone());
+            coarse_sweep_instrumented(g, &sims, config, &mut processor, &telemetry)
+        };
         self.finish_trace(collector.as_ref(), &telemetry)?;
         Ok(match recorder {
             Some(r) => result.with_report(r.report()),
@@ -371,17 +315,6 @@ mod tests {
 
     fn canon(labels: &[u32]) -> Vec<usize> {
         canonical_labels(&labels.iter().map(|&x| x as usize).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn one_thread_equals_serial_exactly() {
-        for seed in 0..3 {
-            let g = gnm(40, 170, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
-            let serial = linkclust_core::LinkClustering::new().run(&g);
-            let unified = LinkClustering::new().run(&g).unwrap();
-            assert_eq!(serial.edge_assignments(), unified.edge_assignments());
-            assert_eq!(serial.dendrogram(), unified.dendrogram());
-        }
     }
 
     /// Algorithm 2's sweep, the oracle of every exact engine.
@@ -488,7 +421,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         json::parse(&text).unwrap();
         assert!(text.contains("\"ph\":\"X\""));
-        // threads(1) traces through the serial path too.
+        // threads(1) traces the same pipeline.
         let _ = LinkClustering::new().trace(&path).run(&g).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         json::parse(&text).unwrap();

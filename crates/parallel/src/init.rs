@@ -31,12 +31,15 @@
 //! threads read the caller's graph in place, and pass 3 finalizes
 //! disjoint `&mut` sub-slices of the one entry vector. The paper's
 //! per-thread map merge is gone; its last A/B run (gnm(600, 2400), 4
-//! threads) had the sharded pass 2.35× faster.
+//! threads) had the sharded pass 2.35× faster. A one-thread pool runs
+//! the serial passes of `linkclust_core::init` instead.
 
 use std::sync::Arc;
 
 use linkclust_core::flatacc::{pack_pair, FlatPairAccumulator};
-use linkclust_core::init::{finalize_entries, vertex_norms_range, VertexNorms};
+use linkclust_core::init::{
+    compute_similarities_with, finalize_entries, vertex_norms_range, VertexNorms,
+};
 use linkclust_core::telemetry::{Counter, Gauge, Phase, Telemetry};
 use linkclust_core::PairSimilarities;
 use linkclust_graph::{EdgeIndex, GraphView, VertexId};
@@ -114,7 +117,8 @@ fn fold_shard(bufs: Vec<Vec<ShardRecord>>) -> (PairSimilarities, f64) {
 }
 
 /// Computes the pair similarities of Phase I using `threads` worker
-/// threads. The result is **bit-identical** to
+/// threads (see [`compute_similarities_on`]; one thread runs the serial
+/// passes). The result is **bit-identical** to
 /// [`compute_similarities`](linkclust_core::init::compute_similarities):
 /// the owner fold replays every pair's contributions in the serial scan
 /// order (producer ranges ascend; each producer scans ascending), so
@@ -163,12 +167,17 @@ where
 /// Phase I on a caller-supplied [`WorkerPool`], with the pool's threads
 /// reading `g` in place — the variant the facade runs.
 ///
-/// Each pass runs under its own span (the owner fold of pass 2 gets a
-/// separate [`Phase::InitShardFold`] span), the K₁/K₂ counters and the
-/// shard-exchange record volume ([`Counter::ShardRecords`]) are
-/// recorded, each owner's folded record count feeds the per-thread item
-/// counts for load-imbalance analysis, and every owner table's final
-/// load factor is sampled into [`Gauge::TableOccupancy`].
+/// A one-thread pool runs the serial passes
+/// ([`compute_similarities_with`]): with a single owner the sharded
+/// pass 2 would only buffer one record per wedge before folding them.
+///
+/// On more threads each pass runs under its own span (the owner fold of
+/// pass 2 gets a separate [`Phase::InitShardFold`] span), the K₁/K₂
+/// counters and the shard-exchange record volume
+/// ([`Counter::ShardRecords`]) are recorded, each owner's folded record
+/// count feeds the per-thread item counts for load-imbalance analysis,
+/// and every owner table's final load factor is sampled into
+/// [`Gauge::TableOccupancy`].
 #[must_use]
 pub fn compute_similarities_on<G>(
     pool: &WorkerPool,
@@ -179,6 +188,9 @@ where
     G: GraphView + Sync + ?Sized,
 {
     let threads = pool.threads();
+    if threads == 1 {
+        return compute_similarities_with(g, telemetry);
+    }
     let n = g.vertex_count();
 
     // Pass 1: per-range vertex norms, concatenated in range order.
@@ -261,6 +273,7 @@ where
 mod tests {
     use super::*;
     use linkclust_core::init::compute_similarities;
+    use linkclust_core::telemetry::RunRecorder;
     use linkclust_graph::generate::{barabasi_albert, gnm, WeightMode};
     use linkclust_graph::GraphBuilder;
 
@@ -334,9 +347,18 @@ mod tests {
     #[test]
     fn single_thread_is_serial() {
         let g = gnm(20, 50, WeightMode::Unit, 9);
-        let a = compute_similarities(&g);
-        let b = compute_similarities_parallel(&g, 1);
-        assert_eq!(a.len(), b.len());
+        let serial = compute_similarities(&g);
+        assert_eq!(serial, compute_similarities_parallel(&g, 1), "whole lists, arena included");
+        // One thread runs the serial passes, not the sharded pass with a
+        // single owner.
+        let recorder = Arc::new(RunRecorder::new());
+        let sims =
+            compute_similarities_on(&WorkerPool::new(1), &g, &Telemetry::new(recorder.clone()));
+        assert_eq!(serial, sims);
+        let report = recorder.report();
+        assert_eq!(report.phase_calls(Phase::InitPass2), 1);
+        assert_eq!(report.phase_calls(Phase::InitShardFold), 0);
+        assert_eq!(report.counter(Counter::ShardRecords), 0);
     }
 
     #[test]

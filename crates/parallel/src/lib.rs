@@ -15,13 +15,16 @@
 //!   naive scheme is flawed — both schemes are implemented here, and the
 //!   flaw is reproduced in a test).
 //!
-//! Every parallel phase — the init passes, the union-find sweep's local
-//! pass, and each coarse chunk with its combine rounds — is one scoped
-//! dispatch, [`pool::WorkerPool::fan_out`], whose threads borrow the caller's
+//! Every parallel phase — the init passes and each coarse chunk with
+//! its combine rounds — is one scoped dispatch,
+//! [`pool::WorkerPool::fan_out`], whose threads borrow the caller's
 //! graph, similarity list and scratch arrays in place; nothing is copied
-//! into a task. The entry point is the unified [`LinkClustering`]
-//! facade: serial by default, parallel via `.threads(n)`, with optional
-//! phase-level telemetry via `.stats(true)`.
+//! into a task. The exact fine-grained sweep stays one serial Kruskal
+//! pass at every thread count: it stops once the merge forest is
+//! complete, so there is little left of `L` to share out. The entry
+//! point is the unified [`LinkClustering`] facade: serial by default,
+//! parallel via `.threads(n)`, with optional phase-level telemetry via
+//! `.stats(true)`.
 //!
 //! # Examples
 //!

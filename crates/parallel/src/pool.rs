@@ -1,19 +1,16 @@
 //! Work partitioning and thread dispatch.
 //!
-//! Every parallel phase of a clustering run — the Phase I passes, the
-//! union-find sweep's local pass, and the §VI-B chunk step with its
-//! combine rounds — fans out through [`WorkerPool::fan_out`], a scoped
-//! fan-out built on [`std::thread::scope`]. The items and the closure
-//! may borrow from the caller: the graph, the sorted list `L`, the edge
-//! index, the slot permutation and `&mut` scratch arrays reach the
-//! threads by reference, so nothing is copied into a task and nothing
-//! needs a `'static` bound. The calling thread runs the first lane of
-//! items; named `worker-i` threads run the others and are joined before
+//! Every parallel phase of a clustering run — the Phase I passes and
+//! the §VI-B chunk step with its combine rounds — fans out through
+//! [`WorkerPool::fan_out`], a scoped fan-out built on
+//! [`std::thread::scope`]. The items and the closure may borrow from
+//! the caller: the graph, the sorted list `L`, the edge index, the slot
+//! permutation and `&mut` scratch arrays reach the threads by
+//! reference, so nothing is copied into a task and nothing needs a
+//! `'static` bound. The calling thread runs the first lane of items;
+//! named `worker-i` threads run the others and are joined before
 //! `fan_out` returns, and a panic in any lane is re-raised on the caller
 //! with its own payload. A one-thread pool never creates a thread.
-//! Items that serve one prefix-ordered goal can stop early through an
-//! [`ItemCutoff`]: once an item finishes the goal, the items after it
-//! see the mark and return.
 //!
 //! The one long-lived part is the queue behind [`WorkerPool::submit`]:
 //! fire-and-forget jobs (`linkclustd`'s admissions) that outlive the
@@ -29,7 +26,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -449,74 +446,6 @@ impl WorkerPool {
     }
 }
 
-/// A cooperative stop shared by the items of one
-/// [`WorkerPool::fan_out`] dispatch whose results are read in item order
-/// only until the first item that finishes a common goal. That item
-/// [`mark`](Self::mark)s itself, and each later item polls
-/// [`cuts`](Self::cuts) and returns early, because nothing reads its
-/// result. Items before the marked one are never cut.
-///
-/// The cutoff publishes nothing but the mark: the items' results come
-/// back through `fan_out`'s scoped join, which orders them after every
-/// item's work. So the mark is a relaxed `fetch_min`, and a late-seen
-/// mark only costs the later item some work it did not need.
-///
-/// # Examples
-///
-/// ```
-/// use linkclust_parallel::pool::{ItemCutoff, WorkerPool};
-///
-/// // Find the first block holding a zero; blocks after it may stop.
-/// let blocks = vec![vec![3, 1], vec![4, 0], vec![5, 9]];
-/// let cutoff = ItemCutoff::new();
-/// let hits = WorkerPool::new(3).fan_out(blocks.into_iter().enumerate().collect(), |(i, b)| {
-///     if cutoff.cuts(i) {
-///         return None;
-///     }
-///     let hit = b.contains(&0);
-///     if hit {
-///         cutoff.mark(i);
-///     }
-///     Some(hit)
-/// });
-/// assert_eq!(hits.iter().position(|&h| h == Some(true)), Some(1));
-/// assert!(cutoff.cuts(2) && !cutoff.cuts(1));
-/// ```
-#[derive(Debug)]
-pub struct ItemCutoff {
-    /// The lowest marked item index, `usize::MAX` while none is.
-    lowest: AtomicUsize,
-}
-
-impl Default for ItemCutoff {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ItemCutoff {
-    /// A cutoff with no item marked.
-    #[must_use]
-    pub fn new() -> Self {
-        ItemCutoff { lowest: AtomicUsize::new(usize::MAX) }
-    }
-
-    /// Records that item `item` has finished the goal.
-    pub fn mark(&self, item: usize) {
-        // ordering: the mark publishes no other memory (results return
-        // through the scoped join), and fetch_min is atomic on its own.
-        self.lowest.fetch_min(item, Ordering::Relaxed);
-    }
-
-    /// `true` if an item before `item` has been marked, so `item`'s
-    /// result will not be read.
-    #[must_use]
-    pub fn cuts(&self, item: usize) -> bool {
-        // ordering: a stale read only delays the stop; see `mark`.
-        self.lowest.load(Ordering::Relaxed) < item
-    }
-}
-
 /// The cooperative shutdown handshake of a [`ServiceThread`]: a flag
 /// behind a mutex paired with a condition variable, so the service body
 /// can sleep *interruptibly* — a ticker parked in
@@ -823,24 +752,6 @@ mod tests {
                 sums.iter().sum::<usize>() + 1000 * usize::from(n == 0)
             });
             assert_eq!(got, vec![(0..40).sum::<usize>(), 1000], "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn item_cutoff_keeps_the_lowest_mark_whatever_the_order() {
-        let fresh = ItemCutoff::new();
-        assert!((0..4).chain([usize::MAX]).all(|i| !fresh.cuts(i)));
-        for threads in [1usize, 3, 8] {
-            let cutoff = ItemCutoff::new();
-            let marked = [6usize, 3, 5];
-            WorkerPool::new(threads).fan_out((0..8).collect(), |i| {
-                if marked.contains(&i) {
-                    cutoff.mark(i);
-                }
-            });
-            let cut: Vec<bool> = (0..8).map(|i| cutoff.cuts(i)).collect();
-            let expected: Vec<bool> = (0..8).map(|i| i > 3).collect();
-            assert_eq!(cut, expected, "threads={threads}");
         }
     }
 

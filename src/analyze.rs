@@ -6,8 +6,8 @@
 //! perf investigation starts with:
 //!
 //! * **per-phase attribution** — total and *self* wall-clock per span
-//!   name (self time subtracts nested children on the same thread, so a
-//!   `sweep` containing `sweep_local` spans is not double-counted);
+//!   name (self time subtracts nested children on the same thread, so an
+//!   `init_pass2` containing `pool_task` spans is not double-counted);
 //! * **per-thread load** — busy time (top-level spans), utilization
 //!   against the trace's wall span, and the max/mean imbalance ratio;
 //! * **pool queue-wait share** — the fraction of total busy time spent
@@ -399,23 +399,23 @@ mod tests {
     fn self_time_subtracts_nested_children_per_thread() {
         let trace = ParsedTrace {
             spans: vec![
-                span(0, "sweep", 0.0, 100.0),
-                span(0, "sweep_local", 10.0, 30.0),
-                span(0, "sweep_local", 50.0, 20.0),
-                span(1, "sweep_local", 0.0, 40.0),
+                span(0, "init_pass2", 0.0, 100.0),
+                span(0, "pool_task", 10.0, 30.0),
+                span(0, "pool_task", 50.0, 20.0),
+                span(1, "pool_task", 0.0, 40.0),
             ],
             thread_names: vec![(0, "main".to_owned()), (1, "worker-0".to_owned())],
             events_dropped: 0,
         };
         let a = analyze(&trace);
-        let sweep = a.phases.iter().find(|p| p.name == "sweep").unwrap();
-        assert!((sweep.total_us - 100.0).abs() < 1e-9);
-        assert!((sweep.self_us - 50.0).abs() < 1e-9, "children subtracted: {}", sweep.self_us);
-        let local = a.phases.iter().find(|p| p.name == "sweep_local").unwrap();
-        assert!((local.total_us - 90.0).abs() < 1e-9);
-        assert!((local.self_us - 90.0).abs() < 1e-9, "leaves keep their time");
-        // tid 0 spends 50 µs of self time in sweep_local, tid 1 spends 40.
-        assert!((local.max_thread_self_us - 50.0).abs() < 1e-9);
+        let pass = a.phases.iter().find(|p| p.name == "init_pass2").unwrap();
+        assert!((pass.total_us - 100.0).abs() < 1e-9);
+        assert!((pass.self_us - 50.0).abs() < 1e-9, "children subtracted: {}", pass.self_us);
+        let task = a.phases.iter().find(|p| p.name == "pool_task").unwrap();
+        assert!((task.total_us - 90.0).abs() < 1e-9);
+        assert!((task.self_us - 90.0).abs() < 1e-9, "leaves keep their time");
+        // tid 0 spends 50 µs of self time in pool_task, tid 1 spends 40.
+        assert!((task.max_thread_self_us - 50.0).abs() < 1e-9);
         // Busy: tid 0 has one 100 µs top-level span, tid 1 one of 40 µs.
         assert!((a.threads[0].busy_us - 100.0).abs() < 1e-9);
         assert!((a.threads[1].busy_us - 40.0).abs() < 1e-9);
@@ -426,12 +426,7 @@ mod tests {
     #[test]
     fn sweep_setup_nested_in_the_sweep_counts_once() {
         let trace = ParsedTrace {
-            spans: vec![
-                span(0, "sweep", 0.0, 100.0),
-                span(0, "sweep_setup", 0.0, 10.0),
-                span(0, "sweep_local", 10.0, 60.0),
-                span(0, "sweep_replay", 90.0, 5.0),
-            ],
+            spans: vec![span(0, "sweep", 0.0, 100.0), span(0, "sweep_setup", 0.0, 10.0)],
             ..ParsedTrace::default()
         };
         let a = analyze(&trace);

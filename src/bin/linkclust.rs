@@ -7,8 +7,8 @@
 //!   --coarse               coarse-grained sweep (default: fine-grained)
 //!   --gamma <f64>          soundness bound for --coarse       [2.0]
 //!   --phi <usize>          terminal cluster count for --coarse [100]
-//!   --threads <n>          parallel initialization + sweeping  [1]
-//!   --threshold <f64>      stop merging below this similarity
+//!   --threads <n>          parallel init + coarse chunks       [1]
+//!   --threshold <f64>      stop merging below this similarity (not with --coarse)
 //!   --cut best|final       which partition to report           [best]
 //!   --output communities|newick|csv|labels                     [communities]
 //!   --stats                graph stats + per-phase run report (stderr)
@@ -214,6 +214,9 @@ fn cluster(
     if let Some(path) = &opts.trace {
         lc = lc.trace(path);
     }
+    if let Some(t) = opts.threshold {
+        lc = lc.min_similarity(t);
+    }
     if opts.coarse {
         let cfg = CoarseConfig {
             gamma: opts.gamma,
@@ -226,9 +229,6 @@ fn cluster(
         let dendrogram = r.output().dendrogram().clone();
         Ok((dendrogram, labels, r.report().cloned()))
     } else {
-        if let Some(t) = opts.threshold {
-            lc = lc.min_similarity(t);
-        }
         let r = lc.run(g)?;
         let labels = r.edge_assignments();
         let report = r.report().cloned();
@@ -247,6 +247,11 @@ fn main() -> ExitCode {
     let Some(opts) = parse_args() else {
         return usage();
     };
+    if opts.coarse && opts.threshold.is_some() {
+        // The coarse sweep stops at φ clusters and has no threshold.
+        eprintln!("--threshold applies to the fine-grained sweep only; drop it or --coarse");
+        return ExitCode::FAILURE;
+    }
 
     let text = if opts.path == "-" {
         let mut s = String::new();

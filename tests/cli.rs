@@ -90,6 +90,15 @@ fn threshold_flag_limits_merging() {
     let (_, stderr, ok) = run_cli(&["-", "--threshold", "NaN", "--output", "labels"], EDGES);
     assert!(!ok, "a NaN threshold must fail");
     assert!(stderr.contains("threshold"), "stderr: {stderr}");
+    // The coarse sweep cannot apply a threshold: the combination is a
+    // one-line error, not a silently unthresholded run.
+    for theta in ["0.9", "NaN"] {
+        let (_, stderr, ok) =
+            run_cli(&["-", "--coarse", "--threshold", theta, "--output", "labels"], EDGES);
+        assert!(!ok, "--coarse --threshold {theta} must fail");
+        assert!(stderr.contains("--threshold") && stderr.contains("--coarse"), "{stderr}");
+        assert_eq!(stderr.trim().lines().count(), 1, "one-line error: {stderr}");
+    }
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The unified facade contract: `threads(1)` is the exact serial
-//! pipeline and gives Algorithm 2's dendrogram merge for merge, bad
-//! configurations come back as [`ConfigError`] values instead of panics,
-//! and the telemetry report's counters agree with independently computed
-//! graph statistics and dendrogram totals.
+//! pipeline, every thread count gives Algorithm 2's dendrogram merge for
+//! merge, bad configurations come back as [`ConfigError`] values instead
+//! of panics, and the telemetry report's counters agree with
+//! independently computed graph statistics and dendrogram totals.
 
 use std::sync::Arc;
 
@@ -32,23 +32,30 @@ fn score_bits(output: &SweepOutput) -> Vec<u64> {
     output.merge_scores().iter().map(|s| s.to_bits()).collect()
 }
 
+/// Thread counts of the proptests: one pipeline serves them all, with
+/// the serial Phase I at one thread and the sharded one above.
+const THREADS: [usize; 3] = [1, 2, 3];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `threads(1)` must produce the same dendrogram as the serial core
     /// facade, edge assignment for edge assignment — not just the same
     /// partition up to relabeling — and that dendrogram is Algorithm
-    /// 2's, merge for merge.
+    /// 2's, merge for merge, scores and slots included. So must every
+    /// other thread count.
     #[test]
     fn one_thread_is_the_serial_pipeline(g in arb_graph()) {
         let serial = linkclust::core::LinkClustering::new().run(&g);
-        let unified = LinkClustering::new().threads(1).run(&g).unwrap();
-        prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments());
-        prop_assert_eq!(serial.dendrogram(), unified.dendrogram());
         let oracle = algorithm_2(&g, SweepConfig::default());
-        prop_assert_eq!(oracle.dendrogram(), unified.dendrogram());
-        prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()));
-        prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge());
+        for threads in THREADS {
+            let unified = LinkClustering::new().threads(threads).run(&g).unwrap();
+            prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments(), "t={}", threads);
+            prop_assert_eq!(serial.dendrogram(), unified.dendrogram(), "t={}", threads);
+            prop_assert_eq!(oracle.dendrogram(), unified.dendrogram(), "t={}", threads);
+            prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()), "t={}", threads);
+            prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge(), "t={}", threads);
+        }
     }
 
     /// The same holds under a non-default edge order and a similarity
@@ -60,16 +67,19 @@ proptest! {
             .edge_order(order)
             .min_similarity(0.2)
             .run(&g);
-        let unified = LinkClustering::new()
-            .edge_order(order)
-            .min_similarity(0.2)
-            .run(&g)
-            .unwrap();
-        prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments());
         let oracle = algorithm_2(&g, SweepConfig { edge_order: order, min_similarity: Some(0.2) });
-        prop_assert_eq!(oracle.dendrogram(), unified.dendrogram());
-        prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()));
-        prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge());
+        for threads in THREADS {
+            let unified = LinkClustering::new()
+                .threads(threads)
+                .edge_order(order)
+                .min_similarity(0.2)
+                .run(&g)
+                .unwrap();
+            prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments(), "t={}", threads);
+            prop_assert_eq!(oracle.dendrogram(), unified.dendrogram(), "t={}", threads);
+            prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()), "t={}", threads);
+            prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge(), "t={}", threads);
+        }
     }
 }
 
@@ -132,9 +142,9 @@ fn report_counters_match_graph_statistics() {
     }
 }
 
-/// Each exact engine's set-up (edge index, component count, slot
+/// The exact sweep's set-up (edge index, component count, slot
 /// permutation) is one `SweepSetup` span per run, nested in the
-/// `Sweep` span.
+/// `Sweep` span, at every thread count.
 #[test]
 fn sweep_setup_is_recorded_once_per_run_inside_the_sweep() {
     let g = gnm(60, 400, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 3);

@@ -50,7 +50,7 @@ const GATES: &[Gate] = &[
     },
     Gate {
         name: "bench-build",
-        description: "benchmarks compile (--no-run)",
+        description: "benchmarks compile (--no-run) and perfbench type-checks",
         run: run_bench_build,
     },
     Gate {
@@ -222,7 +222,23 @@ fn run_test(root: &Path) -> Result<(), String> {
 }
 
 fn run_bench_build(root: &Path) -> Result<(), String> {
-    cargo(root, &["bench", "--workspace", "--no-run", "--quiet"], &[])
+    cargo(root, &["bench", "--workspace", "--no-run", "--quiet"], &[])?;
+    // perfbench is a Cargo workspace of its own, so no workspace build
+    // sees a library name it imports disappear.
+    cargo(
+        root,
+        &[
+            "check",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+            "--offline",
+            "--locked",
+            "--quiet",
+            "--target-dir",
+            "target/perfbench-check",
+        ],
+        &[],
+    )
 }
 
 /// Runs a tiny traced clustering through the real CLI and validates the
