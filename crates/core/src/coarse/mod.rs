@@ -148,8 +148,8 @@ impl CoarseConfig {
     /// explicitly (`None` if it set none): the explicit order wins over
     /// a default-valued config, and a **conflicting** non-default config
     /// value is rejected with [`ConfigError::EdgeOrderConflict`] instead
-    /// of silently overwritten. Both clustering facades' `run_coarse`
-    /// call this.
+    /// of silently overwritten. The clustering facade's `run_coarse`
+    /// calls this.
     ///
     /// # Examples
     ///
@@ -316,14 +316,14 @@ impl CoarseResult {
         &self.output
     }
 
-    /// The telemetry report, when the run collected stats (facades with
-    /// `.stats(true)`); `None` otherwise.
+    /// The telemetry report, when the run collected stats (the facade
+    /// with `.stats(true)`); `None` otherwise.
     #[must_use]
     pub fn report(&self) -> Option<&RunReport> {
         self.report.as_ref()
     }
 
-    /// Attaches a telemetry report (used by the facades after a
+    /// Attaches a telemetry report (used by the facade after a
     /// stats-collecting run).
     #[must_use]
     pub fn with_report(mut self, report: RunReport) -> Self {
@@ -483,7 +483,7 @@ impl ChunkProcessor for SerialChunkProcessor {
 ///
 /// Panics if `sorted` is unsorted, or `config` is degenerate (γ < 1,
 /// φ = 0, δ₀ = 0, or η₀ ≤ 1). Use [`CoarseConfig::builder`] or
-/// [`CoarseConfig::validate`] (or the facades, which return
+/// [`CoarseConfig::validate`] (or the facade, which returns
 /// [`ConfigError`]) to reject bad configurations without panicking.
 ///
 /// # Examples

@@ -395,12 +395,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// `true` if a trace collector is attached.
-    #[must_use]
-    pub fn is_tracing(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// The attached trace collector, if any.
     #[must_use]
     pub fn tracer(&self) -> Option<&Arc<trace::TraceCollector>> {
@@ -913,8 +907,9 @@ impl Recorder for RunRecorder {
     }
 }
 
-/// How a facade collects telemetry: off, an internal [`RunRecorder`]
-/// exposed via the result's `report()`, or a caller-supplied sink.
+/// How the clustering facade collects telemetry: off, an internal
+/// [`RunRecorder`] exposed via the result's `report()`, or a
+/// caller-supplied sink.
 #[derive(Clone, Default)]
 pub enum TelemetrySink {
     /// No telemetry (the default).
@@ -1118,7 +1113,7 @@ mod tests {
         let rec = Arc::new(RunRecorder::new());
         let collector = Arc::new(trace::TraceCollector::new());
         let t = Telemetry::new(rec.clone()).with_tracer(Arc::clone(&collector));
-        assert!(t.is_enabled() && t.is_tracing());
+        assert!(t.is_enabled() && t.tracer().is_some());
         t.span(Phase::Sort).finish();
         {
             let _task = t.trace_task(7);
@@ -1131,7 +1126,7 @@ mod tests {
         // Tracing without a recorder still traces; queue-wait style
         // cross-thread timings stay off the timeline by design.
         let t = Telemetry::disabled().with_tracer(Arc::clone(&collector));
-        assert!(!t.is_enabled() && t.is_tracing());
+        assert!(!t.is_enabled() && t.tracer().is_some());
         t.record_phase_nanos(Phase::PoolQueueWait, 5);
         t.span(Phase::Sweep).finish();
         assert_eq!(collector.events().len(), 3);

@@ -25,7 +25,7 @@
 //!   one lane per worker name.
 //! * On overflow the cursor keeps advancing and the slot index wraps:
 //!   the **oldest events are overwritten** and counted as dropped
-//!   ([`TraceCollector::dropped`]; the facades surface the total as the
+//!   ([`TraceCollector::dropped`]; the facade surfaces the total as the
 //!   `trace_events_dropped` counter). Because events are recorded at
 //!   scope *exit* (inner spans before the outer spans that contain
 //!   them), keeping the newest suffix can orphan an inner span's parent
@@ -66,10 +66,11 @@ thread_local! {
 pub enum TraceLabel {
     /// A [`Phase`] span (the same vocabulary the aggregate report uses).
     Phase(Phase),
-    /// Execution of one pool task; `seq` numbers a pool's tasks in
-    /// dispatch order, unique per pool.
+    /// Execution of one pool task; `seq` numbers the tasks of every
+    /// pool that records into one collector in dispatch order, unique
+    /// per collector ([`TraceCollector::reserve_task_seqs`]).
     PoolTask {
-        /// Pool-wide task sequence number.
+        /// Collector-wide task sequence number.
         seq: u64,
     },
 }
@@ -212,6 +213,8 @@ pub struct TraceCollector {
     /// All registered rings, in registration order (index = tid).
     /// Locked only on first-event-per-thread registration and on drain.
     rings: Mutex<Vec<Registration>>,
+    /// The next pool-task sequence number.
+    task_seq: AtomicU64,
 }
 
 impl Default for TraceCollector {
@@ -238,7 +241,18 @@ impl TraceCollector {
             epoch: Instant::now(),
             capacity: capacity.max(16),
             rings: Mutex::new(Vec::new()),
+            task_seq: AtomicU64::new(0),
         }
+    }
+
+    /// Reserves `n` consecutive pool-task sequence numbers and returns
+    /// the first. Every pool tracing into this collector draws from the
+    /// one counter, so the `pool_task` events of a run are numbered 0,
+    /// 1, 2, … in dispatch order however many pools dispatched them.
+    pub fn reserve_task_seqs(&self, n: u64) -> u64 {
+        // ordering: uniqueness of the reserved range needs only RMW
+        // atomicity — no other memory is published through the counter.
+        self.task_seq.fetch_add(n, Ordering::Relaxed)
     }
 
     /// The instant all trace timestamps are relative to.
@@ -305,7 +319,7 @@ impl TraceCollector {
     }
 
     /// Total events overwritten by ring overflow across all threads, as
-    /// of the call. The facades add this to the run report as the
+    /// of the call. The facade adds this to the run report as the
     /// `trace_events_dropped` counter.
     #[must_use]
     pub fn dropped(&self) -> u64 {

@@ -1,14 +1,14 @@
-//! Unified serial/parallel clustering facade.
+//! The clustering facade: one builder and one pipeline at every thread
+//! count.
 //!
-//! One builder covers the whole repo, and one pipeline serves every
-//! thread count: Phase I (the serial passes at `threads(1)`, the
-//! owner-sharded passes of [`crate::init`] above), the serial sort of
-//! `L`, and then either the exact fine-grained sweep — one Kruskal pass,
-//! [`kruskal_sweep_with`], which gives Algorithm 2's dendrogram bit for
-//! bit — or the coarse sweep of §V, whose chunks the §VI-B
-//! [`ParallelChunkProcessor`] fans out when there is more than one
-//! thread. `threads(1)` therefore gives exactly the results, counters
-//! and phase spans of the serial [`linkclust_core::LinkClustering`].
+//! A run is Phase I ([`compute_similarities_on`], which runs the serial
+//! passes on a one-thread pool and the owner-sharded passes of
+//! [`crate::init`] on more), the sort of `L`, and then either the exact
+//! fine-grained sweep — one Kruskal pass, [`kruskal_sweep_with`], which
+//! gives Algorithm 2's dendrogram bit for bit — or the coarse sweep of
+//! §V, whose chunks the §VI-B [`ParallelChunkProcessor`] applies (a
+//! one-thread processor runs each chunk serially). The facade itself
+//! never branches on the thread count.
 //!
 //! Every method borrows the graph: the parallel phases run on scoped
 //! threads that read it in place, so `G` needs only
@@ -17,14 +17,12 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use linkclust_core::coarse::{
-    coarse_sweep_instrumented, CoarseConfig, CoarseResult, SerialChunkProcessor,
-};
-use linkclust_core::sweep::{kruskal_sweep_with, EdgeOrder, SweepConfig};
+use linkclust_core::coarse::{coarse_sweep_instrumented, CoarseConfig, CoarseResult};
+use linkclust_core::sweep::{kruskal_sweep_with, EdgeOrder, SweepConfig, SweepOutput};
 use linkclust_core::telemetry::{
-    Counter, Recorder, RunRecorder, Telemetry, TelemetrySink, TraceCollector,
+    Counter, Recorder, RunRecorder, RunReport, Telemetry, TelemetrySink, TraceCollector,
 };
-use linkclust_core::{ClusteringResult, ConfigError, PairSimilarities};
+use linkclust_core::{ConfigError, Dendrogram, PairSimilarities};
 use linkclust_graph::GraphView;
 
 use crate::init::compute_similarities_on;
@@ -34,11 +32,11 @@ use crate::sweep::ParallelChunkProcessor;
 
 /// End-to-end link clustering with a configurable thread count.
 ///
-/// This is the facade the `linkclust` crate re-exports at its root. With
-/// the default single thread every run takes exactly the serial code
-/// path; raising [`threads`](Self::threads) switches Phase I and the
-/// coarse chunk processor to their parallel counterparts while
-/// producing the same dendrogram.
+/// This is the facade the `linkclust` crate re-exports at its root. Every
+/// thread count runs the same pipeline: with the default single thread
+/// no thread is created, and raising [`threads`](Self::threads) fans
+/// Phase I and the coarse chunks out while producing the same
+/// dendrogram.
 ///
 /// # Examples
 ///
@@ -83,8 +81,8 @@ impl LinkClustering {
         Self::default()
     }
 
-    /// Sets the worker thread count. `1` (the default) is the exact
-    /// serial pipeline; `0` is rejected by the run methods with
+    /// Sets the worker thread count. `1` (the default) runs every phase
+    /// on the calling thread; `0` is rejected by the run methods with
     /// [`ConfigError::ZeroThreads`].
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
@@ -113,10 +111,9 @@ impl LinkClustering {
         self
     }
 
-    /// Collect phase timings and counters into a
-    /// [`RunReport`](linkclust_core::telemetry::RunReport) attached to
-    /// the result. Disabled by default — a disabled run skips all clock
-    /// reads.
+    /// Collect phase timings and counters into a [`RunReport`] attached
+    /// to the result. Disabled by default — a disabled run skips all
+    /// clock reads.
     #[must_use]
     pub fn stats(mut self, enabled: bool) -> Self {
         self.sink = if enabled { TelemetrySink::Stats } else { TelemetrySink::Off };
@@ -159,11 +156,9 @@ impl LinkClustering {
 
     /// The checks every run method makes before doing any work.
     fn check_config(&self) -> Result<(), ConfigError> {
-        if self.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        match self.min_similarity {
-            Some(theta) if theta.is_nan() => Err(ConfigError::InvalidThreshold(theta)),
+        match (self.threads, self.min_similarity) {
+            (0, _) => Err(ConfigError::ZeroThreads),
+            (_, Some(theta)) if theta.is_nan() => Err(ConfigError::InvalidThreshold(theta)),
             _ => Ok(()),
         }
     }
@@ -267,12 +262,13 @@ impl LinkClustering {
         let sims = Self::sorted_similarities(&pool, g, &telemetry);
         let output = kruskal_sweep_with(g, &sims, self.sweep_config(), &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
-        Ok(ClusteringResult::from_parts(sims, output, recorder.map(|r| r.report())))
+        Ok(ClusteringResult { similarities: sims, output, report: recorder.map(|r| r.report()) })
     }
 
     /// Runs Phase I and the **coarse-grained** Phase II (§V), with
-    /// chunks fanned out over the configured threads (§VI-B); one thread
-    /// processes each chunk serially.
+    /// chunks fanned out over the configured threads by a
+    /// [`ParallelChunkProcessor`] (§VI-B); one thread processes each
+    /// chunk serially.
     ///
     /// Validates `config` first and reconciles its
     /// [`edge_order`](CoarseConfig::edge_order) with the facade's
@@ -291,18 +287,63 @@ impl LinkClustering {
         let (telemetry, recorder) = self.run_telemetry(collector.as_ref());
         let pool = WorkerPool::new(self.threads).with_telemetry(telemetry.clone());
         let sims = Self::sorted_similarities(&pool, g, &telemetry);
-        let result = if self.threads == 1 {
-            coarse_sweep_instrumented(g, &sims, config, &mut SerialChunkProcessor, &telemetry)
-        } else {
-            let mut processor =
-                ParallelChunkProcessor::new(self.threads)?.telemetry(telemetry.clone());
-            coarse_sweep_instrumented(g, &sims, config, &mut processor, &telemetry)
-        };
+        let mut processor = ParallelChunkProcessor::new(self.threads)?.telemetry(telemetry.clone());
+        let result = coarse_sweep_instrumented(g, &sims, config, &mut processor, &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
         Ok(match recorder {
             Some(r) => result.with_report(r.report()),
             None => result,
         })
+    }
+}
+
+/// The outcome of [`LinkClustering::run`]: the sorted similarity list,
+/// the sweep output, and (for stats-collecting runs) the telemetry
+/// report.
+#[derive(Clone, PartialEq, Debug)]
+pub struct ClusteringResult {
+    similarities: PairSimilarities,
+    output: SweepOutput,
+    report: Option<RunReport>,
+}
+
+impl ClusteringResult {
+    /// The sorted pair-similarity list `L` (exposed so callers can reuse
+    /// the expensive Phase-I output — C-INTERMEDIATE).
+    #[must_use]
+    pub fn similarities(&self) -> &PairSimilarities {
+        &self.similarities
+    }
+
+    /// The sweep output (dendrogram + slot permutation).
+    #[must_use]
+    pub fn output(&self) -> &SweepOutput {
+        &self.output
+    }
+
+    /// The telemetry report, when the run collected stats
+    /// ([`LinkClustering::stats`]); `None` otherwise.
+    #[must_use]
+    pub fn report(&self) -> Option<&RunReport> {
+        self.report.as_ref()
+    }
+
+    /// The dendrogram.
+    #[must_use]
+    pub fn dendrogram(&self) -> &Dendrogram {
+        self.output.dendrogram()
+    }
+
+    /// Consumes the result, returning the dendrogram.
+    #[must_use]
+    pub fn into_dendrogram(self) -> Dendrogram {
+        self.output.into_dendrogram()
+    }
+
+    /// Final cluster label per edge id.
+    #[must_use]
+    pub fn edge_assignments(&self) -> Vec<u32> {
+        self.output.edge_assignments()
     }
 }
 
@@ -407,6 +448,7 @@ mod tests {
         let collector = Arc::new(TraceCollector::new());
         let r = LinkClustering::new().threads(4).tracer(Arc::clone(&collector)).run(&g).unwrap();
         assert_eq!(canon(&algorithm_2(&g).edge_assignments()), canon(&r.edge_assignments()));
+        assert!(r.report().is_none(), "tracing alone attaches no report");
         let events = collector.events();
         trace::check_events(&events).unwrap();
         assert!(events.iter().any(|e| e.label == TraceLabel::Phase(Phase::InitPass1)));
@@ -427,6 +469,12 @@ mod tests {
         json::parse(&text).unwrap();
         assert!(text.contains("\"name\":\"sweep\""));
         std::fs::remove_dir_all(&dir).ok();
+        // Tracing plus stats: the report exists, and the deep rings
+        // dropped no event.
+        let collector = Arc::new(TraceCollector::new());
+        let r = LinkClustering::new().stats(true).tracer(collector).run(&g).unwrap();
+        let report = r.report().expect("stats(true) attaches a report");
+        assert_eq!(report.counter(Counter::TraceEventsDropped), 0);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -256,9 +255,6 @@ impl Drop for SubmitQueue {
 pub struct WorkerPool {
     threads: usize,
     telemetry: Telemetry,
-    /// Next task sequence number, used to label per-task trace events
-    /// when the telemetry handle carries a tracer.
-    task_seq: AtomicU64,
     /// The submit queue, started by the first [`submit`](Self::submit).
     queue: OnceLock<SubmitQueue>,
 }
@@ -284,12 +280,7 @@ impl WorkerPool {
     #[must_use]
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
-        WorkerPool {
-            threads,
-            telemetry: Telemetry::disabled(),
-            task_seq: AtomicU64::new(0),
-            queue: OnceLock::new(),
-        }
+        WorkerPool { threads, telemetry: Telemetry::disabled(), queue: OnceLock::new() }
     }
 
     /// Attaches a telemetry handle: every task bumps
@@ -297,8 +288,9 @@ impl WorkerPool {
     /// records the time from its dispatch to its start as a
     /// [`Phase::PoolQueueWait`] span. If the handle carries a tracer,
     /// each item's execution additionally lands on the executing
-    /// thread's trace timeline as a `pool_task` event labelled with its
-    /// sequence number.
+    /// thread's trace timeline as a `pool_task` event labelled with a
+    /// sequence number the collector hands out
+    /// ([`TraceCollector::reserve_task_seqs`](linkclust_core::telemetry::TraceCollector::reserve_task_seqs)).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -347,17 +339,9 @@ impl WorkerPool {
     {
         let n = items.len();
         self.telemetry.add(Counter::PoolTasks, n as u64);
-        // Sequence numbers label per-task trace events; the counter only
-        // advances when a tracer is attached (one relaxed RMW per
-        // dispatch).
-        // ordering: uniqueness of the reserved range comes from RMW
-        // atomicity alone — no other memory is published through this
-        // counter, so Relaxed is exactly strong enough.
-        let base_seq = if self.telemetry.is_tracing() {
-            self.task_seq.fetch_add(n as u64, Ordering::Relaxed) // ordering: see above
-        } else {
-            0
-        };
+        // Sequence numbers label per-task trace events; the collector
+        // hands them out, one range per dispatch, only when tracing.
+        let base_seq = self.telemetry.tracer().map_or(0, |t| t.reserve_task_seqs(n as u64));
         let dispatched = self.telemetry.is_enabled().then(Instant::now);
         let telemetry = &self.telemetry;
         let run_lane = |lane: Vec<(usize, I)>| -> Vec<T> {

@@ -39,7 +39,7 @@ use crate::pool::{balanced_partition_with_loads, WorkerPool};
 /// A [`ChunkProcessor`] that fans each chunk out over `threads` threads
 /// (per-thread copies of `C`, hierarchical combination). Chunks too
 /// small to split run serially, counted under
-/// [`Counter::SerialFallbackChunks`].
+/// [`Counter::SerialFallbackChunks`]; with one thread, every chunk does.
 ///
 /// The processor keeps its per-thread scratch arrays and its weight
 /// buffer across chunks — see the module docs for the allocation

@@ -962,7 +962,7 @@ mod tests {
     #[test]
     fn empty_graph_round_trips() {
         let g = linkclust_graph::GraphBuilder::new().build();
-        let output = linkclust_core::LinkClustering::new().run(&g).output().clone();
+        let output = LinkClustering::new().run(&g).unwrap().output().clone();
         let index = DendrogramIndex::build(&g, &output).unwrap();
         assert!(index.best_cut().is_none());
         assert!(index.edge_labels_at_threshold(0.5).is_empty());
@@ -976,7 +976,7 @@ mod tests {
         use linkclust_core::coarse::CoarseConfig;
         let g = gnm(30, 80, WeightMode::Unit, 9);
         let cfg = CoarseConfig::builder().phi(4).build().unwrap();
-        let out = linkclust_core::LinkClustering::new().run_coarse(&g, cfg).unwrap();
+        let out = LinkClustering::new().run_coarse(&g, cfg).unwrap();
         assert!(matches!(DendrogramIndex::build(&g, out.output()), Err(IndexError::NoMergeScores)));
     }
 

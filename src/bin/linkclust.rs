@@ -220,7 +220,7 @@ fn cluster(
     if opts.coarse {
         let cfg = CoarseConfig {
             gamma: opts.gamma,
-            phi: opts.phi.max(1),
+            phi: opts.phi,
             initial_chunk: 64,
             ..Default::default()
         };

@@ -74,6 +74,10 @@ fn coarse_and_threads_flags() {
     let (stdout, stderr, ok) = run_cli(&["-", "--coarse", "--phi", "2", "--threads", "2"], EDGES);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("link communities"));
+    // φ = 0 is the library's `ZeroPhi` error, not a silent φ = 1.
+    let (_, stderr, ok) = run_cli(&["-", "--coarse", "--phi", "0"], EDGES);
+    assert!(!ok, "--coarse --phi 0 must fail");
+    assert!(stderr.contains("phi"), "stderr: {stderr}");
 }
 
 #[test]

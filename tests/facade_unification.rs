@@ -1,8 +1,8 @@
-//! The unified facade contract: `threads(1)` is the exact serial
-//! pipeline, every thread count gives Algorithm 2's dendrogram merge for
-//! merge, bad configurations come back as [`ConfigError`] values instead
-//! of panics, and the telemetry report's counters agree with
-//! independently computed graph statistics and dendrogram totals.
+//! The facade contract: every thread count, `threads(1)` included,
+//! gives Algorithm 2's dendrogram merge for merge, bad configurations
+//! come back as [`ConfigError`] values instead of panics, and the
+//! telemetry report's counters agree with independently computed graph
+//! statistics and dendrogram totals.
 
 use std::sync::Arc;
 
@@ -32,26 +32,23 @@ fn score_bits(output: &SweepOutput) -> Vec<u64> {
     output.merge_scores().iter().map(|s| s.to_bits()).collect()
 }
 
-/// Thread counts of the proptests: one pipeline serves them all, with
-/// the serial Phase I at one thread and the sharded one above.
+/// Thread counts of the facade tests: one pipeline serves them all,
+/// with the serial Phase I at one thread and the sharded one above.
 const THREADS: [usize; 3] = [1, 2, 3];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `threads(1)` must produce the same dendrogram as the serial core
-    /// facade, edge assignment for edge assignment — not just the same
-    /// partition up to relabeling — and that dendrogram is Algorithm
-    /// 2's, merge for merge, scores and slots included. So must every
+    /// `threads(1)` must produce Algorithm 2's dendrogram, merge for
+    /// merge, scores and slots included, and so its edge assignments —
+    /// not just the same partition up to relabeling. So must every
     /// other thread count.
     #[test]
     fn one_thread_is_the_serial_pipeline(g in arb_graph()) {
-        let serial = linkclust::core::LinkClustering::new().run(&g);
         let oracle = algorithm_2(&g, SweepConfig::default());
         for threads in THREADS {
             let unified = LinkClustering::new().threads(threads).run(&g).unwrap();
-            prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments(), "t={}", threads);
-            prop_assert_eq!(serial.dendrogram(), unified.dendrogram(), "t={}", threads);
+            prop_assert_eq!(oracle.edge_assignments(), unified.edge_assignments(), "t={}", threads);
             prop_assert_eq!(oracle.dendrogram(), unified.dendrogram(), "t={}", threads);
             prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()), "t={}", threads);
             prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge(), "t={}", threads);
@@ -63,10 +60,6 @@ proptest! {
     #[test]
     fn one_thread_matches_serial_with_options(g in arb_graph(), seed in 0u64..64) {
         let order = EdgeOrder::Shuffled { seed };
-        let serial = linkclust::core::LinkClustering::new()
-            .edge_order(order)
-            .min_similarity(0.2)
-            .run(&g);
         let oracle = algorithm_2(&g, SweepConfig { edge_order: order, min_similarity: Some(0.2) });
         for threads in THREADS {
             let unified = LinkClustering::new()
@@ -75,7 +68,7 @@ proptest! {
                 .min_similarity(0.2)
                 .run(&g)
                 .unwrap();
-            prop_assert_eq!(serial.edge_assignments(), unified.edge_assignments(), "t={}", threads);
+            prop_assert_eq!(oracle.edge_assignments(), unified.edge_assignments(), "t={}", threads);
             prop_assert_eq!(oracle.dendrogram(), unified.dendrogram(), "t={}", threads);
             prop_assert_eq!(score_bits(&oracle), score_bits(unified.output()), "t={}", threads);
             prop_assert_eq!(oracle.slot_of_edge(), unified.output().slot_of_edge(), "t={}", threads);
@@ -121,13 +114,18 @@ fn report_counters_match_graph_statistics() {
     for seed in [1u64, 5, 9] {
         let g = gnm(60, 400, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
         for threads in [1usize, 4] {
-            let r = LinkClustering::new().threads(threads).stats(true).run(&g).unwrap();
+            let facade = LinkClustering::new().threads(threads);
+            assert!(facade.run(&g).unwrap().report().is_none(), "stats are off by default");
+            let r = facade.stats(true).run(&g).unwrap();
             let report = r.report().expect("stats(true) attaches a report");
             assert_eq!(
                 report.counter(Counter::PairsK1),
                 count_common_neighbor_pairs(&g),
                 "seed {seed} threads {threads}"
             );
+            // The result exposes `L` itself: sorted, one entry per pair.
+            assert!(r.similarities().is_sorted());
+            assert_eq!(r.similarities().len() as u64, count_common_neighbor_pairs(&g));
             assert_eq!(
                 report.counter(Counter::IncidentPairsK2),
                 r.similarities().incident_pair_count()
@@ -162,12 +160,15 @@ fn sweep_setup_is_recorded_once_per_run_inside_the_sweep() {
     }
 }
 
+/// The coarse report's counters add up to the result's epochs, levels
+/// and merges at every thread count, and each attempted epoch (one
+/// `CoarseEpoch` span) hands exactly one chunk to the chunk processor.
 #[test]
 fn coarse_report_counters_match_dendrogram() {
     let planted = planted_partition(5, 10, 0.7, 0.01, 3);
     let g = &planted.graph;
     let cfg = CoarseConfig { phi: 5, initial_chunk: 16, ..Default::default() };
-    for threads in [1usize, 3] {
+    for threads in THREADS {
         let r = LinkClustering::new().threads(threads).stats(true).run_coarse(g, cfg).unwrap();
         let report = r.report().expect("report attached");
         assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count());
@@ -175,6 +176,10 @@ fn coarse_report_counters_match_dendrogram() {
         let b = r.epoch_breakdown();
         assert_eq!(report.counter(Counter::EpochsCommitted), (b.head_fresh + b.tail_fresh) as u64);
         assert_eq!(report.counter(Counter::Rollbacks), b.rollback as u64);
+        assert_eq!(report.counter(Counter::EpochsReused), b.reused as u64);
+        let attempted = report.phase_calls(Phase::CoarseEpoch);
+        assert_eq!(attempted as usize, r.epochs().len() - b.reused, "threads {threads}");
+        assert_eq!(report.counter(Counter::ChunksProcessed), attempted, "threads {threads}");
     }
 }
 

@@ -5,13 +5,15 @@
 //! every interval complete (the writer emits only `ph:"X"` events, so
 //! there is no unmatched begin by construction), parseable JSON — and
 //! the run report must expose p50/p90/p99 latencies for the pool
-//! queue-wait and chunk-processing phases.
+//! queue-wait and chunk-processing phases. The run dispatches through
+//! two pools (Phase I's and the chunk processor's), yet its `pool_task`
+//! events are numbered once per collector: 0, 1, 2, … with no repeat.
 
 use std::sync::Arc;
 
 use linkclust::core::json;
 use linkclust::core::telemetry::trace::check_events;
-use linkclust::core::telemetry::{Phase, TraceCollector, TraceLabel};
+use linkclust::core::telemetry::{Counter, Phase, TraceCollector, TraceLabel};
 use linkclust::graph::generate::{gnm, WeightMode};
 use linkclust::{CoarseConfig, LinkClustering};
 
@@ -43,10 +45,17 @@ fn traced_acceptance_run_produces_valid_chrome_trace_and_quantiles() {
     let lanes = collector.thread_names();
     assert!(lanes.len() <= 4, "one trace lane per thread index, got {lanes:?}");
     assert_eq!(collector.dropped(), 0, "no trace event dropped");
-    assert!(
-        events.iter().any(|e| matches!(e.label, TraceLabel::PoolTask { .. })),
-        "pooled task executions appear on the timeline"
-    );
+    let mut seqs: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e.label {
+            TraceLabel::PoolTask { seq } => Some(seq),
+            TraceLabel::Phase(_) => None,
+        })
+        .collect();
+    assert!(!seqs.is_empty(), "pooled task executions appear on the timeline");
+    seqs.sort_unstable();
+    let dense: Vec<u64> = (0..seqs.len() as u64).collect();
+    assert_eq!(seqs, dense, "pool_task seqs are distinct and dense from 0");
     assert!(
         events.iter().any(|e| e.label == TraceLabel::Phase(Phase::ChunkProcess)),
         "chunk processing appears on the timeline"
@@ -62,6 +71,7 @@ fn traced_acceptance_run_produces_valid_chrome_trace_and_quantiles() {
 
     // --- the report's latency quantiles ---
     let report = result.report().expect("stats(true) attaches a report");
+    assert_eq!(report.counter(Counter::PoolTasks), seqs.len() as u64, "one event per pool task");
     for phase in [Phase::PoolQueueWait, Phase::ChunkProcess] {
         assert!(report.phase_calls(phase) > 0, "{phase:?} recorded");
         let (p50, p90, p99) = (

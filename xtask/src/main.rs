@@ -224,7 +224,8 @@ fn run_test(root: &Path) -> Result<(), String> {
 fn run_bench_build(root: &Path) -> Result<(), String> {
     cargo(root, &["bench", "--workspace", "--no-run", "--quiet"], &[])?;
     // perfbench is a Cargo workspace of its own, so no workspace build
-    // sees a library name it imports disappear.
+    // sees a library name it imports disappear. `--all-targets` covers
+    // its unit tests and `tests/` too.
     cargo(
         root,
         &[
@@ -233,6 +234,7 @@ fn run_bench_build(root: &Path) -> Result<(), String> {
             "perfbench/Cargo.toml",
             "--offline",
             "--locked",
+            "--all-targets",
             "--quiet",
             "--target-dir",
             "target/perfbench-check",
