@@ -1,12 +1,11 @@
-//! Criterion bench: graph substrate operations — statistics (K₁/K₂/K₃),
-//! edge lookup, and the cluster-array / union-find comparison.
+//! Criterion bench: graph substrate operations — statistics (K₁/K₂/K₃)
+//! and the cluster-array / union-find comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linkclust_core::unionfind::UnionFind;
 use linkclust_core::ClusterArray;
 use linkclust_graph::generate::{gnm, WeightMode};
 use linkclust_graph::stats::GraphStats;
-use linkclust_graph::{EdgeIndex, GraphView, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,27 +19,6 @@ fn bench_graph(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Edge lookup two ways: the trait's per-query binary search vs the
-    // O(1) probe of a precomputed index (what the hot paths now use).
-    let g = gnm(500, 10000, w, 1);
-    c.bench_function("graph/edge_lookup/scan", |b| {
-        let mut rng = SmallRng::seed_from_u64(0);
-        b.iter(|| {
-            let u = VertexId::new(rng.gen_range(0..500));
-            let v = VertexId::new(rng.gen_range(0..500));
-            GraphView::edge_between(&g, u, v)
-        });
-    });
-    c.bench_function("graph/edge_lookup/index", |b| {
-        let index = EdgeIndex::for_graph(&g);
-        let mut rng = SmallRng::seed_from_u64(0);
-        b.iter(|| {
-            let u = VertexId::new(rng.gen_range(0..500));
-            let v = VertexId::new(rng.gen_range(0..500));
-            index.edge_between(u, v)
-        });
-    });
 
     // Ablation: the paper's chain array vs classic union-find on the
     // same random merge workload.

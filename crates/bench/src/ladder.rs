@@ -228,7 +228,7 @@ pub fn build_workload(spec: RungSpec) -> (WeightedGraph, Option<PlantedPartition
 /// instrumented run never contaminates the wall-clock samples).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseSplit {
-    /// Initialization: passes 1–3 plus the parallel shard fold.
+    /// Initialization: passes 1 and 2.
     pub init_ms: f64,
     /// Sorting the similarity list.
     pub sort_ms: f64,
@@ -243,10 +243,7 @@ impl PhaseSplit {
     pub fn from_report(report: &linkclust_core::telemetry::RunReport) -> PhaseSplit {
         let ms = |p: Phase| report.phase_nanos(p) as f64 / 1e6;
         PhaseSplit {
-            init_ms: ms(Phase::InitPass1)
-                + ms(Phase::InitPass2)
-                + ms(Phase::InitShardFold)
-                + ms(Phase::InitPass3),
+            init_ms: ms(Phase::InitPass1) + ms(Phase::InitPass2),
             sort_ms: ms(Phase::Sort),
             sweep_ms: ms(Phase::Sweep),
         }
@@ -404,12 +401,13 @@ pub fn run_rung(spec: RungSpec, runs: usize) -> RungReport {
     }
 }
 
-/// The length of a sorted list `L` and a hash of its pairs and score
-/// bits, in list order.
+/// The length of a sorted list `L` and a hash of every field of its
+/// entries — pair, score bits, wedge count and stored first wedge — in
+/// list order.
 fn l_digest(sims: &PairSimilarities) -> (usize, u64) {
     let mut h = DefaultHasher::new();
     for e in sims.entries() {
-        (e.pair, e.score.to_bits()).hash(&mut h);
+        (e.pair, e.score.to_bits(), e.pair_count(), e.first_wedge()).hash(&mut h);
     }
     (sims.len(), h.finish())
 }

@@ -9,7 +9,7 @@
 //! than the O(|E|²) matrix baseline, but it must *expand* all K₂ pairs,
 //! unlike the sweep which sorts only the K₁ vertex-pair entries.
 
-use linkclust_graph::{EdgeIndex, GraphView};
+use linkclust_graph::GraphView;
 
 use crate::dendrogram::Dendrogram;
 use crate::similarity::PairSimilarities;
@@ -53,22 +53,17 @@ impl MstClustering {
     ///
     /// # Panics
     ///
-    /// Panics if `sims` lists a common neighbor that has no edge to both
-    /// endpoints in `g`, i.e. if the similarities were computed over a
-    /// different graph.
+    /// As [`PairSimilarities::wedges`]: if `g`'s vertex or edge count
+    /// differs from the graph the similarities were computed over.
     #[must_use]
     pub fn run<G: GraphView + ?Sized>(&self, g: &G, sims: &PairSimilarities) -> Dendrogram {
         let n = g.edge_count();
-        let index = EdgeIndex::for_graph(g);
         // Expand every (vertex pair, common neighbor) into an edge pair.
         let mut arcs: Vec<(f64, u32, u32)> =
             Vec::with_capacity(sims.incident_pair_count() as usize);
         for entry in sims.entries() {
-            let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in sims.common_neighbors(entry) {
-                let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge");
-                let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge");
-                arcs.push((entry.score, e1.index() as u32, e2.index() as u32));
+            for (_, e1, e2) in sims.wedges(g, entry) {
+                arcs.push((entry.score, u32::from(e1), u32::from(e2)));
             }
         }
         arcs.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| (a.1, a.2).cmp(&(b.1, b.2))));

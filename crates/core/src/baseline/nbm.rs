@@ -8,7 +8,7 @@
 //! and space are quadratic in the number of edges — the paper could not
 //! run it past α = 0.001 on a 64 GB machine.
 
-use linkclust_graph::{EdgeIndex, GraphView};
+use linkclust_graph::GraphView;
 
 use crate::dendrogram::{Dendrogram, MergeRecord};
 use crate::similarity::PairSimilarities;
@@ -64,23 +64,20 @@ impl NbmClustering {
     ///
     /// # Panics
     ///
-    /// Panics if `sims` references vertices without a connecting edge in
-    /// `g`.
+    /// As [`PairSimilarities::wedges`]: if `g`'s vertex or edge count
+    /// differs from the graph the similarities were computed over.
     #[must_use]
     pub fn run<G: GraphView + ?Sized>(&self, g: &G, sims: &PairSimilarities) -> Dendrogram {
         let n = g.edge_count();
         if n == 0 {
             return Dendrogram::from_merges(0, Vec::new());
         }
-        let index = EdgeIndex::for_graph(g);
         // The quadratic similarity matrix — deliberately materialized in
         // full; its footprint is the subject of Fig. 4(3).
         let mut sim = vec![0.0f64; n * n];
         for entry in sims.entries() {
-            let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in sims.common_neighbors(entry) {
-                let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge").index();
-                let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge").index();
+            for (_, e1, e2) in sims.wedges(g, entry) {
+                let (e1, e2) = (e1.index(), e2.index());
                 sim[e1 * n + e2] = entry.score;
                 sim[e2 * n + e1] = entry.score;
             }

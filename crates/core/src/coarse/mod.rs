@@ -29,7 +29,7 @@ mod epoch;
 
 use std::ops::Range;
 
-use linkclust_graph::{EdgeIndex, GraphView};
+use linkclust_graph::GraphView;
 
 use crate::cluster_array::{partition_diff, ClusterArray, MergeOutcome};
 use crate::dendrogram::{Dendrogram, MergeRecord};
@@ -413,15 +413,10 @@ impl CoarseResult {
 /// multi-threaded one (per-thread copies of `C` merged hierarchically,
 /// §VI-B) lives in the `linkclust-parallel` crate.
 ///
-/// Edge lookups go through a precomputed [`EdgeIndex`] rather than the
-/// graph itself — the only graph access the merge loop needs is
-/// `(vertex, vertex) → edge id`, and the index answers it in O(1) for
-/// any [`GraphView`] backend. Multi-threaded processors lend the index
-/// and the list to their threads by reference.
-///
 /// A chunk is a range of entries of the sorted list, which is passed
-/// whole: a processor reads the chunk's common neighbors from the list's
-/// arena.
+/// whole together with its graph: a processor reads each entry's wedges
+/// with [`PairSimilarities::wedges`]. Multi-threaded processors lend the
+/// graph and the list to their threads by reference.
 ///
 /// Implementations must bring `c` to the partition obtained by merging,
 /// for every entry and every common neighbor `vₖ`, the clusters of edges
@@ -429,11 +424,11 @@ impl CoarseResult {
 /// sequence producing that partition (one event per cluster-count
 /// decrement); their order is unspecified.
 pub trait ChunkProcessor {
-    /// Processes the entries `sorted.entries()[chunk]` against `c`,
-    /// returning the merge events.
-    fn process_entries(
+    /// Processes the entries `sorted.entries()[chunk]` of the list
+    /// computed over `g` against `c`, returning the merge events.
+    fn process_entries<G: GraphView + Sync + ?Sized>(
         &mut self,
-        index: &EdgeIndex,
+        g: &G,
         slot_of_edge: &[u32],
         sorted: &PairSimilarities,
         chunk: Range<usize>,
@@ -449,12 +444,11 @@ pub struct SerialChunkProcessor;
 impl ChunkProcessor for SerialChunkProcessor {
     /// # Panics
     ///
-    /// Panics if an entry lists a common neighbor with no edge to both
-    /// endpoints in the indexed graph — the entries must have been
-    /// computed over the same graph the index was built from.
-    fn process_entries(
+    /// As [`PairSimilarities::wedges`]: if `g`'s vertex or edge count
+    /// differs from the graph the list was computed over.
+    fn process_entries<G: GraphView + Sync + ?Sized>(
         &mut self,
-        index: &EdgeIndex,
+        g: &G,
         slot_of_edge: &[u32],
         sorted: &PairSimilarities,
         chunk: Range<usize>,
@@ -462,10 +456,7 @@ impl ChunkProcessor for SerialChunkProcessor {
     ) -> Vec<MergeOutcome> {
         let mut out = Vec::new();
         for entry in &sorted.entries()[chunk] {
-            let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in sorted.common_neighbors(entry) {
-                let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
-                let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
+            for (_, e1, e2) in sorted.wedges(g, entry) {
                 let s1 = slot_of_edge[e1.index()] as usize;
                 let s2 = slot_of_edge[e2.index()] as usize;
                 if let Some(o) = c.merge(s1, s2) {
@@ -481,8 +472,9 @@ impl ChunkProcessor for SerialChunkProcessor {
 ///
 /// # Panics
 ///
-/// Panics if `sorted` is unsorted, or `config` is degenerate (γ < 1,
-/// φ = 0, δ₀ = 0, or η₀ ≤ 1). Use [`CoarseConfig::builder`] or
+/// Panics if `sorted` is unsorted, if `g`'s vertex or edge count differs
+/// from the graph the list was computed over, or if `config` is degenerate
+/// (γ < 1, φ = 0, δ₀ = 0, or η₀ ≤ 1). Use [`CoarseConfig::builder`] or
 /// [`CoarseConfig::validate`] (or the facade, which returns
 /// [`ConfigError`]) to reject bad configurations without panicking.
 ///
@@ -502,7 +494,7 @@ impl ChunkProcessor for SerialChunkProcessor {
 /// });
 /// assert!(result.dendrogram().levels() > 0);
 /// ```
-pub fn coarse_sweep<G: GraphView + ?Sized>(
+pub fn coarse_sweep<G: GraphView + Sync + ?Sized>(
     g: &G,
     sorted: &PairSimilarities,
     config: CoarseConfig,
@@ -516,7 +508,7 @@ pub fn coarse_sweep<G: GraphView + ?Sized>(
 /// # Panics
 ///
 /// Same conditions as [`coarse_sweep`].
-pub fn coarse_sweep_with<G: GraphView + ?Sized, P: ChunkProcessor>(
+pub fn coarse_sweep_with<G: GraphView + Sync + ?Sized, P: ChunkProcessor>(
     g: &G,
     sorted: &PairSimilarities,
     config: CoarseConfig,
@@ -533,7 +525,7 @@ pub fn coarse_sweep_with<G: GraphView + ?Sized, P: ChunkProcessor>(
 /// # Panics
 ///
 /// Same conditions as [`coarse_sweep`].
-pub fn coarse_sweep_instrumented<G: GraphView + ?Sized, P: ChunkProcessor>(
+pub fn coarse_sweep_instrumented<G: GraphView + Sync + ?Sized, P: ChunkProcessor>(
     g: &G,
     sorted: &PairSimilarities,
     config: CoarseConfig,
@@ -542,10 +534,9 @@ pub fn coarse_sweep_instrumented<G: GraphView + ?Sized, P: ChunkProcessor>(
 ) -> CoarseResult {
     assert!(sorted.is_sorted(), "coarse sweep requires a sorted pair list; call into_sorted()");
     config.validate().unwrap_or_else(|e| panic!("invalid coarse config: {e}"));
+    sorted.check_graph(g);
 
     let m = g.edge_count();
-    // One index serves every epoch (including rollback retries).
-    let index = EdgeIndex::for_graph(g);
     let slot_of_edge = config.edge_order.permutation(m);
     let entries = sorted.entries();
     let pairs_total = sorted.incident_pair_count();
@@ -605,7 +596,7 @@ pub fn coarse_sweep_instrumented<G: GraphView + ?Sized, P: ChunkProcessor>(
                 break;
             }
         }
-        let pending = processor.process_entries(&index, &slot_of_edge, sorted, p..q, &mut c);
+        let pending = processor.process_entries(g, &slot_of_edge, sorted, p..q, &mut c);
         let beta_prime = c.cluster_count();
         let forced = q == p + 1 && xi_new >= big_delta + delta;
         let decision = transition(

@@ -30,9 +30,9 @@
 
 use std::collections::HashMap;
 
-use linkclust_graph::{GraphBuilder, GraphError, VertexId, WeightedGraph};
+use linkclust_graph::{EdgeId, GraphBuilder, GraphError, VertexId, WeightedGraph};
 
-use crate::similarity::{PairSimilarities, VertexPair};
+use crate::similarity::{PairSimilarities, SimilarityEntry, VertexPair};
 
 /// Phase-I similarity state that tracks a mutable weighted graph.
 ///
@@ -214,15 +214,15 @@ impl IncrementalSimilarities {
 
     /// Snapshot: materializes the current [`PairSimilarities`] (unsorted;
     /// call [`into_sorted`](PairSimilarities::into_sorted) before
-    /// sweeping).
+    /// sweeping), over the graph [`to_graph`](Self::to_graph) builds:
+    /// each entry's first wedge names its edges by that graph's ids.
     ///
     /// Every float is recomputed here from the exact combinatorial
     /// state, replaying the batch pipeline's summation orders: norms
     /// sum incident weights in ascending-neighbor order (pass 1), pair
-    /// product sums accumulate over common neighbors in ascending hub
-    /// order (pass 2), and the adjacency correction plus Tanimoto
-    /// division match [`finalize_entries`](crate::init::finalize_entries)
-    /// (pass 3). The result is therefore bit-identical to
+    /// product sums accumulate over common neighbors in ascending order,
+    /// and the adjacency correction precedes the Tanimoto division
+    /// (pass 2). The result is therefore bit-identical to
     /// [`compute_similarities`](crate::init::compute_similarities) on
     /// [`to_graph`](Self::to_graph).
     ///
@@ -246,38 +246,53 @@ impl IncrementalSimilarities {
             let mean = sum / nbrs.len() as f64;
             (mean, mean * mean + sq)
         };
-        let weight_of = |a: u32, b: u32| -> f64 {
+        // `to_graph` numbers the edges in (smaller, larger) endpoint
+        // order: the edges {u, v > u} of vertex u take the ids from
+        // `first_id[u]` on, in ascending v.
+        let mut first_id = Vec::with_capacity(self.adj.len());
+        let mut next_id = 0;
+        for (u, nbrs) in self.adj.iter().enumerate() {
+            first_id.push(next_id);
+            // cast: a vertex index fits the u32 ids its neighbors store.
+            next_id += nbrs.len() - nbrs.partition_point(|&(v, _)| v <= u as u32);
+        }
+        let edge = |a: u32, b: u32| -> (EdgeId, f64) {
+            let (lo, hi) = (a.min(b), a.max(b));
             // cast: u32 id to index, lossless on 64-bit.
-            let list = &self.adj[a as usize];
+            let list = &self.adj[lo as usize];
             let pos = list
-                .binary_search_by_key(&b, |&(n, _)| n)
+                .binary_search_by_key(&hi, |&(n, _)| n)
                 .expect("pair state implies an edge the adjacency lists lack");
-            list[pos].1
+            let rank = pos - list.partition_point(|&(v, _)| v <= lo);
+            // cast: u32 id to index, lossless on 64-bit.
+            (EdgeId::new(first_id[lo as usize] + rank), list[pos].1)
         };
-        // Key order, as the batch accumulator materializes map `M`.
+        // Key order, as Phase I emits its rows.
         let mut pairs: Vec<_> = self.pairs.iter().collect();
         pairs.sort_unstable_by_key(|&(&key, _)| key);
-        let records = pairs.iter().map(|(_, commons)| commons.len()).sum();
-        let mut sims = PairSimilarities::with_capacity(pairs.len(), records);
+        let mut entries = Vec::with_capacity(pairs.len());
         for (&(i, j), commons) in pairs {
             let (vi, vj) = (VertexId::from(i), VertexId::from(j));
             // cast: u32 ids to indices, lossless on 64-bit.
             let (h1i, h2i) = h(i as usize);
             // cast: u32 id to index, lossless on 64-bit.
             let (h1j, h2j) = h(j as usize);
-            // Pass-2 replay: commons is sorted ascending, matching
-            // the batch loop over hub vertices 0..n.
+            // Pass-2 replay: commons is sorted ascending, the order in
+            // which the batch kernel meets the common neighbors.
             let mut value = 0.0;
             for &c in commons {
-                value += weight_of(c, i) * weight_of(c, j);
+                value += edge(c, i).1 * edge(c, j).1;
             }
             if let Some(w) = self.weight_between(vi, vj) {
                 value += (h1i + h1j) * w;
             }
             let score = value / (h2i + h2j - value);
-            sims.push(VertexPair::new(vi, vj), score, commons.iter().copied().map(VertexId::from));
+            let k = commons[0];
+            let first = (VertexId::from(k), edge(i, k).0, edge(j, k).0);
+            let wedges = u32::try_from(commons.len()).expect("wedge counts fit u32");
+            entries.push(SimilarityEntry::new(VertexPair::new(vi, vj), score, wedges, first));
         }
-        sims
+        PairSimilarities::from_entries(entries, self.adj.len(), self.edge_count)
     }
 
     /// Materializes the current graph as an immutable [`WeightedGraph`]
@@ -338,7 +353,8 @@ mod tests {
         assert_eq!(snap.len(), batch.len(), "entry count");
         for (a, b) in snap.entries().iter().zip(batch.entries()) {
             assert_eq!(a.pair, b.pair);
-            assert_eq!(snap.common_neighbors(a), batch.common_neighbors(b), "pair {}", a.pair);
+            assert_eq!(a.pair_count(), b.pair_count(), "pair {}", a.pair);
+            assert_eq!(a.first_wedge(), b.first_wedge(), "pair {}", a.pair);
             assert_eq!(
                 a.score.to_bits(),
                 b.score.to_bits(),
@@ -348,7 +364,7 @@ mod tests {
                 b.score
             );
         }
-        assert_eq!(snap, batch, "whole lists, arena included");
+        assert_eq!(snap, batch, "whole lists");
     }
 
     #[test]

@@ -94,7 +94,6 @@ pub mod dendrogram;
 pub mod error;
 pub mod evaluate;
 pub mod export;
-pub mod flatacc;
 pub mod incremental;
 pub mod init;
 pub mod invariants;
@@ -110,5 +109,5 @@ mod similarity;
 pub use cluster_array::ClusterArray;
 pub use dendrogram::{Dendrogram, MergeRecord};
 pub use error::ConfigError;
-pub use similarity::{PairSimilarities, SimilarityEntry, VertexPair};
+pub use similarity::{PairSimilarities, SimilarityEntry, VertexPair, Wedge, Wedges};
 pub use telemetry::{Recorder, RunReport, Telemetry};

@@ -1,8 +1,8 @@
 //! Similarity entries produced by the initialization phase.
 
-use std::ops::Range;
+use std::cmp::Ordering;
 
-use linkclust_graph::VertexId;
+use linkclust_graph::{EdgeId, GraphView, Neighbor, VertexId};
 
 /// A canonical unordered vertex pair (`first < second`).
 ///
@@ -64,53 +64,103 @@ impl std::fmt::Display for VertexPair {
     }
 }
 
+/// One wedge `(vₖ, e_ik, e_jk)` of an entry `(vᵢ, vⱼ)`: a common
+/// neighbor `vₖ` and the edges joining it to `vᵢ` and to `vⱼ`. Sweeping
+/// the entry merges the clusters of those two edges.
+pub type Wedge = (VertexId, EdgeId, EdgeId);
+
 /// One entry of the sorted list `L`: a vertex pair, the Tanimoto
-/// similarity shared by every pair of incident edges it induces, and the
-/// span of its common neighbors in the owning list's arena.
+/// similarity shared by every wedge it induces, its wedge count, and its
+/// first wedge.
 ///
-/// For each common neighbor `vₖ` — read them with
-/// [`PairSimilarities::common_neighbors`] — the edge pair
-/// `((vᵢ,vₖ), (vⱼ,vₖ))` has similarity [`score`](SimilarityEntry::score):
-/// the paper's key observation is that this value is independent of `vₖ`.
+/// For each common neighbor `vₖ` the edge pair `((vᵢ,vₖ), (vⱼ,vₖ))` has
+/// similarity [`score`](SimilarityEntry::score): the paper's key
+/// observation is that this value is independent of `vₖ`. The entry does
+/// not list its common neighbors; [`PairSimilarities::wedges`] reads
+/// them back from the graph.
 ///
-/// A 24-byte `Copy` record that owns no heap memory: a list costs two
-/// allocations, its entries and its arena, whatever its length.
+/// A 32-byte `Copy` record that owns no heap memory: a list is one
+/// allocation, whatever its length.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SimilarityEntry {
     /// The vertex pair `(vᵢ, vⱼ)`.
     pub pair: VertexPair,
     /// The Tanimoto similarity `S(e_{ik}, e_{jk})` of Eq. 1.
     pub score: f64,
-    /// Offset of the first common neighbor in the arena.
-    start: u32,
-    /// Number of common neighbors.
-    len: u32,
+    /// Number of common neighbors (wedges).
+    wedges: u32,
+    /// The wedge of the smallest common neighbor.
+    first: Wedge,
 }
 
 impl SimilarityEntry {
-    /// The number of incident edge pairs this entry stands for.
+    /// An entry of `wedges` wedges, the first of which is `first`.
+    pub(crate) fn new(pair: VertexPair, score: f64, wedges: u32, first: Wedge) -> Self {
+        debug_assert!(wedges > 0, "an entry has at least one wedge");
+        SimilarityEntry { pair, score, wedges, first }
+    }
+
+    /// The number of incident edge pairs (wedges) this entry stands for.
     #[must_use]
     pub fn pair_count(&self) -> usize {
         // cast: u32 count to index, lossless on 32- and 64-bit.
-        self.len as usize
+        self.wedges as usize
     }
 
-    /// The arena range holding this entry's common neighbors.
-    fn span(&self) -> Range<usize> {
-        // cast: u32 offsets to indices, lossless on 32- and 64-bit.
-        let start = self.start as usize;
-        start..start + self.pair_count()
+    /// The wedge of the entry's smallest common neighbor, as Phase I
+    /// stored it.
+    #[must_use]
+    pub fn first_wedge(&self) -> Wedge {
+        self.first
+    }
+}
+
+/// The wedges of one entry in ascending order of the common neighbor,
+/// as [`PairSimilarities::wedges`] yields them: the stored first wedge of
+/// a one-wedge entry, otherwise a merge of the sorted neighbor slabs
+/// `N(vᵢ)` and `N(vⱼ)` that stops once the entry's wedges are found.
+#[derive(Clone, Debug)]
+pub struct Wedges<'g> {
+    /// The stored wedge of a one-wedge entry, until yielded.
+    stored: Option<Wedge>,
+    /// Wedges the merge has yet to find.
+    left: u32,
+    /// The unread parts of `N(vᵢ)` and `N(vⱼ)`.
+    i_slab: &'g [Neighbor],
+    j_slab: &'g [Neighbor],
+}
+
+impl Iterator for Wedges<'_> {
+    type Item = Wedge;
+
+    #[inline]
+    fn next(&mut self) -> Option<Wedge> {
+        if let Some(w) = self.stored.take() {
+            return Some(w);
+        }
+        while self.left > 0 {
+            let (x, y) = (self.i_slab.first()?, self.j_slab.first()?);
+            match x.vertex.cmp(&y.vertex) {
+                Ordering::Less => self.i_slab = &self.i_slab[1..],
+                Ordering::Greater => self.j_slab = &self.j_slab[1..],
+                Ordering::Equal => {
+                    self.i_slab = &self.i_slab[1..];
+                    self.j_slab = &self.j_slab[1..];
+                    self.left -= 1;
+                    return Some((x.vertex, x.edge, y.edge));
+                }
+            }
+        }
+        None
     }
 }
 
 /// The output of the initialization phase: all vertex pairs with at least
 /// one common neighbor, each with its similarity score — the materialized
-/// map `M` of Algorithm 1.
+/// map `M` of Algorithm 1, without its common-neighbor lists.
 ///
-/// The entries are flat records; their common neighbors live in one
-/// shared arena, each entry's run contiguous and in increasing id order.
-/// The runs tile the arena in entry order, so a sorted list `L` is read
-/// front to back by the sweeps.
+/// The list records the vertex and edge counts of the graph it was
+/// computed over, and every reader of its wedges checks them.
 ///
 /// Obtain one from [`init::compute_similarities`](crate::init::compute_similarities),
 /// then sort it into the list `L` with [`into_sorted`](Self::into_sorted)
@@ -118,92 +168,25 @@ impl SimilarityEntry {
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct PairSimilarities {
     entries: Vec<SimilarityEntry>,
-    common: Vec<VertexId>,
+    /// Σ of the entries' wedge counts (K₂).
+    wedges: u64,
+    /// `|V|` and `|E|` of the graph the entries describe.
+    vertex_count: usize,
+    edge_count: usize,
     sorted: bool,
 }
 
 impl PairSimilarities {
-    /// An empty, unsorted list with room for `entries` entries and
-    /// `records` common neighbors.
-    pub(crate) fn with_capacity(entries: usize, records: usize) -> Self {
-        PairSimilarities {
-            entries: Vec::with_capacity(entries),
-            common: Vec::with_capacity(records),
-            sorted: false,
-        }
-    }
-
-    /// Appends an entry whose common neighbors are `commons`, which must
-    /// be in increasing id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena outgrows the `u32` offset range.
-    pub(crate) fn push(
-        &mut self,
-        pair: VertexPair,
-        score: f64,
-        commons: impl IntoIterator<Item = VertexId>,
-    ) {
-        let start = self.common.len();
-        self.common.extend(commons);
-        debug_assert!(self.common[start..].is_sorted(), "common neighbors must ascend");
-        let arena_offset = |n: usize| u32::try_from(n).expect("arena offsets are u32");
-        let (start, end) = (arena_offset(start), arena_offset(self.common.len()));
-        self.entries.push(SimilarityEntry { pair, score, start, len: end - start });
-        self.sorted = false;
-    }
-
-    /// Concatenates lists into one, keeping every entry's common
-    /// neighbors — how the owner-sharded parallel pass 2 joins its
-    /// owners' slabs. The result is unsorted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the joined arena outgrows the `u32` offset range.
-    #[must_use]
-    pub fn concat(parts: Vec<PairSimilarities>) -> Self {
-        let entries = parts.iter().map(Self::len).sum();
-        let records = parts.iter().map(|p| p.common.len()).sum();
-        assert!(u32::try_from(records).is_ok(), "arena offsets are u32");
-        let mut joined = Self::with_capacity(entries, records);
-        for part in parts {
-            // cast: below `records`, which fits u32 (checked above).
-            let base = joined.common.len() as u32;
-            joined.entries.extend(
-                part.entries.iter().map(|e| SimilarityEntry { start: base + e.start, ..*e }),
-            );
-            joined.common.extend_from_slice(&part.common);
-        }
-        joined
-    }
-
-    /// Splits the list into its entries and its common-neighbor arena,
-    /// so a caller can re-score entries in owned pieces (the parallel
-    /// pass 3). [`from_parts`](Self::from_parts) reassembles them.
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<SimilarityEntry>, Vec<VertexId>) {
-        (self.entries, self.common)
-    }
-
-    /// Reassembles an **unsorted** list from the parts
-    /// [`into_parts`](Self::into_parts) returned. The entries may have
-    /// been re-scored, but not reordered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entries' common-neighbor runs do not tile `common`
-    /// in entry order.
-    #[must_use]
-    pub fn from_parts(entries: Vec<SimilarityEntry>, common: Vec<VertexId>) -> Self {
-        let mut end = 0;
-        for e in &entries {
-            let span = e.span();
-            assert_eq!(span.start, end, "common-neighbor runs must tile the arena in entry order");
-            end = span.end;
-        }
-        assert_eq!(end, common.len(), "common-neighbor runs must cover the arena");
-        PairSimilarities { entries, common, sorted: false }
+    /// An unsorted list of `entries`, in pair order, over a graph of
+    /// `vertex_count` vertices and `edge_count` edges.
+    pub(crate) fn from_entries(
+        entries: Vec<SimilarityEntry>,
+        vertex_count: usize,
+        edge_count: usize,
+    ) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].pair < w[1].pair), "entries in pair order");
+        let wedges = entries.iter().map(|e| u64::from(e.wedges)).sum();
+        PairSimilarities { entries, wedges, vertex_count, edge_count, sorted: false }
     }
 
     /// The entries, in unspecified order unless [`is_sorted`](Self::is_sorted).
@@ -212,22 +195,79 @@ impl PairSimilarities {
         &self.entries
     }
 
-    /// Mutable entries for re-scoring in place (pass 3). Clears the
-    /// sorted flag, since scores may change.
-    pub(crate) fn entries_mut(&mut self) -> &mut [SimilarityEntry] {
-        self.sorted = false;
-        &mut self.entries
-    }
-
-    /// The common neighbors of `entry`, in increasing id order.
+    /// Checks that `g` is the graph this list was computed over, as far
+    /// as its vertex and edge counts tell.
     ///
     /// # Panics
     ///
-    /// Panics if `entry` belongs to a different list whose span lies
-    /// outside this list's arena.
-    #[must_use]
-    pub fn common_neighbors(&self, entry: &SimilarityEntry) -> &[VertexId] {
-        &self.common[entry.span()]
+    /// Panics if `g` has a different vertex count or edge count.
+    #[inline]
+    pub(crate) fn check_graph<G: GraphView + ?Sized>(&self, g: &G) {
+        assert!(
+            g.vertex_count() == self.vertex_count && g.edge_count() == self.edge_count,
+            "the similarity list was computed over a graph of {} vertices and {} edges, \
+             not this one of {} and {}",
+            self.vertex_count,
+            self.edge_count,
+            g.vertex_count(),
+            g.edge_count()
+        );
+    }
+
+    /// The wedges of `entry`, in ascending order of the common neighbor:
+    /// for each common neighbor `vₖ`, the edges `(vᵢ, vₖ)` and
+    /// `(vⱼ, vₖ)` whose clusters the sweep merges. A one-wedge entry
+    /// yields its stored wedge; a longer one intersects `N(vᵢ)` and
+    /// `N(vⱼ)` in `g`, in O(d(vᵢ) + d(vⱼ)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has a different vertex or edge count from the graph
+    /// this list was computed over.
+    /// Debug builds also panic if the stored first wedge's two edges do
+    /// not join `vᵢ` and `vⱼ` to its common neighbor in `g`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use linkclust_graph::GraphBuilder;
+    /// use linkclust_core::init::compute_similarities;
+    ///
+    /// // The triangle 0-1-2: the pair (0, 1) has the one common neighbor 2.
+    /// let g = GraphBuilder::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])?.build();
+    /// let sims = compute_similarities(&g);
+    /// let wedges: Vec<_> = sims.wedges(&g, &sims.entries()[0]).collect();
+    /// let (k, e_ik, e_jk) = wedges[0];
+    /// assert_eq!((wedges.len(), k.index(), e_ik.index(), e_jk.index()), (1, 2, 2, 1));
+    /// # Ok::<(), linkclust_graph::GraphError>(())
+    /// ```
+    #[inline]
+    pub fn wedges<'g, G: GraphView + ?Sized>(
+        &self,
+        g: &'g G,
+        entry: &SimilarityEntry,
+    ) -> Wedges<'g> {
+        self.check_graph(g);
+        let (vi, vj) = (entry.pair.first(), entry.pair.second());
+        if cfg!(debug_assertions) {
+            let (k, e_ik, e_jk) = entry.first;
+            let canonical = |a: VertexId| if a < k { (a, k) } else { (k, a) };
+            assert!(
+                g.edge_endpoints(e_ik) == canonical(vi) && g.edge_endpoints(e_jk) == canonical(vj),
+                "the stored wedge of {} does not join it to {k} in this graph",
+                entry.pair
+            );
+        }
+        if entry.wedges == 1 {
+            Wedges { stored: Some(entry.first), left: 0, i_slab: &[], j_slab: &[] }
+        } else {
+            Wedges {
+                stored: None,
+                left: entry.wedges,
+                i_slab: g.neighbors(vi),
+                j_slab: g.neighbors(vj),
+            }
+        }
     }
 
     /// Number of entries (the paper's K₁).
@@ -243,10 +283,10 @@ impl PairSimilarities {
     }
 
     /// Total number of incident edge pairs across all entries (the
-    /// paper's K₂): the arena's length, since the runs tile it.
+    /// paper's K₂): the sum of the wedge counts.
     #[must_use]
     pub fn incident_pair_count(&self) -> u64 {
-        self.common.len() as u64
+        self.wedges
     }
 
     /// Returns `true` if the entries are sorted by non-increasing score.
@@ -257,22 +297,13 @@ impl PairSimilarities {
 
     /// Sorts the entries into the list `L` of Algorithm 2: non-increasing
     /// score under [`f64::total_cmp`], ties broken by vertex pair for
-    /// determinism. The arena is then copied into list order, so a sweep
-    /// streams the common neighbors front to back.
+    /// determinism.
     #[must_use]
     pub fn into_sorted(mut self) -> Self {
         if !self.sorted {
             self.entries.sort_unstable_by(|a, b| {
                 b.score.total_cmp(&a.score).then_with(|| a.pair.cmp(&b.pair))
             });
-            let mut common = Vec::with_capacity(self.common.len());
-            for e in &mut self.entries {
-                let span = e.span();
-                // cast: the arena already fits u32 offsets (checked on push).
-                e.start = common.len() as u32;
-                common.extend_from_slice(&self.common[span]);
-            }
-            self.common = common;
             self.sorted = true;
         }
         self
@@ -289,32 +320,27 @@ impl PairSimilarities {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::compute_similarities;
+    use linkclust_graph::generate::{gnm, WeightMode};
+    use linkclust_graph::GraphBuilder;
     use proptest::prelude::*;
 
     fn v(i: usize) -> VertexId {
         VertexId::new(i)
     }
 
-    /// A list of `(a, b, score, common neighbors)` entries, in this order.
-    fn list(entries: &[(usize, usize, f64, &[usize])]) -> PairSimilarities {
-        let mut sims = PairSimilarities::default();
-        for &(a, b, score, commons) in entries {
-            sims.push(VertexPair::new(v(a), v(b)), score, commons.iter().map(|&c| v(c)));
-        }
-        sims
-    }
-
-    /// Every entry's run starts where the previous one ended, and the
-    /// runs cover the whole arena.
-    fn spans_tile_arena(sims: &PairSimilarities) -> bool {
-        let mut end = 0;
-        for e in sims.entries() {
-            if e.span().start != end {
-                return false;
-            }
-            end = e.span().end;
-        }
-        end == sims.common.len()
+    /// A list of `(a, b, score, wedges)` entries, in this order, over no
+    /// graph in particular.
+    fn list(entries: &[(usize, usize, f64, u32)]) -> PairSimilarities {
+        let entries: Vec<SimilarityEntry> = entries
+            .iter()
+            .map(|&(a, b, score, wedges)| {
+                let first = (v(a + b + 1), EdgeId::new(a), EdgeId::new(b));
+                SimilarityEntry::new(VertexPair::new(v(a), v(b)), score, wedges, first)
+            })
+            .collect();
+        let wedges = entries.iter().map(|e| u64::from(e.wedges)).sum();
+        PairSimilarities { entries, wedges, ..Default::default() }
     }
 
     #[test]
@@ -332,27 +358,25 @@ mod tests {
     }
 
     #[test]
-    fn entry_is_a_24_byte_record() {
-        assert_eq!(std::mem::size_of::<SimilarityEntry>(), 24);
+    fn entry_is_a_32_byte_record() {
+        assert_eq!(std::mem::size_of::<SimilarityEntry>(), 32);
     }
 
     #[test]
     fn sorting_is_non_increasing_and_deterministic() {
-        let sims = list(&[(0, 1, 0.5, &[2]), (2, 3, 0.9, &[4]), (0, 4, 0.5, &[1, 2])]);
+        let sims = list(&[(0, 1, 0.5, 1), (2, 3, 0.9, 1), (0, 4, 0.5, 2)]);
         let sorted = sims.into_sorted();
         assert!(sorted.is_sorted());
         let scores: Vec<f64> = sorted.entries().iter().map(|e| e.score).collect();
         assert_eq!(scores, vec![0.9, 0.5, 0.5]);
         // tie broken by pair: (0,1) before (0,4)
         assert_eq!(sorted.entries()[1].pair, VertexPair::new(v(0), v(1)));
-        // the arena follows the list order
-        assert_eq!(sorted.common, vec![v(4), v(2), v(1), v(2)]);
-        assert_eq!(sorted.common_neighbors(&sorted.entries()[2]), &[v(1), v(2)]);
+        assert_eq!(sorted.entries()[2].pair_count(), 2);
     }
 
     #[test]
     fn pair_counts() {
-        let sims = list(&[(0, 1, 0.5, &[2]), (0, 4, 0.5, &[1, 2, 3])]);
+        let sims = list(&[(0, 1, 0.5, 1), (0, 4, 0.5, 3)]);
         assert_eq!(sims.len(), 2);
         assert_eq!(sims.incident_pair_count(), 4);
         assert_eq!(sims.entries()[1].pair_count(), 3);
@@ -361,7 +385,7 @@ mod tests {
 
     #[test]
     fn find_locates_pair() {
-        let sims = list(&[(0, 1, 0.5, &[2])]);
+        let sims = list(&[(0, 1, 0.5, 1)]);
         let p = VertexPair::new(VertexId::new(1), VertexId::new(0));
         assert!(sims.find(p).is_some());
         assert!(sims.find(VertexPair::new(VertexId::new(0), VertexId::new(2))).is_none());
@@ -372,64 +396,66 @@ mod tests {
         // 0.0 orders strictly before -0.0 under total_cmp, although the
         // two compare equal under `==`: the pair tie-break must not
         // apply here.
-        let sorted = list(&[(0, 1, -0.0, &[2]), (2, 3, 0.0, &[4])]).into_sorted();
+        let sorted = list(&[(0, 1, -0.0, 1), (2, 3, 0.0, 1)]).into_sorted();
         let pairs: Vec<VertexPair> = sorted.entries().iter().map(|e| e.pair).collect();
         assert_eq!(pairs, vec![VertexPair::new(v(2), v(3)), VertexPair::new(v(0), v(1))]);
-        assert_eq!(sorted.common_neighbors(&sorted.entries()[1]), &[v(2)]);
     }
 
     #[test]
-    fn concat_rebases_each_part() {
-        let a = list(&[(0, 1, 0.5, &[2, 3])]);
-        let b = list(&[(4, 5, 0.7, &[6]), (4, 6, 0.1, &[5, 7])]);
-        let joined = PairSimilarities::concat(vec![a, PairSimilarities::default(), b]);
-        assert_eq!(joined, list(&[(0, 1, 0.5, &[2, 3]), (4, 5, 0.7, &[6]), (4, 6, 0.1, &[5, 7])]));
-        assert!(spans_tile_arena(&joined));
+    fn wedges_list_every_common_neighbor_with_its_edges() {
+        // K4 minus the edge (0, 3): the pair (0, 3) shares 1 and 2.
+        let g = GraphBuilder::from_edges(
+            4,
+            &[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
+        )
+        .unwrap()
+        .build();
+        let sims = compute_similarities(&g);
+        let e = sims.find(VertexPair::new(v(0), v(3))).expect("(0, 3) shares neighbors");
+        let wedges: Vec<Wedge> = sims.wedges(&g, e).collect();
+        let edge = |a, b| g.edge_between(v(a), v(b)).unwrap();
+        assert_eq!(wedges, vec![(v(1), edge(0, 1), edge(3, 1)), (v(2), edge(0, 2), edge(3, 2))]);
+        assert_eq!(e.first_wedge(), wedges[0]);
+        assert_eq!(e.pair_count(), 2);
     }
 
     #[test]
-    fn parts_round_trip_and_reject_untiled_spans() {
-        let sims = list(&[(0, 1, 0.5, &[2]), (0, 4, 0.5, &[1, 2, 3])]);
-        let (entries, common) = sims.clone().into_parts();
-        assert_eq!(PairSimilarities::from_parts(entries.clone(), common.clone()), sims);
-        let swapped = vec![entries[1], entries[0]];
-        let r = std::panic::catch_unwind(|| PairSimilarities::from_parts(swapped, common));
-        assert!(r.is_err(), "runs out of entry order must be rejected");
-        let short = std::panic::catch_unwind(|| PairSimilarities::from_parts(entries, vec![v(2)]));
-        assert!(short.is_err(), "runs past the arena must be rejected");
+    #[should_panic(expected = "computed over a graph of")]
+    fn wedges_reject_another_graph() {
+        let g = gnm(12, 30, WeightMode::Unit, 1);
+        let sims = compute_similarities(&g);
+        let other = gnm(12, 31, WeightMode::Unit, 1);
+        let _ = sims.wedges(&other, &sims.entries()[0]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn into_sorted_keeps_every_pairs_common_neighbors(
-            raw in proptest::collection::vec((0usize..40, 1usize..40, 0usize..6, 1usize..6), 0..80),
+        fn into_sorted_keeps_every_entry(
+            raw in proptest::collection::vec((0usize..40, 1usize..40, 0usize..6, 1u32..6), 0..80),
         ) {
             // Scores from a small palette, so ties (signed zeros too)
             // are frequent; pairs are unique, as in map `M`.
             let palette = [1.0, 0.5, 0.25, 0.0, -0.0, 0.5 + 1e-12];
             let mut seen = std::collections::HashSet::new();
-            let mut sims = PairSimilarities::default();
+            let mut rows = Vec::new();
             for &(a, gap, s, k) in &raw {
-                let pair = VertexPair::new(v(a), v(a + gap));
-                if seen.insert(pair) {
-                    sims.push(pair, palette[s], (0..k).map(|c| v(3 * c + a % 3)));
+                if seen.insert((a, a + gap)) {
+                    rows.push((a, a + gap, palette[s], k));
                 }
             }
-            let before = sims.clone();
-            let sorted = sims.into_sorted();
+            let before = list(&rows);
+            let sorted = before.clone().into_sorted();
             prop_assert_eq!(sorted.len(), before.len());
             prop_assert_eq!(sorted.incident_pair_count(), before.incident_pair_count());
-            prop_assert!(spans_tile_arena(&sorted));
             for w in sorted.entries().windows(2) {
                 let order = w[1].score.total_cmp(&w[0].score).then_with(|| w[0].pair.cmp(&w[1].pair));
-                prop_assert!(order == std::cmp::Ordering::Less, "{:?} before {:?}", w[0], w[1]);
+                prop_assert!(order == Ordering::Less, "{:?} before {:?}", w[0], w[1]);
             }
             for e in sorted.entries() {
                 let old = before.find(e.pair).expect("sorting keeps every pair");
-                prop_assert_eq!(e.score.to_bits(), old.score.to_bits());
-                prop_assert_eq!(sorted.common_neighbors(e), before.common_neighbors(old));
+                prop_assert_eq!(e, old);
             }
         }
     }

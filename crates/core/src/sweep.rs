@@ -1,10 +1,13 @@
 //! Phase II — the sweeping phase (Algorithm 2 of the paper).
 //!
 //! Consumes the similarity-sorted pair list `L` from Phase I. For each
-//! entry `(vᵢ, vⱼ)` with common-neighbor list `l`, every `vₖ ∈ l` induces
-//! a `MERGE` of the clusters containing edges `(vᵢ, vₖ)` and `(vⱼ, vₖ)`
-//! on the cluster array `C`. Each successful merge advances the
-//! dendrogram level `r` by one (fine-grained clustering).
+//! entry `(vᵢ, vⱼ)`, every common neighbor `vₖ` induces a `MERGE` of the
+//! clusters containing edges `(vᵢ, vₖ)` and `(vⱼ, vₖ)` on the cluster
+//! array `C`. Each successful merge advances the dendrogram level `r` by
+//! one (fine-grained clustering). Every sweep reads an entry's wedges
+//! through [`PairSimilarities::wedges`]: a one-wedge entry offers its
+//! stored edge ids, a longer one intersects the neighbor slabs of `vᵢ`
+//! and `vⱼ`, in ascending `vₖ` — Algorithm 2's order.
 //!
 //! Two implementations produce that dendrogram:
 //!
@@ -35,14 +38,14 @@
 //! to `C`, surviving clusters) are traced.
 
 use linkclust_graph::algo::edge_component_count;
-use linkclust_graph::{EdgeIndex, GraphView};
+use linkclust_graph::GraphView;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::cluster_array::ClusterArray;
 use crate::dendrogram::{Dendrogram, MergeRecord};
-use crate::similarity::PairSimilarities;
+use crate::similarity::{PairSimilarities, SimilarityEntry};
 use crate::telemetry::{Counter, Phase, Telemetry};
 use crate::unionfind::UnionFind;
 
@@ -194,9 +197,7 @@ impl SweepOutput {
 ///
 /// # Panics
 ///
-/// Panics if `sorted` is not sorted (call
-/// [`PairSimilarities::into_sorted`] first) or refers to vertices/edges
-/// not in `g`.
+/// As [`sweep_with`].
 ///
 /// # Examples
 ///
@@ -220,15 +221,16 @@ pub fn sweep<G: GraphView + ?Sized>(
 }
 
 /// [`sweep`] with phase-level telemetry: the whole sweep runs under a
-/// [`Phase::Sweep`] span, and the merge and processed-pair counters are
-/// recorded once at the end (no per-merge overhead).
+/// [`Phase::Sweep`] span, and the merge, processed-pair and
+/// intersected-degree counters are recorded once at the end (no
+/// per-merge overhead).
 ///
 /// # Panics
 ///
 /// Panics if `sorted` is not actually sorted (call
-/// [`PairSimilarities::into_sorted`] first), or if it lists a common
-/// neighbor with no edge to both endpoints in `g` — i.e. if the
-/// similarities were computed over a different graph.
+/// [`PairSimilarities::into_sorted`] first), or if `g`'s vertex or edge
+/// count differs from the graph the list was computed over. Debug builds
+/// also panic on an entry whose stored first wedge does not lie in `g`.
 #[must_use]
 pub fn sweep_with<G: GraphView + ?Sized>(
     g: &G,
@@ -237,27 +239,24 @@ pub fn sweep_with<G: GraphView + ?Sized>(
     telemetry: &Telemetry,
 ) -> SweepOutput {
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
+    sorted.check_graph(g);
     let span = telemetry.span(Phase::Sweep);
     let m = g.edge_count();
-    // One O(m) index build replaces the 2·K2 per-query adjacency scans
-    // the merge loop used to issue.
-    let index = EdgeIndex::for_graph(g);
     let slot_of_edge = config.edge_order.permutation(m);
     let mut c = ClusterArray::new(m);
     let mut merges = Vec::new();
     let mut scores = Vec::new();
     let mut r = 0u32;
     let mut pairs_processed = 0u64;
+    let mut intersected = 0u64;
     for entry in sorted.entries() {
         if let Some(theta) = config.min_similarity {
             if entry.score < theta {
                 break;
             }
         }
-        let (vi, vj) = (entry.pair.first(), entry.pair.second());
-        for &vk in sorted.common_neighbors(entry) {
-            let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
-            let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
+        intersected += intersected_degrees(g, entry);
+        for (_, e1, e2) in sorted.wedges(g, entry) {
             let s1 = slot_of_edge[e1.index()] as usize;
             let s2 = slot_of_edge[e2.index()] as usize;
             if let Some(out) = c.merge(s1, s2) {
@@ -276,6 +275,7 @@ pub fn sweep_with<G: GraphView + ?Sized>(
     span.finish();
     telemetry.add(Counter::MergesApplied, merges.len() as u64);
     telemetry.add(Counter::PairsProcessed, pairs_processed);
+    telemetry.add(Counter::IntersectedDegrees, intersected);
     crate::invariants::debug_check_cluster_array(&c);
     let dendrogram = Dendrogram::from_merges(m, merges);
     crate::invariants::debug_check_dendrogram(&dendrogram);
@@ -390,29 +390,27 @@ impl KruskalMerges {
 
 /// The production serial sweep: [`sweep_with`]'s contract and output,
 /// computed by one Kruskal pass ([`KruskalMerges`]) instead of the chain
-/// array. It resolves each entry's union operations through the
-/// [`EdgeIndex`] in the order Algorithm 2 performs them, so the
-/// dendrogram, the merge scores and the slot permutation equal
-/// [`sweep_with`]'s bit for bit.
+/// array. It reads each entry's wedges in the order Algorithm 2 performs
+/// their union operations, so the dendrogram, the merge scores and the
+/// slot permutation equal [`sweep_with`]'s bit for bit.
 ///
 /// The pass stops at the first entry boundary after the forest is
 /// complete, at `m − c` merges (the module's stop rule); `c` is counted
 /// once per call in `O(|V| + |E|)`.
 ///
 /// The whole sweep runs under one [`Phase::Sweep`] span, with a
-/// [`Phase::SweepSetup`] sub-span over the edge index, the component
-/// count and the slot permutation; the merge and processed-pair counters
-/// are recorded once at the end.
+/// [`Phase::SweepSetup`] sub-span over the component count and the slot
+/// permutation; the merge, processed-pair and intersected-degree
+/// counters are recorded once at the end.
 /// [`Counter::PairsProcessed`] counts the incident pairs of every entry
 /// up to and including the one whose operation completes the forest,
-/// or of every live entry if the forest is never completed.
+/// or of every live entry if the forest is never completed;
+/// [`Counter::IntersectedDegrees`] sums `d(vᵢ) + d(vⱼ)` over the
+/// multi-wedge entries among them.
 ///
 /// # Panics
 ///
-/// Panics if `sorted` is not actually sorted (call
-/// [`PairSimilarities::into_sorted`] first), or if an entry it reads
-/// lists a common neighbor with no edge to both endpoints in `g` — i.e.
-/// if the similarities were computed over a different graph.
+/// As [`sweep_with`].
 ///
 /// # Examples
 ///
@@ -437,14 +435,15 @@ pub fn kruskal_sweep_with<G: GraphView + ?Sized>(
     telemetry: &Telemetry,
 ) -> SweepOutput {
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
+    sorted.check_graph(g);
     let span = telemetry.span(Phase::Sweep);
     let setup_span = telemetry.span(Phase::SweepSetup);
     let m = g.edge_count();
-    let index = EdgeIndex::for_graph(g);
     let slot_of_edge = config.edge_order.permutation(m);
     let mut kruskal = KruskalMerges::with_target(m, m - edge_component_count(g));
     setup_span.finish();
     let mut pairs_processed = 0u64;
+    let mut intersected = 0u64;
     for entry in sorted.entries() {
         if kruskal.is_complete() {
             break;
@@ -454,10 +453,8 @@ pub fn kruskal_sweep_with<G: GraphView + ?Sized>(
                 break;
             }
         }
-        let (vi, vj) = (entry.pair.first(), entry.pair.second());
-        for &vk in sorted.common_neighbors(entry) {
-            let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
-            let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
+        intersected += intersected_degrees(g, entry);
+        for (_, e1, e2) in sorted.wedges(g, entry) {
             kruskal.offer(slot_of_edge[e1.index()], slot_of_edge[e2.index()], entry.score);
         }
         pairs_processed += entry.pair_count() as u64;
@@ -466,9 +463,20 @@ pub fn kruskal_sweep_with<G: GraphView + ?Sized>(
     let (merges, scores) = kruskal.into_parts();
     telemetry.add(Counter::MergesApplied, merges.len() as u64);
     telemetry.add(Counter::PairsProcessed, pairs_processed);
+    telemetry.add(Counter::IntersectedDegrees, intersected);
     let dendrogram = Dendrogram::from_merges(m, merges);
     crate::invariants::debug_check_dendrogram(&dendrogram);
     SweepOutput::with_scores(dendrogram, slot_of_edge, scores)
+}
+
+/// `d(vᵢ) + d(vⱼ)` if reading the wedges of `entry` intersects the two
+/// neighbor slabs, 0 if it offers the stored wedge.
+fn intersected_degrees<G: GraphView + ?Sized>(g: &G, entry: &SimilarityEntry) -> u64 {
+    if entry.pair_count() > 1 {
+        (g.degree(entry.pair.first()) + g.degree(entry.pair.second())) as u64
+    } else {
+        0
+    }
 }
 
 /// Per-level statistics traced by [`fixed_chunk_sweep`].
@@ -502,7 +510,7 @@ pub struct ChunkTrace {
 ///
 /// # Panics
 ///
-/// Panics if `chunk_size == 0` or `sorted` is unsorted.
+/// Panics if `chunk_size == 0`, and otherwise as [`sweep_with`].
 #[must_use]
 pub fn fixed_chunk_sweep<G: GraphView + ?Sized>(
     g: &G,
@@ -512,8 +520,8 @@ pub fn fixed_chunk_sweep<G: GraphView + ?Sized>(
 ) -> ChunkTrace {
     assert!(chunk_size > 0, "chunk size must be positive");
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
+    sorted.check_graph(g);
     let m = g.edge_count();
-    let index = EdgeIndex::for_graph(g);
     let slot_of_edge = edge_order.permutation(m);
     let mut c = ClusterArray::new(m);
     let mut merges = Vec::new();
@@ -521,10 +529,7 @@ pub fn fixed_chunk_sweep<G: GraphView + ?Sized>(
     let mut level = 1u32;
     let mut pairs_in_chunk = 0u64;
     for entry in sorted.entries() {
-        let (vi, vj) = (entry.pair.first(), entry.pair.second());
-        for &vk in sorted.common_neighbors(entry) {
-            let e1 = index.edge_between(vi, vk).expect("common neighbor implies edge (vi, vk)");
-            let e2 = index.edge_between(vj, vk).expect("common neighbor implies edge (vj, vk)");
+        for (_, e1, e2) in sorted.wedges(g, entry) {
             let s1 = slot_of_edge[e1.index()] as usize;
             let s2 = slot_of_edge[e2.index()] as usize;
             if let Some(out) = c.merge(s1, s2) {
@@ -831,6 +836,31 @@ mod tests {
         let g = two_triangles_with_bridge();
         let sims = compute_similarities(&g); // not sorted
         let _ = kruskal_sweep_with(&g, &sims, SweepConfig::default(), &Telemetry::disabled());
+    }
+
+    #[test]
+    fn a_list_swept_against_another_graph_panics() {
+        let g = gnm(30, 90, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 5);
+        let other = gnm(30, 91, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 5);
+        let sims = compute_similarities(&g).into_sorted();
+        let config = SweepConfig::default();
+        let coarse = crate::coarse::CoarseConfig { phi: 2, ..Default::default() };
+        let runs: [(&str, &dyn Fn()); 3] = [
+            ("algorithm 2", &|| drop(sweep(&other, &sims, config))),
+            ("kruskal", &|| {
+                drop(kruskal_sweep_with(&other, &sims, config, &Telemetry::disabled()));
+            }),
+            ("coarse", &|| drop(crate::coarse::coarse_sweep(&other, &sims, coarse))),
+        ];
+        for (name, run) in runs {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("a list of another graph must not be swept");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("computed over a graph of 30 vertices and 90 edges"),
+                "{name}"
+            );
+        }
     }
 
     #[test]

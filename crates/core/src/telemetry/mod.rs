@@ -1,6 +1,6 @@
 //! Phase-level observability: timers, counters, gauges, and run reports.
 //!
-//! Every phase of the clustering pipeline — the three initialization
+//! Every phase of the clustering pipeline — the two initialization
 //! passes, the sort, the sweep, each coarse epoch, and the parallel
 //! chunk-process/combine steps — can emit timing and counter events
 //! through a [`Telemetry`] handle. The handle is **zero-cost when
@@ -67,50 +67,43 @@ pub use trace::{TraceCollector, TraceEvent, TraceLabel};
 pub enum Phase {
     /// Initialization pass 1: vertex norms `H₁`/`H₂`.
     InitPass1 = 0,
-    /// Initialization pass 2: pair-map accumulation.
+    /// Initialization pass 2: the rows of `A·A`, each finalized into its
+    /// entries of `L`.
     InitPass2 = 1,
-    /// Initialization pass 3: adjacency correction + final similarity.
-    InitPass3 = 2,
     /// Sorting the similarity list `L`.
-    Sort = 3,
+    Sort = 2,
     /// The fine-grained sweeping phase (one span per sweep).
-    Sweep = 4,
+    Sweep = 3,
     /// One epoch of the coarse-grained sweep (one span per epoch,
     /// committed or rolled back).
-    CoarseEpoch = 5,
+    CoarseEpoch = 4,
     /// Per-thread chunk processing inside a parallel epoch.
-    ChunkProcess = 6,
+    ChunkProcess = 5,
     /// Chain-union combination of per-thread cluster arrays.
-    ChunkCombine = 7,
+    ChunkCombine = 6,
     /// Time from a worker-pool dispatch to the start of one of its tasks
     /// (one span per task): thread start-up, plus the earlier tasks of
     /// the same lane. High totals mean dispatch overhead rivals the work.
-    PoolQueueWait = 8,
-    /// Owner-thread fold of routed shard records into the flat
-    /// accumulators (parallel pass 2 only).
-    InitShardFold = 9,
+    PoolQueueWait = 7,
     /// One light query answered by `linkclustd` (cut, membership, top-k,
     /// or profile — one span per request).
-    ServeQuery = 10,
+    ServeQuery = 8,
     /// One batch-admission job (full recluster) executed by the serve
     /// worker, from dequeue to fresh index built.
-    ServeAdmit = 11,
+    ServeAdmit = 9,
     /// The atomic index swap publishing a freshly built index to query
     /// traffic (one span per swap; should be nanoseconds).
-    ServeSwap = 12,
+    ServeSwap = 10,
     /// The set-up of the exact sweep, inside its [`Phase::Sweep`] span:
-    /// the edge index, the edge-component count and the slot
-    /// permutation.
-    SweepSetup = 13,
+    /// the edge-component count and the slot permutation.
+    SweepSetup = 11,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 14] = [
+    pub const ALL: [Phase; 12] = [
         Phase::InitPass1,
         Phase::InitPass2,
-        Phase::InitShardFold,
-        Phase::InitPass3,
         Phase::Sort,
         Phase::Sweep,
         Phase::SweepSetup,
@@ -129,14 +122,12 @@ impl Phase {
         match self {
             Phase::InitPass1 => "init_pass1",
             Phase::InitPass2 => "init_pass2",
-            Phase::InitPass3 => "init_pass3",
             Phase::Sort => "sort",
             Phase::Sweep => "sweep",
             Phase::CoarseEpoch => "coarse_epoch",
             Phase::ChunkProcess => "chunk_process",
             Phase::ChunkCombine => "chunk_combine",
             Phase::PoolQueueWait => "pool_queue_wait",
-            Phase::InitShardFold => "init_shard_fold",
             Phase::SweepSetup => "sweep_setup",
             Phase::ServeQuery => "serve_query",
             Phase::ServeAdmit => "serve_admit",
@@ -156,61 +147,66 @@ pub enum Counter {
     PairsK1 = 0,
     /// Incident edge pairs (K₂).
     IncidentPairsK2 = 1,
+    /// Bytes of the similarity list `L`: K₁ entries of
+    /// `size_of::<SimilarityEntry>()` = 32 bytes each.
+    ListBytes = 2,
     /// Merges recorded into the dendrogram.
-    MergesApplied = 2,
+    MergesApplied = 3,
     /// Incident edge pairs actually swept: ≤ K₂ under φ-termination, a
     /// threshold, or the exact engines' stop once the merge forest is
     /// complete (the pairs of every entry up to and including the one
     /// that completes it).
-    PairsProcessed = 3,
+    PairsProcessed = 4,
+    /// `Σ (dᵢ + dⱼ)` over the entries an exact sweep read by intersecting
+    /// the neighbor slabs `N(vᵢ)` and `N(vⱼ)` (every entry with more than
+    /// one wedge): the sweep's slab-merge cost term.
+    IntersectedDegrees = 5,
     /// Committed coarse epochs (head or tail mode).
-    EpochsCommitted = 4,
+    EpochsCommitted = 6,
     /// Rolled-back coarse epochs.
-    Rollbacks = 5,
+    Rollbacks = 7,
     /// Saved rollback states committed wholesale (Case-I reuse).
-    EpochsReused = 6,
+    EpochsReused = 8,
     /// Epochs forced through despite violating the merge-rate bound
     /// (indivisible single-entry chunks).
-    ForcedEpochs = 7,
+    ForcedEpochs = 9,
     /// Dendrogram levels committed by the coarse sweep.
-    LevelsCommitted = 8,
+    LevelsCommitted = 10,
     /// Chunks handed to a chunk processor.
-    ChunksProcessed = 9,
+    ChunksProcessed = 11,
     /// Chunks the parallel processor handled serially (too small to be
     /// worth fanning out).
-    SerialFallbackChunks = 10,
+    SerialFallbackChunks = 12,
     /// Pairwise chain-union combinations of per-thread cluster arrays.
-    ArrayCombines = 11,
+    ArrayCombines = 13,
     /// Tasks run by the worker pool: `fan_out` items across all phases, plus
     /// `submit` jobs.
-    PoolTasks = 12,
-    /// `(pair, weight-product, common-neighbor)` records routed between
-    /// producer and owner threads by the sharded parallel pass 2 (the
-    /// shard-exchange volume; equals K₂ for a full pass).
-    ShardRecords = 13,
+    PoolTasks = 14,
     /// Trace events overwritten by per-thread ring-buffer overflow
     /// (see [`trace::TraceCollector::dropped`]); non-zero means the
     /// exported timeline is missing its oldest events.
-    TraceEventsDropped = 14,
+    TraceEventsDropped = 15,
     /// Light queries answered by `linkclustd` (all kinds, hit or miss).
-    ServeQueries = 15,
+    ServeQueries = 16,
     /// Serve queries answered from the LRU answer cache.
-    ServeCacheHits = 16,
+    ServeCacheHits = 17,
     /// Serve queries computed from the index (cache misses).
-    ServeCacheMisses = 17,
+    ServeCacheMisses = 18,
     /// Recluster jobs admitted to the serve worker queue.
-    ServeAdmissions = 18,
+    ServeAdmissions = 19,
     /// Index swaps published after a completed recluster.
-    ServeSwaps = 19,
+    ServeSwaps = 20,
 }
 
 impl Counter {
     /// All counters, in display order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 21] = [
         Counter::PairsK1,
         Counter::IncidentPairsK2,
+        Counter::ListBytes,
         Counter::MergesApplied,
         Counter::PairsProcessed,
+        Counter::IntersectedDegrees,
         Counter::EpochsCommitted,
         Counter::Rollbacks,
         Counter::EpochsReused,
@@ -220,7 +216,6 @@ impl Counter {
         Counter::SerialFallbackChunks,
         Counter::ArrayCombines,
         Counter::PoolTasks,
-        Counter::ShardRecords,
         Counter::TraceEventsDropped,
         Counter::ServeQueries,
         Counter::ServeCacheHits,
@@ -235,8 +230,10 @@ impl Counter {
         match self {
             Counter::PairsK1 => "pairs_k1",
             Counter::IncidentPairsK2 => "incident_pairs_k2",
+            Counter::ListBytes => "list_bytes",
             Counter::MergesApplied => "merges_applied",
             Counter::PairsProcessed => "pairs_processed",
+            Counter::IntersectedDegrees => "intersected_degrees",
             Counter::EpochsCommitted => "epochs_committed",
             Counter::Rollbacks => "rollbacks",
             Counter::EpochsReused => "epochs_reused",
@@ -246,7 +243,6 @@ impl Counter {
             Counter::SerialFallbackChunks => "serial_fallback_chunks",
             Counter::ArrayCombines => "array_combines",
             Counter::PoolTasks => "pool_tasks",
-            Counter::ShardRecords => "shard_records",
             Counter::TraceEventsDropped => "trace_events_dropped",
             Counter::ServeQueries => "serve_queries",
             Counter::ServeCacheHits => "serve_cache_hits",
@@ -262,8 +258,12 @@ impl Counter {
         match self {
             Counter::PairsK1 => "Vertex pairs with a common neighbor (K1).",
             Counter::IncidentPairsK2 => "Incident edge pairs (K2).",
+            Counter::ListBytes => "Bytes of the similarity list L (32 per entry).",
             Counter::MergesApplied => "Merges recorded into the dendrogram.",
             Counter::PairsProcessed => "Incident edge pairs actually swept.",
+            Counter::IntersectedDegrees => {
+                "Sum of d(i) + d(j) over the entries a sweep read by slab intersection."
+            }
             Counter::EpochsCommitted => "Committed coarse epochs.",
             Counter::Rollbacks => "Rolled-back coarse epochs.",
             Counter::EpochsReused => "Saved rollback states committed wholesale.",
@@ -273,7 +273,6 @@ impl Counter {
             Counter::SerialFallbackChunks => "Chunks handled serially (too small to fan out).",
             Counter::ArrayCombines => "Pairwise chain-union combinations of cluster arrays.",
             Counter::PoolTasks => "Tasks run by the worker pool.",
-            Counter::ShardRecords => "Records routed between threads by sharded pass 2.",
             Counter::TraceEventsDropped => "Trace events lost to ring-buffer overflow.",
             Counter::ServeQueries => "Light queries answered (all kinds, hit or miss).",
             Counter::ServeCacheHits => "Serve queries answered from the answer cache.",
@@ -293,22 +292,17 @@ impl Counter {
 pub enum Gauge {
     /// The chunk size δ an epoch ran with (in incident edge pairs).
     ChunkSize = 0,
-    /// Load factor of a flat pass-2 accumulator table when its pass
-    /// finished (one sample per accumulator; low values mean the K₁
-    /// estimate overshot).
-    TableOccupancy = 1,
 }
 
 impl Gauge {
     /// All gauges, in display order.
-    pub const ALL: [Gauge; 2] = [Gauge::ChunkSize, Gauge::TableOccupancy];
+    pub const ALL: [Gauge; 1] = [Gauge::ChunkSize];
 
     /// The stable snake_case name used in JSON and tables.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Gauge::ChunkSize => "chunk_size",
-            Gauge::TableOccupancy => "table_occupancy",
         }
     }
 
@@ -1085,10 +1079,12 @@ mod tests {
         assert_eq!(r.gauge(Gauge::ChunkSize).count, 3);
         assert_eq!(r.gauge_histogram(Gauge::ChunkSize).count(), 1);
         assert!((r.gauge_quantile(Gauge::ChunkSize, 0.5) - 8.0).abs() < 1e-9);
+        crate::json::parse(&r.to_json()).unwrap();
         // Unobserved gauges quantile to NaN, which serializes as null.
-        assert!(r.gauge_quantile(Gauge::TableOccupancy, 0.5).is_nan());
-        let json = r.to_json();
-        assert!(json.contains("\"table_occupancy\":{\"count\":0,\"min\":0.0,\"max\":0.0,\"mean\":0.0,\"p50\":null,\"p90\":null,\"p99\":null}"));
+        let empty = RunRecorder::new().report();
+        assert!(empty.gauge_quantile(Gauge::ChunkSize, 0.5).is_nan());
+        let json = empty.to_json();
+        assert!(json.contains("\"chunk_size\":{\"count\":0,\"min\":0.0,\"max\":0.0,\"mean\":0.0,\"p50\":null,\"p90\":null,\"p99\":null}"));
         crate::json::parse(&json).unwrap();
     }
 

@@ -119,8 +119,8 @@ proptest! {
 #[test]
 fn non_finite_gauge_quantiles_serialize_as_null() {
     let rec = RunRecorder::new();
-    rec.observe(Gauge::TableOccupancy, f64::NAN);
-    rec.observe(Gauge::TableOccupancy, f64::INFINITY);
+    rec.observe(Gauge::ChunkSize, f64::NAN);
+    rec.observe(Gauge::ChunkSize, f64::INFINITY);
     let json = rec.report().to_json();
     assert!(json::parse(&json).is_ok(), "invalid JSON: {json}");
     assert!(json.contains("\"p50\":null"), "expected null quantiles in {json}");

@@ -58,21 +58,22 @@ pub struct Neighbor {
 /// adjacency-list form.
 ///
 /// Built through [`GraphBuilder`](crate::GraphBuilder). Adjacency lists
-/// are sorted by neighbor id. The edge-index map `I` of Algorithm 2 in
-/// the paper is realized by [`EdgeIndex`](crate::EdgeIndex); see also
-/// the [`GraphView`](crate::GraphView) trait, which this type and the
-/// compact [`CsrGraph`](crate::CsrGraph) backend both implement.
+/// are sorted by neighbor id, and each entry carries its edge's id, which
+/// is how the sweeps resolve the edge-index map `I` of the paper's
+/// Algorithm 2; see also the [`GraphView`](crate::GraphView) trait, which
+/// this type and the compact [`CsrGraph`](crate::CsrGraph) backend both
+/// implement.
 ///
 /// # Examples
 ///
 /// ```
-/// use linkclust_graph::{EdgeIndex, GraphBuilder, VertexId};
+/// use linkclust_graph::{GraphBuilder, VertexId};
 ///
 /// let g = GraphBuilder::from_edges(3, &[(0, 1, 1.0), (1, 2, 0.5)])?.build();
 /// let v1 = VertexId::new(1);
 /// assert_eq!(g.degree(v1), 2);
-/// let index = EdgeIndex::for_graph(&g);
-/// assert!(index.edge_between(VertexId::new(0), VertexId::new(2)).is_none());
+/// assert_eq!(g.neighbors(v1)[1].edge.index(), 1);
+/// assert!(!g.has_edge(VertexId::new(0), VertexId::new(2)));
 /// # Ok::<(), linkclust_graph::GraphError>(())
 /// ```
 #[derive(Clone, PartialEq, Debug, Default)]

@@ -11,8 +11,6 @@
 //! * [`CsrGraph`] — the compact `u32`-offset CSR backend for
 //!   million-edge workloads ([`GraphBuilder::build_csr`]), bit-identical
 //!   to the adjacency-list backend under every [`GraphView`] algorithm.
-//! * [`EdgeIndex`] — a precomputed O(1) edge-lookup table, replacing
-//!   per-query adjacency scans in the clustering hot paths.
 //! * [`GraphFile`] — the versioned binary on-disk format with
 //!   chunked-streaming load/save ([`binfmt`]).
 //! * [`stats`] — the incidence statistics the paper's complexity analysis
@@ -51,7 +49,6 @@ mod csr;
 mod error;
 mod graph;
 mod ids;
-mod index;
 mod view;
 
 pub mod algo;
@@ -67,7 +64,6 @@ pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::{Edge, EdgeIter, Neighbor, NeighborIter, WeightedGraph};
 pub use ids::{EdgeId, VertexId};
-pub use index::EdgeIndex;
 pub use view::{GraphView, VertexIds};
 
 /// Edge weights are finite, non-negative `f64` values.

@@ -10,8 +10,9 @@
 //! floating-point accumulation downstream visits operands in the same
 //! order and the two backends produce bit-identical results.
 //!
-//! Hot paths should not call [`GraphView::edge_between`] per query; build
-//! an [`EdgeIndex`](crate::EdgeIndex) once and look edges up in O(1).
+//! Each [`Neighbor`] carries the id of its edge, so the clustering hot
+//! paths read edge ids off the slabs and never look an edge up by its
+//! endpoints.
 
 use crate::{EdgeId, Neighbor, VertexId, Weight};
 
@@ -61,9 +62,6 @@ pub trait GraphView {
 
     /// The id of the edge joining `u` and `v`, if any, by binary search
     /// over the smaller adjacency slab — O(log min(d(u), d(v))).
-    ///
-    /// For repeated lookups build an [`EdgeIndex`](crate::EdgeIndex)
-    /// instead.
     fn edge_between(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
         if u == v || u.index() >= self.vertex_count() || v.index() >= self.vertex_count() {
             return None;

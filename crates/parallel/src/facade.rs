@@ -1,9 +1,8 @@
 //! The clustering facade: one builder and one pipeline at every thread
 //! count.
 //!
-//! A run is Phase I ([`compute_similarities_on`], which runs the serial
-//! passes on a one-thread pool and the owner-sharded passes of
-//! [`crate::init`] on more), the sort of `L`, and then either the exact
+//! A run is Phase I ([`compute_similarities_on`], one row range of
+//! `A·A` per pool thread), the sort of `L`, and then either the exact
 //! fine-grained sweep — one Kruskal pass, [`kruskal_sweep_with`], which
 //! gives Algorithm 2's dendrogram bit for bit — or the coarse sweep of
 //! §V, whose chunks the §VI-B [`ParallelChunkProcessor`] applies (a
@@ -216,7 +215,7 @@ impl LinkClustering {
     }
 
     /// Phase I on the configured threads plus the serial sort: the list
-    /// `L`, ready to sweep. `threads(1)` runs the serial passes. Accepts
+    /// `L`, ready to sweep. Accepts
     /// any [`GraphView`] backend (adjacency-list or CSR) and yields
     /// bit-identical similarities from either, at every thread count.
     pub fn similarities<G>(&self, g: &G) -> Result<PairSimilarities, ConfigError>
@@ -351,7 +350,7 @@ impl ClusteringResult {
 mod tests {
     use super::*;
     use linkclust_core::reference::canonical_labels;
-    use linkclust_core::telemetry::{Counter, Gauge, Phase};
+    use linkclust_core::telemetry::{Counter, Phase};
     use linkclust_graph::generate::{gnm, WeightMode};
 
     fn canon(labels: &[u32]) -> Vec<usize> {
@@ -417,26 +416,19 @@ mod tests {
         let g = gnm(50, 220, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 2);
         let r = LinkClustering::new().threads(4).stats(true).run(&g).unwrap();
         let report = r.report().expect("stats(true) attaches a report");
-        for phase in [Phase::InitPass1, Phase::InitPass2, Phase::InitShardFold, Phase::InitPass3] {
+        for phase in [Phase::InitPass1, Phase::InitPass2, Phase::Sort, Phase::Sweep] {
             assert_eq!(report.phase_calls(phase), 1, "{phase:?}");
         }
-        assert_eq!(report.phase_calls(Phase::Sort), 1);
-        assert_eq!(report.phase_calls(Phase::Sweep), 1);
         assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count());
         assert_eq!(
             report.counter(Counter::PairsK1),
             linkclust_graph::stats::count_common_neighbor_pairs(&g)
         );
-        // Every (pair, common neighbor) record crossed the shard
-        // exchange exactly once, so the routed volume is K₂.
-        assert_eq!(
-            report.counter(Counter::ShardRecords),
-            linkclust_graph::stats::count_incident_edge_pairs(&g)
-        );
-        // Pass 2 reported a folded record count for every owner thread,
-        // and every non-empty owner table sampled its occupancy.
-        assert!(report.thread_items().len() >= 4);
-        assert!(report.gauge(Gauge::TableOccupancy).count >= 1);
+        // Every row range reported its wedge load: Σ_k d(k)² in all.
+        let loads: u64 = report.thread_items().iter().sum();
+        let expected: u64 = g.vertices().map(|v| (g.degree(v) * g.degree(v)) as u64).sum();
+        assert_eq!(report.thread_items().len(), 4);
+        assert_eq!(loads, expected);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! Parallelizes both phases of the serial algorithm on shared-memory
 //! multi-core machines:
 //!
-//! * **Initialization** ([`init`]) — the three passes of Algorithm 1:
-//!   vertex ranges in parallel (pass 1), owner-sharded accumulation into
-//!   flat arena-backed tables — producers route records to the owner of
-//!   each pair's first vertex; no cross-thread map merge (pass 2) — and
-//!   disjoint entry ranges (pass 3).
+//! * **Initialization** ([`init`]) — Phase I's rows of `A·A`, split
+//!   into one contiguous, wedge-balanced row range per thread. No pair
+//!   is touched by two threads, so the ranges join in row order with no
+//!   map merge, into the serial list bit for bit.
 //! * **Sweeping** ([`sweep`]) — each coarse-grained chunk is partitioned
 //!   across `T` threads, each merging into its own copy of the cluster
 //!   array `C`; the copies are then combined pairwise ([`merge`]) with
@@ -15,7 +14,7 @@
 //!   naive scheme is flawed — both schemes are implemented here, and the
 //!   flaw is reproduced in a test).
 //!
-//! Every parallel phase — the init passes and each coarse chunk with
+//! Every parallel phase — the init rows and each coarse chunk with
 //! its combine rounds — is one scoped dispatch,
 //! [`pool::WorkerPool::fan_out`], whose threads borrow the caller's
 //! graph, similarity list and scratch arrays in place; nothing is copied

@@ -1,11 +1,11 @@
 //! Work partitioning and thread dispatch.
 //!
-//! Every parallel phase of a clustering run — the Phase I passes and
-//! the §VI-B chunk step with its combine rounds — fans out through
+//! Every parallel phase of a clustering run — the Phase I row ranges
+//! and the §VI-B chunk step with its combine rounds — fans out through
 //! [`WorkerPool::fan_out`], a scoped fan-out built on
 //! [`std::thread::scope`]. The items and the closure may borrow from
-//! the caller: the graph, the sorted list `L`, the edge index, the slot
-//! permutation and `&mut` scratch arrays reach the threads by
+//! the caller: the graph, the sorted list `L`, the vertex norms, the
+//! slot permutation and `&mut` scratch arrays reach the threads by
 //! reference, so nothing is copied into a task and nothing needs a
 //! `'static` bound. The calling thread runs the first lane of items;
 //! named `worker-i` threads run the others and are joined before

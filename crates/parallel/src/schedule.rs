@@ -23,7 +23,7 @@ use std::ops::Range;
 use linkclust_core::coarse::ChunkProcessor;
 use linkclust_core::coarse::SerialChunkProcessor;
 use linkclust_core::{ClusterArray, PairSimilarities};
-use linkclust_graph::{EdgeIndex, GraphView};
+use linkclust_graph::GraphView;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -176,10 +176,9 @@ where
 ///
 /// # Panics
 ///
-/// Panics if an entry lists a common neighbor with no edge to both
-/// endpoints in `g`, i.e. if the entries were computed over a different
-/// graph.
-pub fn replay_chunk_schedules<G: GraphView + ?Sized>(
+/// As [`PairSimilarities::wedges`]: if `g`'s vertex or edge count
+/// differs from the graph the entries were computed over.
+pub fn replay_chunk_schedules<G: GraphView + Sync + ?Sized>(
     g: &G,
     slot_of_edge: &[u32],
     sorted: &PairSimilarities,
@@ -188,7 +187,6 @@ pub fn replay_chunk_schedules<G: GraphView + ?Sized>(
     threads: usize,
     seed: u64,
 ) -> Result<ScheduleReport, Box<ScheduleViolation>> {
-    let index = EdgeIndex::for_graph(g);
     let weights: Vec<u64> =
         sorted.entries()[chunk.clone()].iter().map(|e| e.pair_count() as u64).collect();
     let ranges = balanced_partition_by_weight(&weights, threads);
@@ -197,13 +195,12 @@ pub fn replay_chunk_schedules<G: GraphView + ?Sized>(
         .map(|r| {
             let mut local = base.clone();
             let r = chunk.start + r.start..chunk.start + r.end;
-            let _ =
-                SerialChunkProcessor.process_entries(&index, slot_of_edge, sorted, r, &mut local);
+            let _ = SerialChunkProcessor.process_entries(g, slot_of_edge, sorted, r, &mut local);
             local
         })
         .collect();
     let mut serial = base.clone();
-    let _ = SerialChunkProcessor.process_entries(&index, slot_of_edge, sorted, chunk, &mut serial);
+    let _ = SerialChunkProcessor.process_entries(g, slot_of_edge, sorted, chunk, &mut serial);
     check_schedules_with(&copies, &serial, seed, merge_cluster_arrays)
 }
 
@@ -308,9 +305,7 @@ mod tests {
         let slot_of_edge: Vec<u32> = (0..g.edge_count() as u32).collect();
         let mut base = ClusterArray::new(g.edge_count());
         let half = sims.len() / 2;
-        let index = EdgeIndex::for_graph(&g);
-        let _ =
-            SerialChunkProcessor.process_entries(&index, &slot_of_edge, &sims, 0..half, &mut base);
+        let _ = SerialChunkProcessor.process_entries(&g, &slot_of_edge, &sims, 0..half, &mut base);
         let report =
             replay_chunk_schedules(&g, &slot_of_edge, &sims, half..sims.len(), &base, 4, 29)
                 .unwrap_or_else(|v| panic!("mid-chunk replay: {v}"));

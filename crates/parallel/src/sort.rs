@@ -4,10 +4,10 @@
 //! leaves the O(K₁ log K₁) sort of list `L` serial, and so does this
 //! crate: a run's sort is [`PairSimilarities::into_sorted`], the same
 //! comparator sort the serial pipeline uses, under the run's
-//! [`Phase::Sort`] span. Two faster-looking alternatives lost when
-//! measured on 497k 24-byte entries (DESIGN.md has the figures): a
-//! pooled merge sort over two threads, and an LSD radix sort on the
-//! score key.
+//! [`Phase::Sort`] span, which moves the 32-byte entries and nothing
+//! else. Two faster-looking alternatives lost when measured on 497k
+//! entries of 24 bytes (DESIGN.md has the figures): a pooled merge sort
+//! over two threads, and an LSD radix sort on the score key.
 
 use linkclust_core::telemetry::{Phase, Telemetry};
 use linkclust_core::PairSimilarities;

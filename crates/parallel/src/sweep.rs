@@ -21,7 +21,7 @@
 //!   is the read-only base of the chunk, so no snapshot of it is taken;
 //! * the entry-weight vector is a reused buffer;
 //! * a chunk is an index range into the sorted list, and the threads
-//!   read its entries, the edge index and the slot permutation in place.
+//!   read its entries, the graph and the slot permutation in place.
 
 use std::ops::Range;
 
@@ -31,7 +31,7 @@ use linkclust_core::coarse::{
 };
 use linkclust_core::telemetry::{Counter, Phase, Telemetry};
 use linkclust_core::{ClusterArray, ConfigError, PairSimilarities};
-use linkclust_graph::{EdgeIndex, GraphView};
+use linkclust_graph::GraphView;
 
 use crate::merge::merge_cluster_arrays;
 use crate::pool::{balanced_partition_with_loads, WorkerPool};
@@ -90,9 +90,9 @@ impl ParallelChunkProcessor {
 }
 
 impl ChunkProcessor for ParallelChunkProcessor {
-    fn process_entries(
+    fn process_entries<G: GraphView + Sync + ?Sized>(
         &mut self,
-        index: &EdgeIndex,
+        g: &G,
         slot_of_edge: &[u32],
         sorted: &PairSimilarities,
         chunk: Range<usize>,
@@ -104,7 +104,7 @@ impl ChunkProcessor for ParallelChunkProcessor {
         if threads == 1 || chunk.len() < threads * self.min_entries_per_thread {
             telemetry.add(Counter::SerialFallbackChunks, 1);
             let span = telemetry.span(Phase::ChunkProcess);
-            let out = SerialChunkProcessor.process_entries(index, slot_of_edge, sorted, chunk, c);
+            let out = SerialChunkProcessor.process_entries(g, slot_of_edge, sorted, chunk, c);
             span.finish();
             return out;
         }
@@ -130,7 +130,7 @@ impl ChunkProcessor for ParallelChunkProcessor {
         let _: Vec<()> = self.pool.fan_out(items, |(r, local)| {
             local.sync_from(base);
             let range = chunk.start + r.start..chunk.start + r.end;
-            SerialChunkProcessor.process_entries(index, slot_of_edge, sorted, range, local);
+            SerialChunkProcessor.process_entries(g, slot_of_edge, sorted, range, local);
         });
         span.finish();
 
@@ -205,7 +205,7 @@ fn combine_copies<'a>(pool: &WorkerPool, copies: &'a mut [ClusterArray]) -> &'a 
 /// assert!(r.dendrogram().merge_count() > 0);
 /// ```
 #[must_use]
-pub fn parallel_coarse_sweep<G: GraphView + ?Sized>(
+pub fn parallel_coarse_sweep<G: GraphView + Sync + ?Sized>(
     g: &G,
     sorted: &PairSimilarities,
     config: CoarseConfig,
@@ -357,7 +357,6 @@ mod processor_equivalence_tests {
     #[test]
     fn processor_matches_serial_on_first_chunk() {
         let g = gnm(50, 220, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 0);
-        let index = EdgeIndex::for_graph(&g);
         let sims = compute_similarities(&g).into_sorted();
         let slot: Vec<u32> = (0..g.edge_count() as u32).collect();
         // take a few entries from the front and from the middle as the
@@ -365,16 +364,10 @@ mod processor_equivalence_tests {
         let mid = sims.len() / 2;
         for chunk in [0..3usize, 0..5, 0..8, 0..12, 0..20, mid..mid + 9, mid + 3..mid + 23] {
             let mut c_serial = ClusterArray::new(g.edge_count());
-            SerialChunkProcessor.process_entries(
-                &index,
-                &slot,
-                &sims,
-                chunk.clone(),
-                &mut c_serial,
-            );
+            SerialChunkProcessor.process_entries(&g, &slot, &sims, chunk.clone(), &mut c_serial);
             let mut c_par = ClusterArray::new(g.edge_count());
             let mut proc = ParallelChunkProcessor::new(2).unwrap().min_entries_per_thread(1);
-            proc.process_entries(&index, &slot, &sims, chunk.clone(), &mut c_par);
+            proc.process_entries(&g, &slot, &sims, chunk.clone(), &mut c_par);
             let take = format!("{chunk:?}");
             assert_eq!(c_serial.assignments(), c_par.assignments(), "take={take}");
             assert_eq!(c_serial.cluster_count(), c_par.cluster_count(), "take={take}");

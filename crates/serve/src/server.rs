@@ -85,10 +85,15 @@ impl ServeGraph {
         }
     }
 
-    /// Runs a full clustering on `threads` threads and freezes the
-    /// result into an index.
-    fn cluster_to_index(&self, threads: usize) -> Result<DendrogramIndex, IndexError> {
-        let facade = LinkClustering::new().threads(threads);
+    /// Runs a full clustering on `threads` threads, its telemetry
+    /// recorded into the server's `recorder`, and freezes the result
+    /// into an index.
+    fn cluster_to_index(
+        &self,
+        threads: usize,
+        recorder: &Arc<RunRecorder>,
+    ) -> Result<DendrogramIndex, IndexError> {
+        let facade = LinkClustering::new().threads(threads).recorder(recorder.clone());
         match self {
             ServeGraph::Weighted(g) => {
                 let result = facade.run(g).map_err(|e| config_corrupt(&e))?;
@@ -223,15 +228,18 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Clusters `graph` once (synchronously) and stands the server up
-    /// around the resulting index.
+    /// around the resulting index. The clustering's telemetry is the
+    /// first entry of the server's report, as every admission's is after
+    /// it.
     ///
     /// # Errors
     ///
     /// Propagates index-construction failures (e.g. a coarse output —
     /// impossible for the default fine-grained pipeline used here).
     pub fn new(graph: ServeGraph, config: ServerConfig) -> Result<Self, IndexError> {
-        let index = graph.cluster_to_index(config.threads)?;
-        Ok(Self::assemble(graph, index, config))
+        let recorder = Arc::new(RunRecorder::new());
+        let index = graph.cluster_to_index(config.threads, &recorder)?;
+        Ok(Self::assemble(graph, index, config, recorder))
     }
 
     /// Stands the server up around a pre-built (e.g. loaded) index
@@ -274,11 +282,15 @@ impl Server {
                 });
             }
         }
-        Ok(Self::assemble(graph, index, config))
+        Ok(Self::assemble(graph, index, config, Arc::new(RunRecorder::new())))
     }
 
-    fn assemble(graph: ServeGraph, index: DendrogramIndex, config: ServerConfig) -> Self {
-        let recorder = Arc::new(RunRecorder::new());
+    fn assemble(
+        graph: ServeGraph,
+        index: DendrogramIndex,
+        config: ServerConfig,
+        recorder: Arc<RunRecorder>,
+    ) -> Self {
         let telemetry = Telemetry::new(recorder.clone());
         let threads = config.threads.max(1);
         let shared = Arc::new(Shared {
@@ -696,7 +708,7 @@ impl Server {
         let shared = Arc::clone(&self.shared);
         self.pool.submit(move || {
             let start = Instant::now();
-            let built = shared.graph.cluster_to_index(shared.threads);
+            let built = shared.graph.cluster_to_index(shared.threads, &shared.recorder);
             let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             shared.telemetry.record_phase_nanos(Phase::ServeAdmit, nanos);
             match built {
@@ -1132,6 +1144,34 @@ mod tests {
         let stats = ok_json(&server, r#"{"op":"stats"}"#);
         assert_eq!(stats.get("swaps").and_then(Json::as_index), Some(1));
         assert_eq!(stats.get("admissions").and_then(Json::as_index), Some(1));
+    }
+
+    /// Every clustering the server runs — at start-up and in each
+    /// admission — reports into the server's telemetry, which `/metrics`
+    /// exports.
+    #[test]
+    fn clustering_runs_report_into_the_server_telemetry() {
+        let g = gnm(24, 60, WeightMode::Uniform { lo: 0.3, hi: 1.5 }, 11);
+        let k1 = linkclust_graph::stats::count_common_neighbor_pairs(&g);
+        let server = test_server(2);
+        let _ = ok_json(&server, r#"{"op":"recluster"}"#);
+        assert_eq!(server.await_generation(2, 30_000), 2);
+        let report = server.shared.recorder.report();
+        assert_eq!(report.counter(Counter::PairsK1), 2 * k1);
+        assert_eq!(report.phase_calls(Phase::Sort), 2);
+        assert!(server.metrics_text().contains("linkclustd_phase_calls_total{phase=\"sweep\"} 2"));
+
+        // A server over a loaded index skips the start-up clustering.
+        let output = LinkClustering::new().run(&g).unwrap().output().clone();
+        let index = DendrogramIndex::build(&g, &output).unwrap();
+        let config = ServerConfig { threads: 2, ..ServerConfig::default() };
+        let server = Server::with_index(ServeGraph::Weighted(g), index, config).unwrap();
+        assert_eq!(server.shared.recorder.report().phase_calls(Phase::Sort), 0);
+        let _ = ok_json(&server, r#"{"op":"recluster"}"#);
+        assert_eq!(server.await_generation(2, 30_000), 2);
+        let report = server.shared.recorder.report();
+        assert_eq!(report.counter(Counter::PairsK1), k1);
+        assert_eq!(report.phase_calls(Phase::Sort), 1);
     }
 
     #[test]

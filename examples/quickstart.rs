@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sims = result.similarities();
     println!("similarity list L ({} vertex pairs):", sims.len());
     for e in sims.entries() {
-        println!("  {}  S = {:.4}  common: {:?}", e.pair, e.score, sims.common_neighbors(e));
+        let common: Vec<_> = sims.wedges(&g, e).map(|(k, ..)| k).collect();
+        println!("  {}  S = {:.4}  common: {common:?}", e.pair, e.score);
     }
 
     println!("\ndendrogram ({} merges):", result.dendrogram().merge_count());

@@ -121,7 +121,7 @@ pub use linkclust_core::{
 };
 pub use linkclust_corpus::{AssocNetwork, AssocNetworkBuilder, TextPipeline};
 pub use linkclust_graph::{
-    CsrGraph, EdgeId, EdgeIndex, GraphBuilder, GraphError, GraphView, VertexId, WeightedGraph,
+    CsrGraph, EdgeId, GraphBuilder, GraphError, GraphView, VertexId, WeightedGraph,
 };
 pub use linkclust_parallel::{
     compute_similarities_parallel, parallel_coarse_sweep, ClusteringResult, LinkClustering,

@@ -114,15 +114,11 @@ fn theorem2_change_bound_holds_empirically() {
     for g in graphs {
         let s = GraphStats::compute(&g);
         let sims = compute_similarities(&g).into_sorted();
-        // Re-run the sweep manually to read the change counter, using the
-        // same O(1) edge lookups the real sweep uses.
-        let index = linkclust::EdgeIndex::for_graph(&g);
+        // Re-run the sweep manually to read the change counter, reading
+        // the wedges as the real sweep does.
         let mut c = linkclust::ClusterArray::new(g.edge_count());
         for entry in sims.entries() {
-            let (vi, vj) = (entry.pair.first(), entry.pair.second());
-            for &vk in sims.common_neighbors(entry) {
-                let e1 = index.edge_between(vi, vk).unwrap();
-                let e2 = index.edge_between(vj, vk).unwrap();
+            for (_, e1, e2) in sims.wedges(&g, entry) {
                 c.merge(e1.index(), e2.index());
             }
         }

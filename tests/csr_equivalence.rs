@@ -6,13 +6,19 @@
 //! floating-point noise — at every thread count. The binary on-disk
 //! format must round-trip through both backends losslessly.
 
-use linkclust::core::coarse::CoarseConfig;
+use linkclust::core::coarse::{coarse_sweep, CoarseConfig};
+use linkclust::core::init::algorithm_1;
 use linkclust::core::sweep::sweep_with;
 use linkclust::core::telemetry::Telemetry;
+use linkclust::core::Wedge;
 use linkclust::graph::binfmt::{BinGraphError, GraphFile};
-use linkclust::graph::generate::{barabasi_albert, gnm, lfr_like, WeightMode};
+use linkclust::graph::generate::{
+    barabasi_albert, complete, gnm, k_regular, lfr_like, path, planted_partition, ring, star,
+    watts_strogatz, WeightMode,
+};
 use linkclust::{
-    compute_similarities, CsrGraph, EdgeId, GraphView, LinkClustering, SweepConfig, WeightedGraph,
+    compute_similarities, compute_similarities_parallel, CsrGraph, EdgeId, GraphView,
+    LinkClustering, SweepConfig, WeightedGraph,
 };
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -65,7 +71,7 @@ fn csr_similarities_are_bit_identical_at_every_thread_count() {
                     a.pair
                 );
             }
-            assert_eq!(sims, sorted, "{name} t={threads}: whole lists, arena included");
+            assert_eq!(sims, sorted, "{name} t={threads}: whole lists");
         }
     }
 }
@@ -111,6 +117,89 @@ fn csr_coarse_trajectory_matches_adjacency() {
                 "{name} t={threads}"
             );
         }
+    }
+}
+
+/// Every generator family, small enough for the map-`M` oracle.
+fn families() -> Vec<(&'static str, WeightedGraph)> {
+    let w = WeightMode::Uniform { lo: 0.2, hi: 2.0 };
+    let mut all = workloads();
+    all.extend([
+        ("complete", complete(14, w, 1)),
+        ("k_regular", k_regular(40, 6, w, 2)),
+        ("watts_strogatz", watts_strogatz(50, 6, 0.2, w, 5)),
+        ("planted_partition", planted_partition(4, 10, 0.6, 0.05, 6).graph),
+        ("ring", ring(30, w, 3)),
+        ("star", star(20, w, 4)),
+        ("path", path(12, w, 7)),
+    ]);
+    all
+}
+
+/// Thread counts of the family-wide identity checks.
+const ROW_THREADS: [usize; 5] = [1, 2, 3, 5, 8];
+
+/// Phase I on `backend` at every thread count equals Algorithm 1's map
+/// `M` over `g`: pair order, score bits, wedge counts, the stored first
+/// wedge, and every wedge the list reads back from the graph.
+fn assert_phase_one_is_map_m<G: GraphView + Sync>(name: &str, g: &WeightedGraph, backend: &G) {
+    let map = algorithm_1(g);
+    for threads in ROW_THREADS {
+        let sims = compute_similarities_parallel(backend, threads);
+        assert_eq!(sims.len(), map.len(), "{name} t={threads}");
+        for (e, m) in sims.entries().iter().zip(&map) {
+            assert_eq!(e.pair, m.pair, "{name} t={threads}");
+            assert_eq!(e.score.to_bits(), m.score.to_bits(), "{name} t={threads} at {}", e.pair);
+            assert_eq!(e.pair_count(), m.common.len(), "{name} t={threads} at {}", e.pair);
+            let wedges: Vec<Wedge> = sims.wedges(backend, e).collect();
+            let expected: Vec<Wedge> = m
+                .common
+                .iter()
+                .map(|&k| {
+                    let edge = |v| g.edge_between(v, k).expect("a common neighbor is adjacent");
+                    (k, edge(e.pair.first()), edge(e.pair.second()))
+                })
+                .collect();
+            assert_eq!(wedges, expected, "{name} t={threads} at {}", e.pair);
+            assert_eq!(e.first_wedge(), expected[0], "{name} t={threads} at {}", e.pair);
+        }
+    }
+}
+
+/// The facade on `backend` at every thread count equals Algorithm 2 and
+/// the serial coarse sweep over `g`: the dendrogram, merge-score bits
+/// and slot permutation, and the coarse epochs and levels.
+fn assert_sweeps_are_algorithm_2<G: GraphView + Sync>(name: &str, g: &WeightedGraph, backend: &G) {
+    let sorted = compute_similarities(g).into_sorted();
+    let oracle = sweep_with(g, &sorted, SweepConfig::default(), &Telemetry::disabled());
+    let cfg = CoarseConfig { phi: 3, initial_chunk: 8, ..Default::default() };
+    let coarse = coarse_sweep(g, &sorted, cfg);
+    let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    for threads in ROW_THREADS {
+        let facade = LinkClustering::new().threads(threads);
+        let run = facade.run(backend).unwrap();
+        assert_eq!(run.dendrogram(), oracle.dendrogram(), "{name} t={threads}");
+        assert_eq!(bits(run.output().merge_scores()), bits(oracle.merge_scores()), "{name}");
+        assert_eq!(run.output().slot_of_edge(), oracle.slot_of_edge(), "{name} t={threads}");
+        let trajectory = facade.run_coarse(backend, cfg).unwrap();
+        assert_eq!(trajectory.epochs(), coarse.epochs(), "{name} t={threads}");
+        assert_eq!(trajectory.levels(), coarse.levels(), "{name} t={threads}");
+    }
+}
+
+#[test]
+fn phase_one_is_map_m_on_every_family_backend_and_thread_count() {
+    for (name, g) in families() {
+        assert_phase_one_is_map_m(name, &g, &g);
+        assert_phase_one_is_map_m(name, &g, &CsrGraph::from_weighted(&g));
+    }
+}
+
+#[test]
+fn sweeps_are_algorithm_2_on_every_family_backend_and_thread_count() {
+    for (name, g) in families() {
+        assert_sweeps_are_algorithm_2(name, &g, &g);
+        assert_sweeps_are_algorithm_2(name, &g, &CsrGraph::from_weighted(&g));
     }
 }
 

@@ -8,11 +8,14 @@ use std::sync::Arc;
 
 use linkclust::core::sweep::{sweep_with, SweepOutput};
 use linkclust::core::telemetry::{Counter, Phase, RunRecorder, Telemetry};
-use linkclust::graph::generate::{gnm, planted_partition, WeightMode};
+use linkclust::graph::generate::{
+    barabasi_albert, complete, gnm, k_regular, lfr_like, planted_partition, ring, star,
+    watts_strogatz, WeightMode,
+};
 use linkclust::graph::stats::count_common_neighbor_pairs;
 use linkclust::{
-    compute_similarities, CoarseConfig, ConfigError, CsrGraph, EdgeOrder, LinkClustering,
-    SweepConfig, WeightedGraph,
+    compute_similarities, CoarseConfig, ConfigError, CsrGraph, EdgeOrder, GraphView,
+    LinkClustering, SweepConfig, WeightedGraph,
 };
 use proptest::prelude::*;
 
@@ -33,7 +36,7 @@ fn score_bits(output: &SweepOutput) -> Vec<u64> {
 }
 
 /// Thread counts of the facade tests: one pipeline serves them all,
-/// with the serial Phase I at one thread and the sharded one above.
+/// with one Phase-I row range per thread.
 const THREADS: [usize; 3] = [1, 2, 3];
 
 proptest! {
@@ -98,15 +101,16 @@ fn facade_borrows_the_graph_at_every_thread_count() {
     }
 
     // `similarities()` at `threads(1)` is the serial Phase I: the same
-    // list, and none of the sharded pass's telemetry.
+    // list, from one row range carrying the whole wedge load.
     let recorder = Arc::new(RunRecorder::new());
     let sims = LinkClustering::new().recorder(recorder.clone()).similarities(&&g).unwrap();
     assert_eq!(sims, compute_similarities(&g).into_sorted());
     let report = recorder.report();
     assert_eq!(report.phase_calls(Phase::InitPass2), 1);
     assert_eq!(report.phase_calls(Phase::Sort), 1);
-    assert_eq!(report.phase_calls(Phase::InitShardFold), 0);
-    assert_eq!(report.counter(Counter::ShardRecords), 0);
+    let load: u64 = g.vertices().map(|v| (g.degree(v) * g.degree(v)) as u64).sum();
+    assert_eq!(report.thread_items(), [load]);
+    assert_eq!(report.counter(Counter::ListBytes), 32 * sims.len() as u64);
 }
 
 #[test]
@@ -131,18 +135,59 @@ fn report_counters_match_graph_statistics() {
                 r.similarities().incident_pair_count()
             );
             assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count());
-            for phase in
-                [Phase::InitPass1, Phase::InitPass2, Phase::InitPass3, Phase::Sort, Phase::Sweep]
-            {
+            for phase in [Phase::InitPass1, Phase::InitPass2, Phase::Sort, Phase::Sweep] {
                 assert_eq!(report.phase_calls(phase), 1, "{phase:?}");
             }
         }
     }
 }
 
-/// The exact sweep's set-up (edge index, component count, slot
-/// permutation) is one `SweepSetup` span per run, nested in the
-/// `Sweep` span, at every thread count.
+/// The run report states the shipped pipeline's two cost terms, each
+/// recorded once per run: the bytes of `L` (32 per entry) and
+/// `Σ (dᵢ + dⱼ)` over the entries the sweep read by intersecting their
+/// neighbor slabs — every entry with more than one wedge, up to the one
+/// that completes the merge forest.
+#[test]
+fn list_bytes_and_intersected_degrees_follow_their_formulas() {
+    let w = WeightMode::Uniform { lo: 0.2, hi: 2.0 };
+    let families = [
+        ("gnm", gnm(60, 240, w, 7)),
+        ("complete", complete(16, w, 1)),
+        ("k_regular", k_regular(40, 6, w, 2)),
+        ("barabasi_albert", barabasi_albert(80, 4, w, 3)),
+        ("watts_strogatz", watts_strogatz(50, 6, 0.2, w, 5)),
+        ("ring", ring(30, w, 3)),
+        ("star", star(20, w, 4)),
+        ("planted_partition", planted_partition(4, 10, 0.6, 0.05, 6).graph),
+        ("lfr_like", lfr_like(120, 8, 0.2, 11).graph),
+    ];
+    for (name, g) in families {
+        for threads in [1, 2] {
+            let r = LinkClustering::new().threads(threads).stats(true).run(&g).unwrap();
+            let report = r.report().expect("stats(true) attaches a report");
+            let sims = r.similarities();
+            assert_eq!(report.counter(Counter::ListBytes), 32 * sims.len() as u64, "{name}");
+            // The sweep read a whole prefix of `L`: `PairsProcessed` wedges.
+            let mut left = report.counter(Counter::PairsProcessed);
+            let mut expected = 0u64;
+            for e in sims.entries() {
+                if left == 0 {
+                    break;
+                }
+                left -= e.pair_count() as u64;
+                if e.pair_count() > 1 {
+                    expected += (g.degree(e.pair.first()) + g.degree(e.pair.second())) as u64;
+                }
+            }
+            assert_eq!(left, 0, "{name} t={threads}: the sweep stops at an entry boundary");
+            assert_eq!(report.counter(Counter::IntersectedDegrees), expected, "{name} t={threads}");
+        }
+    }
+}
+
+/// The exact sweep's set-up (component count, slot permutation) is one
+/// `SweepSetup` span per run, nested in the `Sweep` span, at every
+/// thread count.
 #[test]
 fn sweep_setup_is_recorded_once_per_run_inside_the_sweep() {
     let g = gnm(60, 400, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 3);

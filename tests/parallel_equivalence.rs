@@ -2,6 +2,7 @@
 //! the same results as the serial one, for any thread count.
 
 use linkclust::core::coarse::coarse_sweep_with;
+use linkclust::core::init::algorithm_1;
 use linkclust::graph::generate::{gnm, WeightMode};
 use linkclust::parallel::merge::{merge_cluster_arrays, merge_cluster_arrays_reference};
 use linkclust::parallel::ParallelChunkProcessor;
@@ -25,12 +26,17 @@ proptest! {
     fn parallel_init_matches_serial(g in arb_graph(), threads in 1usize..8) {
         let serial = compute_similarities(&g);
         let parallel = compute_similarities_parallel(&g, threads);
+        let map = algorithm_1(&g);
         prop_assert_eq!(serial.len(), parallel.len());
-        // Both lists are in key order, so they compare entry by entry.
-        for (a, b) in serial.entries().iter().zip(parallel.entries()) {
+        prop_assert_eq!(serial.len(), map.len());
+        // All three lists are in key order, so they compare entry by entry.
+        for ((a, b), m) in serial.entries().iter().zip(parallel.entries()).zip(&map) {
             prop_assert_eq!(a.pair, b.pair);
-            prop_assert!((a.score - b.score).abs() < 1e-10);
-            prop_assert_eq!(serial.common_neighbors(a), parallel.common_neighbors(b));
+            prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+            prop_assert_eq!(b.score.to_bits(), m.score.to_bits());
+            prop_assert_eq!(b.pair_count(), m.common.len());
+            let common: Vec<_> = parallel.wedges(&g, b).map(|(k, ..)| k).collect();
+            prop_assert_eq!(&common, &m.common);
         }
         prop_assert_eq!(&serial, &parallel);
     }

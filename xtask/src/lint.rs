@@ -889,7 +889,7 @@ mod tests {
         assert_eq!(module_path("crates/graph/src/lib.rs"), "graph");
         assert_eq!(module_path("src/lib.rs"), "linkclust");
         assert_eq!(module_path("src/bin/linkclust.rs"), "linkclust::bin::linkclust");
-        assert!(cast_audited("core::flatacc"));
+        assert!(cast_audited("core::init"));
         assert!(cast_audited("graph"));
         assert!(!cast_audited("bench::alloc"));
         assert!(!cast_audited("corpus::stats"));

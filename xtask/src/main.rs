@@ -420,8 +420,9 @@ const SMOKE_WAIT: Duration = Duration::from_secs(30);
 /// [`benchcheck::check_serve_stats_document`]) and every hostile line of
 /// [`SMOKE_QUERIES`] must be refused without losing the connection. A
 /// `recluster` must show up as a generation bump within [`SMOKE_WAIT`].
-/// `GET /metrics` must be valid exposition with every serve family and
-/// a latency series per query kind (see [`metricscheck`]). Then
+/// `GET /metrics` must be valid exposition with every serve family, a
+/// latency series per query kind (see [`metricscheck`]) and at least one
+/// recorded sweep, which the daemon's own clusterings report. Then
 /// `shutdown` must end the daemon with status 0, and the stats document
 /// it writes must record the swap and a query of every kind. The
 /// artifacts stay in `target/serve-smoke/` (`daemon_stats.json`,
@@ -621,6 +622,15 @@ fn scrape_metrics(addr: &str, artifact: &Path) -> Result<metricscheck::Expositio
         if !summary.has_labeled_sample("linkclustd_query_latency_seconds_bucket", "kind", kind) {
             return Err(format!("latency histogram has no series for kind {kind:?}"));
         }
+    }
+    // The start-up clustering and the recluster both report into the
+    // daemon's telemetry, so the sweep phase has been recorded.
+    let sweeps = summary.labeled_value("linkclustd_phase_calls_total", "phase", "sweep");
+    if !sweeps.is_some_and(|calls| calls >= 1.0) {
+        return Err(format!(
+            "linkclustd_phase_calls_total{{phase=\"sweep\"}} is {sweeps:?}; the daemon's \
+             clusterings left no sweep in its telemetry"
+        ));
     }
     Ok(summary)
 }

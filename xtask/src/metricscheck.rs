@@ -32,6 +32,7 @@ enum MetricKind {
 }
 
 /// One parsed sample line.
+#[derive(Debug)]
 struct Sample {
     /// Full sample name as written (histograms keep `_bucket` etc.).
     name: String,
@@ -47,18 +48,24 @@ pub(crate) struct ExpositionSummary {
     pub(crate) families: usize,
     /// Sample lines.
     pub(crate) samples: usize,
-    /// Every sample's (name, labels), for coverage checks beyond
-    /// family names.
-    sampled_series: Vec<(String, Vec<(String, String)>)>,
+    /// Every sample, for coverage and value checks beyond family names.
+    sampled_series: Vec<Sample>,
 }
 
 impl ExpositionSummary {
     /// Whether a sample for `name` was exported carrying the given
     /// label pair (other labels may be present too).
     pub(crate) fn has_labeled_sample(&self, name: &str, label: &str, value: &str) -> bool {
+        self.labeled_value(name, label, value).is_some()
+    }
+
+    /// The value of the first sample for `name` that carries the given
+    /// label pair, if one was exported.
+    pub(crate) fn labeled_value(&self, name: &str, label: &str, value: &str) -> Option<f64> {
         self.sampled_series
             .iter()
-            .any(|(n, labels)| n == name && labels.iter().any(|(k, v)| k == label && v == value))
+            .find(|s| s.name == name && s.labels.iter().any(|(k, v)| k == label && v == value))
+            .map(|s| s.value)
     }
 }
 
@@ -247,8 +254,7 @@ pub(crate) fn check_exposition(text: &str, required: &[&str]) -> Result<Expositi
             return Err(format!("required family {name:?} is missing from the exposition"));
         }
     }
-    let sampled_series = samples.iter().map(|s| (s.name.clone(), s.labels.clone())).collect();
-    Ok(ExpositionSummary { families: types.len(), samples: samples.len(), sampled_series })
+    Ok(ExpositionSummary { families: types.len(), samples: samples.len(), sampled_series: samples })
 }
 
 /// Checks every label-set series of one histogram family for bucket
@@ -357,6 +363,9 @@ mod tests {
         assert_eq!(summary.samples, 8);
         assert!(summary.has_labeled_sample("d_latency_seconds_count", "kind", "cut"));
         assert!(!summary.has_labeled_sample("d_latency_seconds_count", "kind", "edge"));
+        assert_eq!(summary.labeled_value("d_latency_seconds_count", "kind", "cut"), Some(7.0));
+        assert_eq!(summary.labeled_value("d_rss_bytes", "which", "current"), Some(1_048_576.0));
+        assert_eq!(summary.labeled_value("d_rss_bytes", "which", "total"), None);
     }
 
     #[test]
