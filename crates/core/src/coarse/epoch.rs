@@ -8,14 +8,15 @@
 
 /// A saved (overshot) epoch state: the tuple `Q = (β, Δ, p, C)` of §V-A.
 ///
-/// When the state is reused (Case-I jump), the dendrogram records for the
-/// jump are derived by diffing the current partition against
-/// [`parents`](Self::parents) — see
-/// [`partition_diff`](crate::cluster_array::partition_diff).
+/// The engine that answers the mode machine decides what stands for `C`
+/// ([`state`](Self::state)): the chunk engine keeps a snapshot of the
+/// cluster array, whose reuse is committed by diffing partitions; the
+/// stream engine keeps nothing, since the partition after `p` entries is
+/// the exact merge stream's prefix up to entry `p`.
 #[derive(Clone, PartialEq, Debug)]
-pub(crate) struct SavedEpoch {
-    /// Snapshot of array `C` at the overshot point.
-    pub parents: Vec<u32>,
+pub(crate) struct SavedEpoch<S> {
+    /// The engine's state at the overshot point.
+    pub state: S,
     /// Incident edge pairs processed at the overshot point (ξ).
     pub pairs: u64,
     /// Index of the next unprocessed entry of list `L` (the pointer `p`).
@@ -25,14 +26,14 @@ pub(crate) struct SavedEpoch {
 }
 
 /// The rollback list `L_rollback`: saved epoch states, capped in length
-/// (each holds a full copy of `C`).
+/// by [`CoarseConfig::max_rollback_states`](super::CoarseConfig::max_rollback_states).
 #[derive(Clone, PartialEq, Debug)]
-pub(crate) struct RollbackList {
-    states: Vec<SavedEpoch>,
+pub(crate) struct RollbackList<S> {
+    states: Vec<SavedEpoch<S>>,
     capacity: usize,
 }
 
-impl RollbackList {
+impl<S> RollbackList<S> {
     pub(super) fn new(capacity: usize) -> Self {
         RollbackList { states: Vec::new(), capacity: capacity.max(1) }
     }
@@ -43,7 +44,7 @@ impl RollbackList {
     }
 
     /// Saves an overshot state, evicting the oldest if at capacity.
-    pub(super) fn push(&mut self, state: SavedEpoch) {
+    pub(super) fn push(&mut self, state: SavedEpoch<S>) {
         if self.states.len() == self.capacity {
             self.states.remove(0);
         }
@@ -54,7 +55,7 @@ impl RollbackList {
     /// level (β̃ < β) whose jump respects the soundness bound
     /// (β/β̃ ≤ γ), returns the one with the **fewest** clusters (the
     /// furthest admissible jump). The state is removed from the list.
-    pub(super) fn take_reusable(&mut self, beta: usize, gamma: f64) -> Option<SavedEpoch> {
+    pub(super) fn take_reusable(&mut self, beta: usize, gamma: f64) -> Option<SavedEpoch<S>> {
         let idx = self
             .states
             .iter()
@@ -67,7 +68,7 @@ impl RollbackList {
 
     /// Eq.-6 tail reference: the state *closest ahead* of the current
     /// level — β̃(s) < β and β̃(s) maximal among those. Not removed.
-    pub(super) fn tail_reference(&self, beta: usize) -> Option<&SavedEpoch> {
+    pub(super) fn tail_reference(&self, beta: usize) -> Option<&SavedEpoch<S>> {
         self.states.iter().filter(|s| s.clusters < beta).max_by_key(|s| s.clusters)
     }
 
@@ -82,8 +83,8 @@ impl RollbackList {
 mod tests {
     use super::*;
 
-    fn state(clusters: usize) -> SavedEpoch {
-        SavedEpoch { parents: vec![0], pairs: 10, entry_index: 1, clusters }
+    fn state(clusters: usize) -> SavedEpoch<()> {
+        SavedEpoch { state: (), pairs: 10, entry_index: 1, clusters }
     }
 
     #[test]

@@ -21,10 +21,22 @@
 //!   smaller chunk. When a later level can legally jump to a saved state
 //!   (Case I reuse), the saved merges are committed wholesale without
 //!   recomputation.
+//!
+//! The machine runs as one loop (`engine::drive`) for two engines that
+//! hold the partition. [`coarse_sweep`] and its variants run the paper's
+//! algorithm: each chunk is applied to array `C` by a [`ChunkProcessor`]
+//! (the serial one here, the §VI-B parallel one in `linkclust-parallel`),
+//! and `C` is copied for every rollback. [`stream_coarse_sweep`] reads
+//! the same trajectory off the exact merge stream: the partition after a
+//! prefix of `L` does not depend on how the prefix was chunked, so one
+//! lazily extended Kruskal pass answers every level (see [`stream`]).
+//! Both give the same epochs, levels and partition at every level.
 
 pub mod estimate;
 pub mod machine;
+pub mod stream;
 
+mod engine;
 mod epoch;
 
 use std::ops::Range;
@@ -36,11 +48,12 @@ use crate::dendrogram::{Dendrogram, MergeRecord};
 use crate::error::ConfigError;
 use crate::similarity::PairSimilarities;
 use crate::sweep::{EdgeOrder, SweepOutput};
-use crate::telemetry::{Counter, Gauge, Phase, RunReport, Telemetry};
+use crate::telemetry::{RunReport, Telemetry};
 
-use self::epoch::{RollbackList, SavedEpoch};
-use self::estimate::{estimate_chunk, CurvePoint};
-use self::machine::{transition, EpochOutcome, Mode, Transition};
+use self::engine::{drive, Engine};
+use self::epoch::SavedEpoch;
+
+pub use self::stream::stream_coarse_sweep;
 
 /// Parameters `(γ, φ, δ₀)` plus the head growth factor η₀ (§V-A / §VII-B).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -57,8 +70,9 @@ pub struct CoarseConfig {
     pub eta0: f64,
     /// Edge-to-slot assignment (shared with the fine-grained sweep).
     pub edge_order: EdgeOrder,
-    /// Maximum number of saved rollback states (each holds a full copy
-    /// of array `C`).
+    /// Maximum number of saved rollback states. In the chunk pipeline
+    /// ([`coarse_sweep`]) each holds a full copy of array `C`; in the
+    /// stream ([`stream_coarse_sweep`]) each is three numbers.
     pub max_rollback_states: usize,
 }
 
@@ -468,7 +482,8 @@ impl ChunkProcessor for SerialChunkProcessor {
     }
 }
 
-/// Runs the coarse-grained sweeping algorithm over the sorted pair list.
+/// Runs the coarse-grained sweeping algorithm over the sorted pair list:
+/// the paper's §V algorithm, with every chunk applied to array `C`.
 ///
 /// # Panics
 ///
@@ -525,6 +540,9 @@ pub fn coarse_sweep_with<G: GraphView + Sync + ?Sized, P: ChunkProcessor>(
 /// # Panics
 ///
 /// Same conditions as [`coarse_sweep`].
+///
+/// [`Phase::CoarseEpoch`]: crate::telemetry::Phase::CoarseEpoch
+/// [`Gauge::ChunkSize`]: crate::telemetry::Gauge::ChunkSize
 pub fn coarse_sweep_instrumented<G: GraphView + Sync + ?Sized, P: ChunkProcessor>(
     g: &G,
     sorted: &PairSimilarities,
@@ -532,228 +550,88 @@ pub fn coarse_sweep_instrumented<G: GraphView + Sync + ?Sized, P: ChunkProcessor
     processor: &mut P,
     telemetry: &Telemetry,
 ) -> CoarseResult {
+    check_inputs(g, sorted, &config);
+    let m = g.edge_count();
+    let engine = ChunkEngine {
+        g,
+        sorted,
+        slot_of_edge: config.edge_order.permutation(m),
+        processor,
+        c: ClusterArray::new(m),
+        safe: Vec::new(),
+        pending: Vec::new(),
+    };
+    drive(engine, sorted, m, &config, telemetry)
+}
+
+/// The checks every coarse entry point makes before sweeping.
+///
+/// # Panics
+///
+/// As [`coarse_sweep`]: on an unsorted list, a list of another graph, or
+/// a degenerate configuration.
+fn check_inputs<G: GraphView + ?Sized>(g: &G, sorted: &PairSimilarities, config: &CoarseConfig) {
     assert!(sorted.is_sorted(), "coarse sweep requires a sorted pair list; call into_sorted()");
     config.validate().unwrap_or_else(|e| panic!("invalid coarse config: {e}"));
     sorted.check_graph(g);
+}
 
-    let m = g.edge_count();
-    let slot_of_edge = config.edge_order.permutation(m);
-    let entries = sorted.entries();
-    let pairs_total = sorted.incident_pair_count();
-    let gamma_tilde = (1.0 + config.gamma) / 2.0;
+/// The dendrogram record of a merge event committed at `level`.
+fn at_level(level: u32) -> impl Fn(MergeOutcome) -> MergeRecord {
+    move |out| MergeRecord { level, left: out.left, right: out.right, into: out.into }
+}
 
-    let mut c = ClusterArray::new(m);
-    let mut merges: Vec<MergeRecord> = Vec::new();
-    let mut epochs: Vec<EpochRecord> = Vec::new();
-    let mut levels: Vec<LevelPoint> = Vec::new();
-    let mut rollbacks = RollbackList::new(config.max_rollback_states);
-    let mut history: Vec<CurvePoint> = vec![CurvePoint { pairs: 0, clusters: m }];
+/// The chunk engine: a [`ChunkProcessor`] applies each attempted chunk
+/// to array `C`, which is copied before the attempt and restored from
+/// the copy on rollback. A saved state is a copy of `C`, and a jump to it
+/// commits the diff of the two partitions.
+struct ChunkEngine<'a, G: ?Sized, P> {
+    g: &'a G,
+    sorted: &'a PairSimilarities,
+    slot_of_edge: Vec<u32>,
+    processor: &'a mut P,
+    /// The committed array, or the attempted one during an attempt.
+    c: ClusterArray,
+    /// `C` before the attempted chunk: the safe state Q*.
+    safe: Vec<u32>,
+    /// The merge events of the attempted chunk.
+    pending: Vec<MergeOutcome>,
+}
 
-    let mut mode = Mode::Head;
-    let mut level: u32 = 0;
-    let mut beta = m;
-    let mut delta = config.initial_chunk;
-    let mut big_delta: u64 = 0;
-    let mut xi: u64 = 0;
-    let mut p: usize = 0;
-    let mut eta = config.eta0;
-    let mut epoch_index: u32 = 0;
-    let mut consecutive_rollbacks = 0u32;
+impl<G: GraphView + Sync + ?Sized, P: ChunkProcessor> Engine for ChunkEngine<'_, G, P> {
+    type State = Vec<u32>;
 
-    // Progress invariant: every commit consumes ≥ 1 entry, and between
-    // commits at most ~log₂(K₂) rollbacks can occur before δ collapses
-    // to 1 and the next epoch is forced. The guard turns any violation
-    // (a bug) into a panic instead of a livelock.
-    let epoch_guard = 1024 + 64 * entries.len() as u64;
-
-    'outer: while p < entries.len() && beta > config.phi {
-        assert!(
-            (epochs.len() as u64) < epoch_guard,
-            "coarse sweep stopped making progress after {} epochs (p = {p}, δ = {delta}); \
-             this is a bug in the mode machine",
-            epochs.len()
+    fn attempt(&mut self, chunk: Range<usize>) -> usize {
+        self.safe.clear();
+        self.safe.extend_from_slice(self.c.parents());
+        self.pending = self.processor.process_entries(
+            self.g,
+            &self.slot_of_edge,
+            self.sorted,
+            chunk,
+            &mut self.c,
         );
-        // One span per attempted epoch (committed, rolled back, or
-        // followed by reuse jumps); chunk size sampled up front.
-        let epoch_span = telemetry.span(Phase::CoarseEpoch);
-        telemetry.observe(Gauge::ChunkSize, delta as f64);
-
-        // Snapshot the safe state Q* before attempting the epoch.
-        let safe_parents = c.parents().to_vec();
-
-        // Select the chunk: entries while ξ + |l| < Δ + δ. The first
-        // entry is always admitted (entries are indivisible).
-        let mut q = p;
-        let mut xi_new = xi;
-        while q < entries.len() {
-            let pc = entries[q].pair_count() as u64;
-            if q > p && xi_new + pc >= big_delta + delta {
-                break;
-            }
-            xi_new += pc;
-            q += 1;
-            if xi_new >= big_delta + delta {
-                break;
-            }
-        }
-        let pending = processor.process_entries(g, &slot_of_edge, sorted, p..q, &mut c);
-        let beta_prime = c.cluster_count();
-        let forced = q == p + 1 && xi_new >= big_delta + delta;
-        let decision = transition(
-            EpochOutcome { clusters_before: beta, clusters_after: beta_prime, edges: m, forced },
-            config.gamma,
-            config.phi,
-        );
-
-        if decision == Transition::Rollback {
-            // --- Rollback (Case II) ---
-            telemetry.add(Counter::Rollbacks, 1);
-            epochs.push(EpochRecord {
-                index: epoch_index,
-                kind: EpochKind::Rollback,
-                chunk_size: delta,
-                pairs_end: xi_new,
-                clusters: beta_prime,
-                level: None,
-                forced: false,
-            });
-            epoch_index += 1;
-            rollbacks.push(SavedEpoch {
-                parents: c.parents().to_vec(),
-                pairs: xi_new,
-                entry_index: q,
-                clusters: beta_prime,
-            });
-            c = ClusterArray::from_parents(safe_parents);
-            if mode == Mode::Head {
-                // head -> rollback transition: η decays toward 1.
-                eta = 1.0 + (eta - 1.0) / 2.0;
-            }
-            consecutive_rollbacks += 1;
-            if consecutive_rollbacks > 1 {
-                // Consecutive rollbacks: halve toward the safe level.
-                delta = (delta / 2).max(1);
-            } else {
-                let reference = CurvePoint { pairs: xi_new, clusters: beta_prime };
-                delta = estimate_chunk(Some(reference), &history, gamma_tilde)
-                    .unwrap_or_else(|| (delta / 2).max(1));
-            }
-            continue;
-        }
-
-        // --- Commit (Case I) ---
-        level += 1;
-        for out in &pending {
-            merges.push(MergeRecord { level, left: out.left, right: out.right, into: out.into });
-        }
-        xi = xi_new;
-        p = q;
-        // The paper advances the budget base by Δ ← Δ + δ; anchoring it
-        // to the pairs actually consumed (Δ = ξ) is equivalent when a
-        // chunk consumes exactly its budget and prevents unbounded drift
-        // when entry granularity makes it stop early or run long —
-        // otherwise a few capped head-mode chunks can push Δ so far past
-        // ξ that the budget never binds again and rollbacks cannot
-        // shrink the chunk (a livelock).
-        big_delta = xi;
-        beta = beta_prime;
-        history.push(CurvePoint { pairs: xi, clusters: beta });
-        epochs.push(EpochRecord {
-            index: epoch_index,
-            kind: match mode {
-                Mode::Tail => EpochKind::TailFresh,
-                Mode::Head => EpochKind::HeadFresh,
-            },
-            chunk_size: delta,
-            pairs_end: xi,
-            clusters: beta,
-            level: Some(level),
-            forced,
-        });
-        epoch_index += 1;
-        levels.push(LevelPoint { level, pairs: xi, clusters: beta });
-        consecutive_rollbacks = 0;
-        epoch_span.finish();
-        telemetry.add(Counter::EpochsCommitted, 1);
-        if forced {
-            telemetry.add(Counter::ForcedEpochs, 1);
-        }
-        match decision {
-            Transition::Terminate => break,
-            Transition::Commit { next } => mode = next,
-            Transition::Rollback => unreachable!("rollback handled above"),
-        }
-
-        // Case-I reuse: jump to saved states while one is admissible.
-        while let Some(s) = rollbacks.take_reusable(beta, config.gamma) {
-            level += 1;
-            let saved = ClusterArray::from_parents(s.parents);
-            for out in partition_diff(&c, &saved) {
-                merges.push(MergeRecord {
-                    level,
-                    left: out.left,
-                    right: out.right,
-                    into: out.into,
-                });
-            }
-            c = saved;
-            xi = s.pairs;
-            p = s.entry_index;
-            big_delta = xi;
-            beta = s.clusters;
-            history.push(CurvePoint { pairs: xi, clusters: beta });
-            telemetry.add(Counter::EpochsReused, 1);
-            epochs.push(EpochRecord {
-                index: epoch_index,
-                kind: EpochKind::Reused,
-                chunk_size: 0,
-                pairs_end: xi,
-                clusters: beta,
-                level: Some(level),
-                forced: false,
-            });
-            epoch_index += 1;
-            levels.push(LevelPoint { level, pairs: xi, clusters: beta });
-            if beta <= config.phi {
-                break 'outer;
-            }
-            if beta <= m / 2 {
-                mode = Mode::Tail;
-            }
-        }
-        rollbacks.prune(beta);
-
-        // Estimate the next chunk size by mode.
-        match mode {
-            Mode::Tail => {
-                let reference = rollbacks
-                    .tail_reference(beta)
-                    .map(|s| CurvePoint { pairs: s.pairs, clusters: s.clusters });
-                if let Some(d) = estimate_chunk(reference, &history, gamma_tilde) {
-                    delta = d;
-                }
-            }
-            Mode::Head => {
-                let grown = (delta as f64 * eta).ceil();
-                delta = if grown >= pairs_total as f64 { pairs_total.max(1) } else { grown as u64 };
-            }
-        }
+        self.c.cluster_count()
     }
 
-    telemetry.add(Counter::MergesApplied, merges.len() as u64);
-    telemetry.add(Counter::LevelsCommitted, levels.len() as u64);
-    telemetry.add(Counter::PairsProcessed, xi);
-    crate::invariants::debug_check_cluster_array(&c);
-    crate::invariants::debug_check_level_points(&levels);
-    let dendrogram = Dendrogram::from_merges(m, merges);
-    crate::invariants::debug_check_dendrogram(&dendrogram);
-    CoarseResult {
-        output: SweepOutput::new(dendrogram, slot_of_edge),
-        epochs,
-        levels,
-        pairs_total,
-        pairs_processed: xi,
-        report: None,
+    fn roll_back(&mut self) -> Vec<u32> {
+        let safe = ClusterArray::from_parents(std::mem::take(&mut self.safe));
+        std::mem::replace(&mut self.c, safe).parents().to_vec()
+    }
+
+    fn commit(&mut self, level: u32, merges: &mut Vec<MergeRecord>) {
+        merges.extend(self.pending.drain(..).map(at_level(level)));
+    }
+
+    fn jump(&mut self, to: SavedEpoch<Vec<u32>>, level: u32, merges: &mut Vec<MergeRecord>) {
+        let saved = ClusterArray::from_parents(to.state);
+        merges.extend(partition_diff(&self.c, &saved).into_iter().map(at_level(level)));
+        self.c = saved;
+    }
+
+    fn finish(self) -> Vec<u32> {
+        crate::invariants::debug_check_cluster_array(&self.c);
+        self.slot_of_edge
     }
 }
 

@@ -381,6 +381,29 @@ impl KruskalMerges {
         true
     }
 
+    /// The merges so far, in the order they happened.
+    #[must_use]
+    pub(crate) fn merges(&self) -> &[MergeRecord] {
+        &self.merges
+    }
+
+    /// Offers the union operations of `entry`'s wedges, in the order
+    /// Algorithm 2 performs them, each generated by the entry's score.
+    /// Returns the entry's share of [`Counter::IntersectedDegrees`].
+    #[inline]
+    pub(crate) fn offer_entry<G: GraphView + ?Sized>(
+        &mut self,
+        g: &G,
+        sorted: &PairSimilarities,
+        slot_of_edge: &[u32],
+        entry: &SimilarityEntry,
+    ) -> u64 {
+        for (_, e1, e2) in sorted.wedges(g, entry) {
+            self.offer(slot_of_edge[e1.index()], slot_of_edge[e2.index()], entry.score);
+        }
+        intersected_degrees(g, entry)
+    }
+
     /// The merges in the order they happened, and the score of each.
     #[must_use]
     pub fn into_parts(self) -> (Vec<MergeRecord>, Vec<f64>) {
@@ -453,10 +476,7 @@ pub fn kruskal_sweep_with<G: GraphView + ?Sized>(
                 break;
             }
         }
-        intersected += intersected_degrees(g, entry);
-        for (_, e1, e2) in sorted.wedges(g, entry) {
-            kruskal.offer(slot_of_edge[e1.index()], slot_of_edge[e2.index()], entry.score);
-        }
+        intersected += kruskal.offer_entry(g, sorted, &slot_of_edge, entry);
         pairs_processed += entry.pair_count() as u64;
     }
     span.finish();

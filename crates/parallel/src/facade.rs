@@ -2,12 +2,15 @@
 //! count.
 //!
 //! A run is Phase I ([`compute_similarities_on`], one row range of
-//! `A·A` per pool thread), the sort of `L`, and then either the exact
-//! fine-grained sweep — one Kruskal pass, [`kruskal_sweep_with`], which
-//! gives Algorithm 2's dendrogram bit for bit — or the coarse sweep of
-//! §V, whose chunks the §VI-B [`ParallelChunkProcessor`] applies (a
-//! one-thread processor runs each chunk serially). The facade itself
-//! never branches on the thread count.
+//! `A·A` per pool thread), the sort of `L`, and then one Kruskal pass
+//! over `L`: either the exact fine-grained sweep,
+//! [`kruskal_sweep_with`], which gives Algorithm 2's dendrogram bit for
+//! bit, or the coarse sweep of §V read off the same merge stream,
+//! [`stream_coarse_sweep`], which gives the chunk pipeline's levels and
+//! partitions. Only Phase I uses the threads, and the facade itself never
+//! branches on the thread count. The §VI-B chunk pipeline
+//! (`ParallelChunkProcessor`) stays the paper's algorithm and the
+//! coarse trajectory's oracle; the facade does not run it.
 //!
 //! Every method borrows the graph: the parallel phases run on scoped
 //! threads that read it in place, so `G` needs only
@@ -16,7 +19,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use linkclust_core::coarse::{coarse_sweep_instrumented, CoarseConfig, CoarseResult};
+use linkclust_core::coarse::{stream_coarse_sweep, CoarseConfig, CoarseResult};
 use linkclust_core::sweep::{kruskal_sweep_with, EdgeOrder, SweepConfig, SweepOutput};
 use linkclust_core::telemetry::{
     Counter, Recorder, RunRecorder, RunReport, Telemetry, TelemetrySink, TraceCollector,
@@ -27,15 +30,13 @@ use linkclust_graph::GraphView;
 use crate::init::compute_similarities_on;
 use crate::pool::WorkerPool;
 use crate::sort::parallel_into_sorted_pooled;
-use crate::sweep::ParallelChunkProcessor;
 
 /// End-to-end link clustering with a configurable thread count.
 ///
 /// This is the facade the `linkclust` crate re-exports at its root. Every
 /// thread count runs the same pipeline: with the default single thread
 /// no thread is created, and raising [`threads`](Self::threads) fans
-/// Phase I and the coarse chunks out while producing the same
-/// dendrogram.
+/// Phase I out while producing the same dendrogram.
 ///
 /// # Examples
 ///
@@ -264,10 +265,15 @@ impl LinkClustering {
         Ok(ClusteringResult { similarities: sims, output, report: recorder.map(|r| r.report()) })
     }
 
-    /// Runs Phase I and the **coarse-grained** Phase II (§V), with
-    /// chunks fanned out over the configured threads by a
-    /// [`ParallelChunkProcessor`] (§VI-B); one thread processes each
-    /// chunk serially.
+    /// Runs Phase I on the configured threads, the sort, and the
+    /// **coarse-grained** Phase II (§V) as a view of the exact merge
+    /// stream ([`stream_coarse_sweep`]): one Kruskal pass over `L`,
+    /// extended only as far as the mode machine's chunks reach, answers
+    /// every level. The epochs, levels, processed pairs and partition at
+    /// every level equal the chunk pipeline's
+    /// ([`coarse_sweep`](linkclust_core::coarse::coarse_sweep) and
+    /// [`parallel_coarse_sweep`](crate::parallel_coarse_sweep)) at every
+    /// thread count, without a copy of array `C` per epoch.
     ///
     /// Validates `config` first and reconciles its
     /// [`edge_order`](CoarseConfig::edge_order) with the facade's
@@ -286,8 +292,7 @@ impl LinkClustering {
         let (telemetry, recorder) = self.run_telemetry(collector.as_ref());
         let pool = WorkerPool::new(self.threads).with_telemetry(telemetry.clone());
         let sims = Self::sorted_similarities(&pool, g, &telemetry);
-        let mut processor = ParallelChunkProcessor::new(self.threads)?.telemetry(telemetry.clone());
-        let result = coarse_sweep_instrumented(g, &sims, config, &mut processor, &telemetry);
+        let result = stream_coarse_sweep(g, &sims, config, &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
         Ok(match recorder {
             Some(r) => result.with_report(r.report()),
@@ -480,14 +485,22 @@ mod tests {
         assert!(matches!(err, ConfigError::TraceWrite { .. }), "got {err:?}");
     }
 
+    /// A facade coarse run records the stream it read, not chunks: the
+    /// pass's `Sweep` spans (set-up once) and intersected degrees, and
+    /// the mode machine's epochs and merges. The chunk pipeline's own
+    /// counters are pinned on a direct run in `sweep.rs`.
     #[test]
-    fn parallel_coarse_stats_count_chunks() {
+    fn coarse_stats_record_the_stream() {
         let g = gnm(50, 220, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 4);
         let cfg = CoarseConfig { phi: 5, initial_chunk: 8, ..Default::default() };
         let r = LinkClustering::new().threads(4).stats(true).run_coarse(&g, cfg).unwrap();
         let report = r.report().expect("report attached");
-        assert!(report.counter(Counter::ChunksProcessed) > 0);
         assert!(report.phase_calls(Phase::CoarseEpoch) > 0);
         assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count());
+        assert!(report.phase_calls(Phase::Sweep) > 1, "set-up plus at least one extension");
+        assert_eq!(report.phase_calls(Phase::SweepSetup), 1);
+        assert!(report.counter(Counter::IntersectedDegrees) > 0);
+        assert_eq!(report.counter(Counter::ChunksProcessed), 0, "no chunk pipeline");
+        assert_eq!(report.phase_calls(Phase::ChunkProcess), 0, "no chunk pipeline");
     }
 }

@@ -23,7 +23,12 @@
 //! complete, so there is little left of `L` to share out. The entry
 //! point is the unified [`LinkClustering`] facade: serial by default,
 //! parallel via `.threads(n)`, with optional phase-level telemetry via
-//! `.stats(true)`.
+//! `.stats(true)`. Its coarse runs read the §V levels off that same
+//! Kruskal pass
+//! ([`stream_coarse_sweep`](linkclust_core::coarse::stream_coarse_sweep)),
+//! so the chunk pipeline runs only when called directly
+//! ([`parallel_coarse_sweep`]): it is the paper's algorithm and the
+//! oracle of the facade's coarse trajectory.
 //!
 //! # Examples
 //!

@@ -295,6 +295,29 @@ mod tests {
         );
     }
 
+    /// The chunk pipeline's counters, on a direct instrumented run at
+    /// four threads: chunks were processed, epochs were spanned, and
+    /// the report's merge count is the dendrogram's.
+    #[test]
+    fn parallel_coarse_stats_count_chunks() {
+        use std::sync::Arc;
+
+        use linkclust_core::coarse::coarse_sweep_instrumented;
+        use linkclust_core::telemetry::{Phase, RunRecorder};
+
+        let g = gnm(50, 220, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 4);
+        let sims = compute_similarities(&g).into_sorted();
+        let cfg = CoarseConfig { phi: 5, initial_chunk: 8, ..Default::default() };
+        let recorder = Arc::new(RunRecorder::new());
+        let telemetry = Telemetry::new(Arc::clone(&recorder) as Arc<dyn linkclust_core::Recorder>);
+        let mut processor = ParallelChunkProcessor::new(4).unwrap().telemetry(telemetry.clone());
+        let r = coarse_sweep_instrumented(&g, &sims, cfg, &mut processor, &telemetry);
+        let report = recorder.report();
+        assert!(report.counter(Counter::ChunksProcessed) > 0);
+        assert!(report.phase_calls(Phase::CoarseEpoch) > 0);
+        assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count());
+    }
+
     #[test]
     fn processor_reuse_across_graphs_resyncs_context() {
         // A single processor must stay correct when reused across runs

@@ -7,7 +7,7 @@
 //!   --coarse               coarse-grained sweep (default: fine-grained)
 //!   --gamma <f64>          soundness bound for --coarse       [2.0]
 //!   --phi <usize>          terminal cluster count for --coarse [100]
-//!   --threads <n>          parallel init + coarse chunks       [1]
+//!   --threads <n>          Phase I threads (rows of A·A)       [1]
 //!   --threshold <f64>      stop merging below this similarity (not with --coarse)
 //!   --cut best|final       which partition to report           [best]
 //!   --output communities|newick|csv|labels                     [communities]

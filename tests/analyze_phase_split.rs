@@ -61,13 +61,14 @@ fn analyzer_reproduces_the_phase_split_within_five_percent() {
     }
     assert!(compared >= 3, "at least a few phases are big enough to compare ({compared})");
 
-    // Call counts agree exactly for a heavily traced phase.
-    let chunk = analysis
+    // Call counts agree exactly for a heavily traced phase: one span per
+    // attempted epoch.
+    let epochs = analysis
         .phases
         .iter()
-        .find(|p| p.name == Phase::ChunkProcess.name())
-        .expect("chunk processing appears on the timeline");
-    assert_eq!(chunk.calls, report.phase_calls(Phase::ChunkProcess));
+        .find(|p| p.name == Phase::CoarseEpoch.name())
+        .expect("coarse epochs appear on the timeline");
+    assert_eq!(epochs.calls, report.phase_calls(Phase::CoarseEpoch));
 
     // Structural sanity of the derived measures.
     assert!(analysis.imbalance >= 1.0, "max/mean is at least 1 when any thread is busy");

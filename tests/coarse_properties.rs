@@ -1,12 +1,14 @@
 //! Property tests for coarse-grained clustering (§V): soundness,
-//! partition consistency, epoch accounting, and Theorem-2-style
-//! work bounds on the cluster array.
+//! partition consistency, epoch accounting, Theorem-2-style work bounds
+//! on the cluster array, and the facade's stream against the chunk
+//! pipeline it replaces.
 
 use linkclust::core::reference::canonical_labels;
-use linkclust::graph::generate::{barabasi_albert, gnm, WeightMode};
+use linkclust::graph::generate::{barabasi_albert, complete, gnm, WeightMode};
 use linkclust::graph::stats::GraphStats;
 use linkclust::{
-    coarse_sweep, compute_similarities, sweep, CoarseConfig, SweepConfig, WeightedGraph,
+    coarse_sweep, compute_similarities, parallel_coarse_sweep, sweep, CoarseConfig, CoarseResult,
+    EdgeId, EdgeOrder, GraphBuilder, GraphView, LinkClustering, SweepConfig, WeightedGraph,
 };
 use proptest::prelude::*;
 
@@ -28,6 +30,94 @@ fn arb_config() -> impl Strategy<Value = CoarseConfig> {
 
 fn canon(labels: &[u32]) -> Vec<usize> {
     canonical_labels(&labels.iter().map(|&x| x as usize).collect::<Vec<_>>())
+}
+
+/// The disjoint union of `parts`, each part's vertex ids offset past the
+/// previous parts'.
+fn disjoint_union(parts: &[WeightedGraph]) -> WeightedGraph {
+    let mut edges = Vec::new();
+    let mut offset = 0;
+    for part in parts {
+        for e in (0..part.edge_count()).map(EdgeId::new) {
+            let (u, v) = part.edge_endpoints(e);
+            edges.push((offset + u.index(), offset + v.index(), part.edge_weight(e)));
+        }
+        offset += part.vertex_count();
+    }
+    GraphBuilder::from_edges(offset, &edges).expect("disjoint parts share no edge").build()
+}
+
+/// One to twelve disjoint G(n, n(n−1)/3) parts: with several parts the
+/// edge-component count c can exceed φ, so the mode machine keeps
+/// running after the merge forest is complete.
+fn arb_parted_graph() -> impl Strategy<Value = WeightedGraph> {
+    (1usize..13, 5usize..16, 0u64..500).prop_map(|(parts, n, seed)| {
+        let w = WeightMode::Uniform { lo: 0.1, hi: 2.5 };
+        let parts: Vec<_> =
+            (0..parts as u64).map(|i| gnm(n, n * (n - 1) / 3, w, seed * 16 + i)).collect();
+        disjoint_union(&parts)
+    })
+}
+
+/// Configurations that reach every path of the mode machine: δ₀ = 1 (a
+/// quarter of the cases; its first epoch is forced), rollback lists of
+/// one, two or 64 states, and insertion or shuffled edge order.
+fn arb_oracle_config() -> impl Strategy<Value = CoarseConfig> {
+    (0u64..40, 1.2f64..4.0, 1usize..12, 0usize..3, 0u64..2000).prop_map(
+        |(chunk, gamma, phi, cap, order)| CoarseConfig {
+            gamma,
+            phi,
+            initial_chunk: if chunk < 10 { 1 } else { chunk },
+            max_rollback_states: [1, 2, 64][cap],
+            edge_order: if order < 1000 {
+                EdgeOrder::Insertion
+            } else {
+                EdgeOrder::Shuffled { seed: order }
+            },
+            ..Default::default()
+        },
+    )
+}
+
+/// `run_coarse` at threads {1, 2, 3} against the chunk pipeline, serial
+/// ([`coarse_sweep`]) and on two threads ([`parallel_coarse_sweep`]):
+/// the same levels, epochs, processed-fraction bits, slot permutation,
+/// and partition at every level.
+fn assert_facade_matches_chunk_pipeline(g: &WeightedGraph, cfg: CoarseConfig) {
+    let sims = compute_similarities(g).into_sorted();
+    let oracle = coarse_sweep(g, &sims, cfg);
+    let partitions: Vec<Vec<u32>> =
+        oracle.levels().iter().map(|l| oracle.dendrogram().assignments_at_level(l.level)).collect();
+    let mut runs =
+        vec![("parallel_coarse_sweep t=2".to_string(), parallel_coarse_sweep(g, &sims, cfg, 2))];
+    for threads in [1, 2, 3] {
+        let facade = LinkClustering::new().threads(threads).run_coarse(g, cfg).unwrap();
+        runs.push((format!("run_coarse t={threads}"), facade));
+    }
+    for (name, run) in &runs {
+        assert_same_trajectory(&oracle, &partitions, run, name);
+    }
+}
+
+fn assert_same_trajectory(
+    oracle: &CoarseResult,
+    partitions: &[Vec<u32>],
+    run: &CoarseResult,
+    name: &str,
+) {
+    assert_eq!(run.levels(), oracle.levels(), "{name}: levels");
+    assert_eq!(run.epochs(), oracle.epochs(), "{name}: epochs");
+    assert_eq!(
+        run.processed_fraction().to_bits(),
+        oracle.processed_fraction().to_bits(),
+        "{name}: processed fraction"
+    );
+    assert_eq!(run.output().slot_of_edge(), oracle.output().slot_of_edge(), "{name}: slots");
+    assert_eq!(run.dendrogram().merge_count(), oracle.dendrogram().merge_count(), "{name}");
+    for (l, expected) in oracle.levels().iter().zip(partitions) {
+        let got = run.dendrogram().assignments_at_level(l.level);
+        assert_eq!(&got, expected, "{name}: partition at level {}", l.level);
+    }
 }
 
 proptest! {
@@ -96,6 +186,30 @@ proptest! {
         // A looser phi can only stop earlier (fewer pairs processed).
         prop_assert!(r_loose.processed_fraction() <= r_strict.processed_fraction() + 1e-12);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The facade reads its coarse trajectory off the exact merge
+    /// stream; the chunk pipeline is its oracle.
+    #[test]
+    fn run_coarse_matches_the_chunk_pipeline(g in arb_parted_graph(), cfg in arb_oracle_config()) {
+        assert_facade_matches_chunk_pipeline(&g, cfg);
+    }
+}
+
+/// The oracle at the perfbench sparse shape with the paper's
+/// configuration, and on 150 disjoint K₄ with φ = 100: there c = 150
+/// exceeds φ, so the machine sweeps on past the complete forest to the
+/// end of `L`.
+#[test]
+fn run_coarse_matches_the_chunk_pipeline_at_scale() {
+    let w = WeightMode::Uniform { lo: 0.2, hi: 2.0 };
+    assert_facade_matches_chunk_pipeline(&gnm(10_000, 50_000, w, 1), CoarseConfig::default());
+    let cliques: Vec<_> = (0..150).map(|seed| complete(4, w, seed)).collect();
+    let cfg = CoarseConfig { phi: 100, ..Default::default() };
+    assert_facade_matches_chunk_pipeline(&disjoint_union(&cliques), cfg);
 }
 
 #[test]

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use linkclust::core::coarse::coarse_sweep_instrumented;
 use linkclust::core::sweep::{sweep_with, SweepOutput};
 use linkclust::core::telemetry::{Counter, Phase, RunRecorder, Telemetry};
 use linkclust::graph::generate::{
@@ -13,9 +14,10 @@ use linkclust::graph::generate::{
     watts_strogatz, WeightMode,
 };
 use linkclust::graph::stats::count_common_neighbor_pairs;
+use linkclust::parallel::ParallelChunkProcessor;
 use linkclust::{
-    compute_similarities, CoarseConfig, ConfigError, CsrGraph, EdgeOrder, GraphView,
-    LinkClustering, SweepConfig, WeightedGraph,
+    compute_similarities, CoarseConfig, CoarseResult, ConfigError, CsrGraph, EdgeOrder, GraphView,
+    LinkClustering, PairSimilarities, RunReport, SweepConfig, WeightedGraph,
 };
 use proptest::prelude::*;
 
@@ -38,6 +40,25 @@ fn score_bits(output: &SweepOutput) -> Vec<u64> {
 /// Thread counts of the facade tests: one pipeline serves them all,
 /// with one Phase-I row range per thread.
 const THREADS: [usize; 3] = [1, 2, 3];
+
+/// `Σ (dᵢ + dⱼ)` over the multi-wedge entries of the prefix of `L` that
+/// holds `pairs` wedges, and the wedges of that count left over past the
+/// end of `L` or inside an entry (0 when the prefix ends at an entry
+/// boundary).
+fn intersected_over_prefix<G: GraphView>(g: &G, sims: &PairSimilarities, pairs: u64) -> (u64, u64) {
+    let mut left = pairs;
+    let mut expected = 0u64;
+    for e in sims.entries() {
+        if left == 0 {
+            break;
+        }
+        left -= e.pair_count() as u64;
+        if e.pair_count() > 1 {
+            expected += (g.degree(e.pair.first()) + g.degree(e.pair.second())) as u64;
+        }
+    }
+    (expected, left)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -168,17 +189,8 @@ fn list_bytes_and_intersected_degrees_follow_their_formulas() {
             let sims = r.similarities();
             assert_eq!(report.counter(Counter::ListBytes), 32 * sims.len() as u64, "{name}");
             // The sweep read a whole prefix of `L`: `PairsProcessed` wedges.
-            let mut left = report.counter(Counter::PairsProcessed);
-            let mut expected = 0u64;
-            for e in sims.entries() {
-                if left == 0 {
-                    break;
-                }
-                left -= e.pair_count() as u64;
-                if e.pair_count() > 1 {
-                    expected += (g.degree(e.pair.first()) + g.degree(e.pair.second())) as u64;
-                }
-            }
+            let processed = report.counter(Counter::PairsProcessed);
+            let (expected, left) = intersected_over_prefix(&g, sims, processed);
             assert_eq!(left, 0, "{name} t={threads}: the sweep stops at an entry boundary");
             assert_eq!(report.counter(Counter::IntersectedDegrees), expected, "{name} t={threads}");
         }
@@ -205,26 +217,55 @@ fn sweep_setup_is_recorded_once_per_run_inside_the_sweep() {
     }
 }
 
+/// The mode machine's counters add up to the result's epochs, levels
+/// and merges: one `CoarseEpoch` span per attempted epoch.
+fn assert_coarse_counters_match(report: &RunReport, r: &CoarseResult, what: &str) {
+    assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count(), "{what}");
+    assert_eq!(report.counter(Counter::LevelsCommitted), r.levels().len() as u64, "{what}");
+    let b = r.epoch_breakdown();
+    assert_eq!(report.counter(Counter::EpochsCommitted), (b.head_fresh + b.tail_fresh) as u64);
+    assert_eq!(report.counter(Counter::Rollbacks), b.rollback as u64, "{what}");
+    assert_eq!(report.counter(Counter::EpochsReused), b.reused as u64, "{what}");
+    let attempted = report.phase_calls(Phase::CoarseEpoch);
+    assert_eq!(attempted as usize, r.epochs().len() - b.reused, "{what}");
+}
+
 /// The coarse report's counters add up to the result's epochs, levels
-/// and merges at every thread count, and each attempted epoch (one
-/// `CoarseEpoch` span) hands exactly one chunk to the chunk processor.
+/// and merges at every thread count, for the facade's stream and for the
+/// chunk pipeline run directly. In the chunk pipeline each attempted
+/// epoch hands exactly one chunk to the chunk processor. The facade
+/// hands none: it records the stream it read instead, `Σ (dᵢ + dⱼ)`
+/// over the multi-wedge entries up to the furthest attempted chunk or
+/// the entry that completes the merge forest, whichever comes first.
 #[test]
 fn coarse_report_counters_match_dendrogram() {
     let planted = planted_partition(5, 10, 0.7, 0.01, 3);
     let g = &planted.graph;
     let cfg = CoarseConfig { phi: 5, initial_chunk: 16, ..Default::default() };
+    let fine = LinkClustering::new().stats(true).run(g).unwrap();
+    let forest_pairs = fine.report().expect("report attached").counter(Counter::PairsProcessed);
     for threads in THREADS {
         let r = LinkClustering::new().threads(threads).stats(true).run_coarse(g, cfg).unwrap();
         let report = r.report().expect("report attached");
-        assert_eq!(report.counter(Counter::MergesApplied), r.dendrogram().merge_count());
-        assert_eq!(report.counter(Counter::LevelsCommitted), r.levels().len() as u64);
-        let b = r.epoch_breakdown();
-        assert_eq!(report.counter(Counter::EpochsCommitted), (b.head_fresh + b.tail_fresh) as u64);
-        assert_eq!(report.counter(Counter::Rollbacks), b.rollback as u64);
-        assert_eq!(report.counter(Counter::EpochsReused), b.reused as u64);
+        assert_coarse_counters_match(report, &r, &format!("facade t={threads}"));
+        assert_eq!(report.counter(Counter::ChunksProcessed), 0, "threads {threads}");
+        assert_eq!(report.phase_calls(Phase::SweepSetup), 1, "threads {threads}");
+        let attempted = r.epochs().iter().map(|e| e.pairs_end).max().unwrap_or(0);
+        let (expected, _) =
+            intersected_over_prefix(g, fine.similarities(), attempted.min(forest_pairs));
+        assert_eq!(report.counter(Counter::IntersectedDegrees), expected, "threads {threads}");
+
+        let recorder = Arc::new(RunRecorder::new());
+        let telemetry = Telemetry::new(recorder.clone());
+        let mut processor =
+            ParallelChunkProcessor::new(threads).unwrap().telemetry(telemetry.clone());
+        let chunks =
+            coarse_sweep_instrumented(g, fine.similarities(), cfg, &mut processor, &telemetry);
+        let report = recorder.report();
+        assert_coarse_counters_match(&report, &chunks, &format!("chunks t={threads}"));
         let attempted = report.phase_calls(Phase::CoarseEpoch);
-        assert_eq!(attempted as usize, r.epochs().len() - b.reused, "threads {threads}");
         assert_eq!(report.counter(Counter::ChunksProcessed), attempted, "threads {threads}");
+        assert_eq!(chunks.levels(), r.levels(), "threads {threads}");
     }
 }
 

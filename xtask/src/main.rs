@@ -55,7 +55,7 @@ const GATES: &[Gate] = &[
     },
     Gate {
         name: "trace-smoke",
-        description: "traced CLI run produces valid Chrome trace JSON",
+        description: "traced CLI run produces valid Chrome trace JSON with its layers' spans",
         run: run_trace_smoke,
     },
     Gate {
@@ -243,9 +243,14 @@ fn run_bench_build(root: &Path) -> Result<(), String> {
     )
 }
 
+/// The spans a traced `--coarse --threads 4` run must contain: Phase I's
+/// rows, the sort, and the coarse epochs.
+const TRACE_SMOKE_SPANS: &[&str] = &["init_pass2", "sort", "coarse_epoch"];
+
 /// Runs a tiny traced clustering through the real CLI and validates the
 /// Chrome trace artifact with the workspace's strict JSON parser (see
-/// [`tracecheck`]). The artifact is left at
+/// [`tracecheck`]), then checks that it holds every span of
+/// [`TRACE_SMOKE_SPANS`]. The artifact is left at
 /// `target/trace-smoke/trace.json` so CI can upload it.
 fn run_trace_smoke(root: &Path) -> Result<(), String> {
     let dir = root.join("target").join("trace-smoke");
@@ -280,6 +285,8 @@ fn run_trace_smoke(root: &Path) -> Result<(), String> {
         .map_err(|e| format!("traced run left no artifact at {}: {e}", trace.display()))?;
     let summary = tracecheck::check_chrome_trace(&text)
         .map_err(|e| format!("{} is not a valid Chrome trace: {e}", trace.display()))?;
+    tracecheck::require_spans(&summary, TRACE_SMOKE_SPANS)
+        .map_err(|e| format!("{}: {e}", trace.display()))?;
     eprintln!(
         "trace-smoke: {} complete events across {} threads ({} dropped) in {}",
         summary.complete_events,

@@ -8,9 +8,10 @@
 //! `traceEvents` array, every event carrying a `ph` phase tag, complete
 //! (`"X"`) events carrying `name`/`ts`/`dur`/`pid`/`tid`, and per-`tid`
 //! timestamps monotone non-decreasing with properly nested (never
-//! partially overlapping) intervals.
+//! partially overlapping) intervals. [`require_spans`] then checks that
+//! the run traced every layer the gate names.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use linkclust_core::json::{parse, Json};
 
@@ -23,6 +24,8 @@ pub(crate) struct TraceSummary {
     pub(crate) threads: usize,
     /// Events the collector dropped on ring overflow, per `otherData`.
     pub(crate) dropped: u64,
+    /// The distinct names of the complete events.
+    pub(crate) names: BTreeSet<String>,
 }
 
 /// Validates `text` as a Chrome trace-event JSON file.
@@ -46,6 +49,7 @@ pub(crate) fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let mut open: HashMap<u64, Vec<f64>> = HashMap::new();
     let mut last_start: HashMap<u64, f64> = HashMap::new();
     let mut complete_events = 0usize;
+    let mut names = BTreeSet::new();
     for (i, e) in events.iter().enumerate() {
         let ph = e
             .get("ph")
@@ -57,9 +61,10 @@ pub(crate) fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             other => return Err(format!("event {i} has unexpected phase {other:?}")),
         }
         complete_events += 1;
-        if e.get("name").and_then(Json::as_str).is_none() {
+        let Some(name) = e.get("name").and_then(Json::as_str) else {
             return Err(format!("complete event {i} lacks a string `name`"));
-        }
+        };
+        names.insert(name.to_string());
         let num = |key: &str| {
             e.get(key)
                 .and_then(Json::as_f64)
@@ -100,7 +105,20 @@ pub(crate) fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
         .and_then(|d| d.get("events_dropped"))
         .and_then(Json::as_f64)
         .map_or(0, |v| v as u64);
-    Ok(TraceSummary { complete_events, threads: open.len(), dropped })
+    Ok(TraceSummary { complete_events, threads: open.len(), dropped, names })
+}
+
+/// Checks that a validated trace holds at least one complete event of
+/// every name in `required`, so a run that stops tracing a layer fails
+/// the gate. Returns the missing names otherwise.
+pub(crate) fn require_spans(summary: &TraceSummary, required: &[&str]) -> Result<(), String> {
+    let missing: Vec<&str> =
+        required.iter().copied().filter(|name| !summary.names.contains(*name)).collect();
+    if missing.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("no `{}` span in the trace", missing.join("`, `")))
+    }
 }
 
 #[cfg(test)]
@@ -120,6 +138,16 @@ mod tests {
         assert_eq!(summary.complete_events, 3);
         assert_eq!(summary.threads, 2);
         assert_eq!(summary.dropped, 2);
+        let names: Vec<&str> = summary.names.iter().map(String::as_str).collect();
+        assert_eq!(names, ["sort", "sweep", "task-0"]);
+    }
+
+    #[test]
+    fn require_spans_names_every_missing_span() {
+        let summary = check_chrome_trace(GOOD).expect("trace should validate");
+        assert!(require_spans(&summary, &["sort", "sweep"]).is_ok());
+        let err = require_spans(&summary, &["init_pass2", "sort", "coarse_epoch"]).unwrap_err();
+        assert_eq!(err, "no `init_pass2`, `coarse_epoch` span in the trace");
     }
 
     #[test]
