@@ -44,7 +44,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::cluster_array::ClusterArray;
-use crate::dendrogram::{Dendrogram, MergeRecord};
+use crate::dendrogram::{endpoints, Dendrogram, DensityCut, MergeForest, MergeRecord};
 use crate::similarity::{PairSimilarities, SimilarityEntry};
 use crate::telemetry::{Counter, Phase, Telemetry};
 use crate::unionfind::UnionFind;
@@ -90,7 +90,12 @@ pub struct SweepConfig {
 }
 
 /// The result of a sweep: the dendrogram (over slot indices) and the
-/// edge-to-slot permutation needed to interpret it.
+/// edge-to-slot permutation needed to interpret it. Its
+/// [`merge_forest`](Self::merge_forest),
+/// [`density_profile`](Self::density_profile) and
+/// [`best_density_cut`](Self::best_density_cut) read the edge in each
+/// slot through that permutation, so they hold under every
+/// [`EdgeOrder`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct SweepOutput {
     dendrogram: Dendrogram,
@@ -185,6 +190,51 @@ impl SweepOutput {
     pub fn edge_assignments_at_level(&self, level: u32) -> Vec<u32> {
         let slots = self.dendrogram.assignments_at_level(level);
         self.slot_of_edge.iter().map(|&s| slots[s as usize]).collect()
+    }
+
+    /// The [`MergeForest`] summary of the dendrogram over `g`, reading
+    /// slot `s` as the edge the slot map put in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` does not have exactly the dendrogram's edge count.
+    #[must_use]
+    pub fn merge_forest<G: GraphView + ?Sized>(&self, g: &G) -> MergeForest {
+        let d = &self.dendrogram;
+        assert_eq!(g.edge_count(), d.edge_count(), "sweep output does not match graph");
+        let mut edge_of_slot = vec![0u32; self.slot_of_edge.len()];
+        // cast: u32 slots and edge ids to indices, lossless on 32- and 64-bit.
+        for (e, &s) in (0u32..).zip(&self.slot_of_edge) {
+            edge_of_slot[s as usize] = e;
+        }
+        MergeForest::new(d.edge_count(), d.merges(), g.vertex_count(), |s| {
+            // cast: as above.
+            endpoints(g, edge_of_slot[s] as usize)
+        })
+    }
+
+    /// The partition-density profile of the dendrogram over `g`, as
+    /// [`Dendrogram::density_profile`] documents, with each slot read
+    /// through the slot map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` does not have exactly the dendrogram's edge count.
+    #[must_use]
+    pub fn density_profile<G: GraphView + ?Sized>(&self, g: &G) -> Vec<DensityCut> {
+        self.merge_forest(g).density_profile()
+    }
+
+    /// The density-optimal cut: the [`DensityCut::best_of`] fold over
+    /// [`density_profile`](Self::density_profile). `None` for an
+    /// edgeless graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` does not have exactly the dendrogram's edge count.
+    #[must_use]
+    pub fn best_density_cut<G: GraphView + ?Sized>(&self, g: &G) -> Option<DensityCut> {
+        DensityCut::best_of(self.dendrogram.edge_count(), &self.density_profile(g))
     }
 }
 

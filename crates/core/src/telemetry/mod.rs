@@ -97,11 +97,15 @@ pub enum Phase {
     /// The set-up of the exact sweep, inside its [`Phase::Sweep`] span:
     /// the edge-component count and the slot permutation.
     SweepSetup = 11,
+    /// Freezing one clustering run into a `DendrogramIndex` in
+    /// `linkclustd` (one span per build): at start-up, and inside each
+    /// [`Phase::ServeAdmit`] after its clustering.
+    IndexBuild = 12,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 12] = [
+    pub const ALL: [Phase; 13] = [
         Phase::InitPass1,
         Phase::InitPass2,
         Phase::Sort,
@@ -113,6 +117,7 @@ impl Phase {
         Phase::PoolQueueWait,
         Phase::ServeQuery,
         Phase::ServeAdmit,
+        Phase::IndexBuild,
         Phase::ServeSwap,
     ];
 
@@ -131,6 +136,7 @@ impl Phase {
             Phase::SweepSetup => "sweep_setup",
             Phase::ServeQuery => "serve_query",
             Phase::ServeAdmit => "serve_admit",
+            Phase::IndexBuild => "index_build",
             Phase::ServeSwap => "serve_swap",
         }
     }

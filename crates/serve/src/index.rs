@@ -2,20 +2,25 @@
 //!
 //! A [`DendrogramIndex`] freezes one clustering run — the merge forest,
 //! per-merge similarities, the edge→slot permutation, edge endpoints,
-//! and the precomputed partition-density profile — into a queryable,
-//! versioned artifact. Every query it answers is **bit-identical** to
-//! evaluating the live [`Dendrogram`]/[`SweepOutput`] pair it was built
-//! from:
+//! and the partition-density profile — into a queryable, versioned
+//! artifact. Every query it answers is **bit-identical** to evaluating
+//! the live [`SweepOutput`] it was built from:
 //!
 //! * the threshold→level rule is the exact
 //!   [`SweepOutput::edge_assignments_at_similarity`] partition-point,
 //! * cut labels come from a binary-lifting walk over the merge forest
 //!   whose node labels are the paper's min-slot cluster ids (the same
 //!   labelling union-find replay produces),
-//! * the density profile and best cut are stored from
-//!   [`Dendrogram::density_profile`] at build time, and
-//!   [`best_cut`](DendrogramIndex::best_cut) replays the same
-//!   strict-`>` fold.
+//! * the density profile is [`SweepOutput::density_profile`]: both
+//!   [`build`](DendrogramIndex::build) and [`read`](DendrogramIndex::read)
+//!   derive the output's [`MergeForest`] summary once, with each slot
+//!   read through the stored slot map, and replay the profile over it;
+//!   [`best_cut`](DendrogramIndex::best_cut) is the same
+//!   [`DensityCut::best_of`] fold as [`SweepOutput::best_density_cut`],
+//! * top-k answers carry the summary's per-node edge and vertex counts,
+//!   which equal those of the live partition's
+//!   [`LinkCommunities`](linkclust_core::communities::LinkCommunities),
+//!   in its (edge count descending, label ascending) order.
 //!
 //! # On-disk layout (all integers little-endian)
 //!
@@ -39,13 +44,16 @@
 //! version, counts, merge liveness (each merge must reference two live
 //! min-labelled clusters, which is what makes a loaded index safe for
 //! [`export`](linkclust_core::export)-style traversals), score
-//! monotonicity, the slot permutation, endpoint ranges, and the profile
-//! shape — and reports failures as typed [`IndexError`] values, never a
-//! panic.
+//! monotonicity, the slot permutation, endpoint ranges, and every
+//! profile point, bit for bit against the profile the summary derives —
+//! and reports failures as typed [`IndexError`] values, never a panic.
 
 use std::io::{Read, Write};
 
-use linkclust_core::dendrogram::{Dendrogram, DensityCut, MergeRecord};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use linkclust_core::dendrogram::{Dendrogram, DensityCut, MergeForest, MergeRecord};
 use linkclust_core::sweep::SweepOutput;
 use linkclust_core::unionfind::UnionFind;
 use linkclust_graph::{EdgeId, GraphView};
@@ -175,8 +183,10 @@ pub struct TopCommunity {
     pub vertex_count: u64,
 }
 
-/// A frozen, queryable clustering run. See the [module docs](self) for
-/// the equivalence contract and the on-disk layout.
+/// A frozen, queryable clustering run: the stored sections plus the
+/// run's [`MergeForest`] summary, derived at build and at load and never
+/// serialized. See the [module docs](self) for the equivalence contract
+/// and the on-disk layout.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DendrogramIndex {
     vertex_count: usize,
@@ -186,90 +196,48 @@ pub struct DendrogramIndex {
     slot_of_edge: Vec<u32>,
     endpoints: Vec<(u32, u32)>,
     profile: Vec<DensityCut>,
-    // Derived at load time, never serialized.
+    // Derived at build and load time, never serialized.
+    /// The merge-forest summary: nodes `0..m` are leaf slots, node
+    /// `m + i` is merge `i`.
+    forest: MergeForest,
     /// Binary-lifting table, `lift[j * node_count + v]` = v's 2^j-th
-    /// forest ancestor (self-loop at roots). Nodes `0..m` are leaf
-    /// slots; node `m + i` is merge `i`.
+    /// forest ancestor (self-loop at roots); row 0 is the summary's
+    /// parent array.
     lift: Vec<u32>,
     /// Number of lifting rows (`lift.len() / node_count`).
     lift_rows: usize,
-    /// Dendrogram level at which each forest node comes into existence
-    /// (0 for leaves, the merge's level otherwise).
-    node_level: Vec<u32>,
-    /// The min-slot cluster label each forest node represents.
-    node_label: Vec<u32>,
     /// CSR offsets into [`Self::incident_edges`], one slice per vertex.
     incident_start: Vec<u32>,
     /// Edge ids incident to each vertex, grouped by vertex.
     incident_edges: Vec<u32>,
 }
 
-impl DendrogramIndex {
-    /// Builds an index for `output` over `g`, precomputing the density
-    /// profile with [`Dendrogram::density_profile`].
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::NoMergeScores`] if the output tracks no per-merge
-    /// similarities (coarse sweeps); [`IndexError::Corrupt`] if the
-    /// output and graph disagree (never for outputs the clustering
-    /// pipeline produced for `g`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` does not have exactly the output's edge count
-    /// (the [`Dendrogram::density_profile`] contract).
-    pub fn build<G: GraphView + ?Sized>(g: &G, output: &SweepOutput) -> Result<Self, IndexError> {
-        let d = output.dendrogram();
-        if output.merge_scores().len() as u64 != d.merge_count() {
-            return Err(IndexError::NoMergeScores);
-        }
-        let endpoints = (0..g.edge_count())
-            .map(|e| {
-                let (s, t) = g.edge_endpoints(EdgeId::new(e));
-                (u32::from(s), u32::from(t))
-            })
-            .collect();
-        Self::from_parts(
-            g.vertex_count(),
-            d.edge_count(),
-            d.merges().to_vec(),
-            output.merge_scores().to_vec(),
-            output.slot_of_edge().to_vec(),
-            endpoints,
-            d.density_profile(g),
-        )
-    }
+/// The stored parts of an index, before validation.
+struct Parts {
+    vertex_count: usize,
+    edge_count: usize,
+    merges: Vec<MergeRecord>,
+    merge_scores: Vec<f64>,
+    slot_of_edge: Vec<u32>,
+    endpoints: Vec<(u32, u32)>,
+}
 
-    /// Assembles and fully validates an index from its stored parts,
-    /// then derives the query structures. This is the single validation
-    /// chokepoint: [`build`](Self::build) and [`read`](Self::read) both
-    /// funnel through it.
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::Corrupt`] naming the offending section and record
-    /// for any structural violation; see the [module docs](self) for
-    /// the full rule list.
-    ///
-    /// # Panics
-    ///
-    /// Never panics in practice: edge ids fit `u32` whenever the slot
-    /// permutation validates (slots are themselves `u32`).
-    #[allow(clippy::too_many_lines)] // one linear validation pass per section
-    pub fn from_parts(
-        vertex_count: usize,
-        edge_count: usize,
-        merges: Vec<MergeRecord>,
-        merge_scores: Vec<f64>,
-        slot_of_edge: Vec<u32>,
-        endpoints: Vec<(u32, u32)>,
-        profile: Vec<DensityCut>,
-    ) -> Result<Self, IndexError> {
-        let m = edge_count;
+impl Parts {
+    /// Checks every structural rule of the [module docs](self) but the
+    /// profile's, which needs the summary these parts derive.
+    fn validate(&self) -> Result<(), IndexError> {
+        let Parts { vertex_count, edge_count, merges, merge_scores, slot_of_edge, endpoints } =
+            self;
+        let vertex_count = *vertex_count;
+        let m = *edge_count;
         let corrupt = |section: &'static str, index: usize, reason: String| {
             Err(IndexError::Corrupt { section, index: index as u64, reason })
         };
+
+        // The m leaves and fewer than m merges take u32 forest node ids.
+        if m.saturating_mul(2) > u32::MAX as usize {
+            return Err(IndexError::TooLarge { vertices: vertex_count as u64, edges: m as u64 });
+        }
 
         // --- merges: levels non-decreasing, operands live min-labels ---
         if !merges.is_empty() && merges.len() >= m {
@@ -389,68 +357,122 @@ impl DendrogramIndex {
             }
         }
 
-        // --- profile: one point per distinct merge level ---------------
-        let mut expected: Vec<(u32, usize)> = Vec::new();
-        {
-            let mut i = 0;
-            while i < merges.len() {
-                let level = merges[i].level;
-                while i < merges.len() && merges[i].level == level {
-                    i += 1;
-                }
-                expected.push((level, m - i));
-            }
-        }
-        if profile.len() != expected.len() {
-            return corrupt(
-                "profile",
-                0,
-                format!("{} points for {} distinct merge levels", profile.len(), expected.len()),
-            );
-        }
-        for (j, (point, &(level, clusters))) in profile.iter().zip(&expected).enumerate() {
-            if point.level != level {
-                return corrupt(
-                    "profile",
-                    j,
-                    format!("level {} does not match merge level {level}", point.level),
-                );
-            }
-            if point.cluster_count != clusters {
-                return corrupt(
-                    "profile",
-                    j,
-                    format!(
-                        "cluster count {} does not match the {clusters} clusters the merges leave",
-                        point.cluster_count
-                    ),
-                );
-            }
-            if !point.density.is_finite() {
-                return corrupt("profile", j, format!("non-finite density {}", point.density));
-            }
-        }
+        Ok(())
+    }
+}
 
-        // --- derive the query structures -------------------------------
-        let node_count = m + merges.len();
-        let mut parent: Vec<u32> = (0..node_count as u32).collect();
-        let mut node_level = vec![0u32; node_count];
-        let mut node_label: Vec<u32> = (0..m as u32).collect();
-        node_label.resize(node_count, 0);
-        // Current forest node of each live cluster, keyed by its label.
-        let mut node_of: Vec<u32> = (0..m as u32).collect();
-        for (i, rec) in merges.iter().enumerate() {
-            let node = (m + i) as u32;
-            parent[node_of[rec.left as usize] as usize] = node;
-            parent[node_of[rec.right as usize] as usize] = node;
-            node_level[node as usize] = rec.level;
-            node_label[node as usize] = rec.into;
-            node_of[rec.into as usize] = node;
+impl DendrogramIndex {
+    /// Builds an index for `output` over `g`. Its density profile is
+    /// [`SweepOutput::density_profile`], replayed over the output's
+    /// [`SweepOutput::merge_forest`], which the index keeps for its
+    /// queries.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::NoMergeScores`] if the output tracks no per-merge
+    /// similarities (coarse sweeps); [`IndexError::Corrupt`] if the
+    /// output and graph disagree (never for outputs the clustering
+    /// pipeline produced for `g`).
+    pub fn build<G: GraphView + ?Sized>(g: &G, output: &SweepOutput) -> Result<Self, IndexError> {
+        let d = output.dendrogram();
+        if output.merge_scores().len() as u64 != d.merge_count() {
+            return Err(IndexError::NoMergeScores);
         }
+        let endpoints = (0..g.edge_count())
+            .map(|e| {
+                let (s, t) = g.edge_endpoints(EdgeId::new(e));
+                (u32::from(s), u32::from(t))
+            })
+            .collect();
+        let parts = Parts {
+            vertex_count: g.vertex_count(),
+            edge_count: d.edge_count(),
+            merges: d.merges().to_vec(),
+            merge_scores: output.merge_scores().to_vec(),
+            slot_of_edge: output.slot_of_edge().to_vec(),
+            endpoints,
+        };
+        parts.validate()?;
+        let forest = output.merge_forest(g);
+        Ok(Self::assemble(parts, forest))
+    }
+
+    /// Assembles and fully validates an index from its stored parts,
+    /// then derives the merge-forest summary and the query structures.
+    /// This is the single validation chokepoint for untrusted parts:
+    /// [`read`](Self::read) funnels through it.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::Corrupt`] naming the offending section and record
+    /// for any structural violation, or for the first stored profile
+    /// point that differs, in any bit, from the profile the summary
+    /// derives; see the [module docs](self) for the full rule list.
+    pub fn from_parts(
+        vertex_count: usize,
+        edge_count: usize,
+        merges: Vec<MergeRecord>,
+        merge_scores: Vec<f64>,
+        slot_of_edge: Vec<u32>,
+        endpoints: Vec<(u32, u32)>,
+        profile: Vec<DensityCut>,
+    ) -> Result<Self, IndexError> {
+        let parts =
+            Parts { vertex_count, edge_count, merges, merge_scores, slot_of_edge, endpoints };
+        parts.validate()?;
+        let mut edge_of_slot = vec![0u32; edge_count];
+        for (e, &s) in (0u32..).zip(&parts.slot_of_edge) {
+            edge_of_slot[s as usize] = e;
+        }
+        let forest = MergeForest::new(edge_count, &parts.merges, vertex_count, |s| {
+            parts.endpoints[edge_of_slot[s] as usize]
+        });
+        let index = Self::assemble(parts, forest);
+        if profile.len() != index.profile.len() {
+            return Err(IndexError::Corrupt {
+                section: "profile",
+                index: 0,
+                reason: format!(
+                    "{} points for {} distinct merge levels",
+                    profile.len(),
+                    index.profile.len()
+                ),
+            });
+        }
+        for (j, (stored, derived)) in profile.into_iter().zip(&index.profile).enumerate() {
+            if stored.level != derived.level
+                || stored.cluster_count != derived.cluster_count
+                || stored.density.to_bits() != derived.density.to_bits()
+            {
+                return Err(IndexError::Corrupt {
+                    section: "profile",
+                    index: j as u64,
+                    reason: format!(
+                        "stored point (level {}, {} clusters, density {:e}) is not the derived \
+                         (level {}, {} clusters, density {:e})",
+                        stored.level,
+                        stored.cluster_count,
+                        stored.density,
+                        derived.level,
+                        derived.cluster_count,
+                        derived.density
+                    ),
+                });
+            }
+        }
+        Ok(index)
+    }
+
+    /// The index over validated parts and their merge-forest summary.
+    fn assemble(parts: Parts, forest: MergeForest) -> Self {
+        let Parts { vertex_count, edge_count, merges, merge_scores, slot_of_edge, endpoints } =
+            parts;
+        let m = edge_count;
+        let node_count = forest.node_count();
         let lift_rows = usize::BITS as usize - node_count.leading_zeros() as usize;
         let lift_rows = lift_rows.max(1);
         let mut lift = vec![0u32; lift_rows * node_count];
-        lift[..node_count].copy_from_slice(&parent);
+        lift[..node_count].copy_from_slice(forest.parents());
         for j in 1..lift_rows {
             for v in 0..node_count {
                 let mid = lift[(j - 1) * node_count + v] as usize;
@@ -468,29 +490,27 @@ impl DendrogramIndex {
         }
         let mut cursor = incident_start.clone();
         let mut incident_edges = vec![0u32; 2 * m];
-        for (e, &(s, t)) in endpoints.iter().enumerate() {
-            let e32 = u32::try_from(e).expect("edge count fits u32 by the header check");
+        for (e32, &(s, t)) in (0u32..).zip(&endpoints) {
             incident_edges[cursor[s as usize] as usize] = e32;
             cursor[s as usize] += 1;
             incident_edges[cursor[t as usize] as usize] = e32;
             cursor[t as usize] += 1;
         }
 
-        Ok(DendrogramIndex {
+        DendrogramIndex {
             vertex_count,
             edge_count: m,
             merges,
             merge_scores,
             slot_of_edge,
             endpoints,
-            profile,
+            profile: forest.density_profile(),
+            forest,
             lift,
             lift_rows,
-            node_level,
-            node_label,
             incident_start,
             incident_edges,
-        })
+        }
     }
 
     /// Number of vertices in the indexed graph.
@@ -511,7 +531,7 @@ impl DendrogramIndex {
         self.merges.len() as u64
     }
 
-    /// The precomputed density profile (one point per distinct level).
+    /// The density profile (one point per distinct level).
     #[must_use]
     pub fn profile(&self) -> &[DensityCut] {
         &self.profile
@@ -552,15 +572,24 @@ impl DendrogramIndex {
     /// chains have non-decreasing levels, so the greedy high-to-low jump
     /// lands on the highest qualifying ancestor).
     fn label_at_level(&self, slot: u32, level: u32) -> u32 {
-        let n = self.node_level.len();
+        let n = self.forest.node_count();
         let mut v = slot as usize;
         for j in (0..self.lift_rows).rev() {
             let a = self.lift[j * n + v] as usize;
-            if a != v && self.node_level[a] <= level {
+            if a != v && self.forest.level(a) <= level {
                 v = a;
             }
         }
-        self.node_label[v]
+        self.node_label(v)
+    }
+
+    /// The min-slot cluster label forest node `v` represents: its own
+    /// slot for a leaf, the surviving id of its merge otherwise.
+    fn node_label(&self, v: usize) -> u32 {
+        match v.checked_sub(self.edge_count) {
+            Some(i) => self.merges[i].into,
+            None => v as u32,
+        }
     }
 
     /// Cluster label per **edge id** after cutting at `level` —
@@ -629,49 +658,40 @@ impl DendrogramIndex {
     }
 
     /// The `k` largest communities after cutting at `level`, in the
-    /// same ordering as [`top_communities`](Self::top_communities).
+    /// same ordering as [`top_communities`](Self::top_communities): one
+    /// scan of the summary's nodes live at `level`, keeping the `k` best
+    /// in a bounded heap whose top is the worst kept.
     #[must_use]
     pub fn top_communities_at_level(&self, level: u32, k: usize) -> Vec<TopCommunity> {
-        let labels = self.edge_labels_at_level(level);
-        let mut edges_of: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        let mut verts_of: std::collections::HashMap<u32, std::collections::HashSet<u32>> =
-            std::collections::HashMap::new();
-        for (e, &label) in labels.iter().enumerate() {
-            *edges_of.entry(label).or_default() += 1;
-            let (s, t) = self.endpoints[e];
-            let set = verts_of.entry(label).or_default();
-            set.insert(s);
-            set.insert(t);
+        let merged = self.merges.partition_point(|r| r.level <= level);
+        // (edge count descending, label ascending) is ascending order.
+        let mut kept = BinaryHeap::with_capacity(k.min(self.edge_count - merged));
+        for v in self.forest.clusters_after(merged) {
+            let entry = (Reverse(self.forest.edge_count(v)), self.node_label(v), v);
+            if kept.len() < k {
+                kept.push(entry);
+            } else if let Some(mut worst) = kept.peek_mut() {
+                if entry < *worst {
+                    *worst = entry;
+                }
+            }
         }
-        let mut out: Vec<TopCommunity> = edges_of
+        kept.into_sorted_vec()
             .into_iter()
-            .map(|(label, edge_count)| TopCommunity {
+            .map(|(Reverse(edge_count), label, v)| TopCommunity {
                 label,
                 edge_count,
-                vertex_count: verts_of[&label].len() as u64,
+                vertex_count: self.forest.vertex_count(v),
             })
-            .collect();
-        out.sort_by(|a, b| b.edge_count.cmp(&a.edge_count).then_with(|| a.label.cmp(&b.label)));
-        out.truncate(k);
-        out
+            .collect()
     }
 
     /// The density-optimal cut — bit-identical to
-    /// [`Dendrogram::best_density_cut`]: the strict-`>` fold over the
-    /// stored profile from the implicit all-singletons starting point,
-    /// `None` for an edgeless graph.
+    /// [`SweepOutput::best_density_cut`]: the [`DensityCut::best_of`]
+    /// fold over the profile, `None` for an edgeless graph.
     #[must_use]
     pub fn best_cut(&self) -> Option<DensityCut> {
-        if self.edge_count == 0 {
-            return None;
-        }
-        let mut best = DensityCut { level: 0, density: 0.0, cluster_count: self.edge_count };
-        for point in &self.profile {
-            if point.density > best.density {
-                best = *point;
-            }
-        }
-        Some(best)
+        DensityCut::best_of(self.edge_count, &self.profile)
     }
 
     /// Reconstructs the live [`Dendrogram`] this index froze.
@@ -1039,6 +1059,23 @@ mod tests {
         }
         match DendrogramIndex::read(&bytes[..bytes.len() - 1]).unwrap_err() {
             IndexError::Truncated { section: "profile", .. } => {}
+            other => panic!("unexpected error {other}"),
+        }
+    }
+
+    /// A profile whose densities were edited no longer matches the one
+    /// the summary derives at load, so `best` cannot answer from it.
+    #[test]
+    fn tampered_profile_density_is_rejected() {
+        let (_, _, index) = built(7);
+        let points = index.profile().len();
+        assert!(points > 2, "the fixture has a profile to tamper with");
+        let mut bytes = valid_bytes();
+        let j = points / 2;
+        let density_at = bytes.len() - (points - j) * PROFILE_BYTES + 8;
+        bytes[density_at] ^= 1;
+        match DendrogramIndex::read(bytes.as_slice()).unwrap_err() {
+            IndexError::Corrupt { section: "profile", index, .. } => assert_eq!(index, j as u64),
             other => panic!("unexpected error {other}"),
         }
     }

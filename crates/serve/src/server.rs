@@ -87,22 +87,28 @@ impl ServeGraph {
 
     /// Runs a full clustering on `threads` threads, its telemetry
     /// recorded into the server's `recorder`, and freezes the result
-    /// into an index.
+    /// into an index under one [`Phase::IndexBuild`] span.
     fn cluster_to_index(
         &self,
         threads: usize,
         recorder: &Arc<RunRecorder>,
     ) -> Result<DendrogramIndex, IndexError> {
-        let facade = LinkClustering::new().threads(threads).recorder(recorder.clone());
+        fn cluster<G: GraphView + Sync>(
+            g: &G,
+            threads: usize,
+            recorder: &Arc<RunRecorder>,
+        ) -> Result<DendrogramIndex, IndexError> {
+            let facade = LinkClustering::new().threads(threads).recorder(recorder.clone());
+            let result = facade.run(g).map_err(|e| config_corrupt(&e))?;
+            let telemetry = Telemetry::new(recorder.clone());
+            let span = telemetry.span(Phase::IndexBuild);
+            let index = DendrogramIndex::build(g, result.output());
+            span.finish();
+            index
+        }
         match self {
-            ServeGraph::Weighted(g) => {
-                let result = facade.run(g).map_err(|e| config_corrupt(&e))?;
-                DendrogramIndex::build(g, result.output())
-            }
-            ServeGraph::Csr(g) => {
-                let result = facade.run(g).map_err(|e| config_corrupt(&e))?;
-                DendrogramIndex::build(g, result.output())
-            }
+            ServeGraph::Weighted(g) => cluster(g, threads, recorder),
+            ServeGraph::Csr(g) => cluster(g, threads, recorder),
         }
     }
 }
@@ -756,7 +762,9 @@ impl Server {
 
     /// Renders the stats document: per-kind latency quantiles, cache
     /// hit rate, admission/swap counts, the serve-phase telemetry
-    /// totals, trace-drop count, and the runtime-gauge rings. One
+    /// totals (each `serve_admit` span holds its clustering and the
+    /// `index_build` that follows it; start-up builds an index outside
+    /// any admission), trace-drop count, and the runtime-gauge rings. One
     /// sample is pushed first, so no ring is empty or staler than the
     /// request, but it is not a tick: `runtime.ticks` counts only the
     /// ticker's samples ([`sample_runtime`](Self::sample_runtime)).
@@ -819,7 +827,9 @@ impl Server {
         out.push_str(&report.counter(Counter::TraceEventsDropped).to_string());
         out.push_str(",\"phases\":{");
         for (i, phase) in
-            [Phase::ServeQuery, Phase::ServeAdmit, Phase::ServeSwap].iter().enumerate()
+            [Phase::ServeQuery, Phase::ServeAdmit, Phase::IndexBuild, Phase::ServeSwap]
+                .iter()
+                .enumerate()
         {
             if i > 0 {
                 out.push(',');
@@ -1159,7 +1169,13 @@ mod tests {
         let report = server.shared.recorder.report();
         assert_eq!(report.counter(Counter::PairsK1), 2 * k1);
         assert_eq!(report.phase_calls(Phase::Sort), 2);
-        assert!(server.metrics_text().contains("linkclustd_phase_calls_total{phase=\"sweep\"} 2"));
+        assert_eq!(report.phase_calls(Phase::IndexBuild), 2);
+        let metrics = server.metrics_text();
+        assert!(metrics.contains("linkclustd_phase_calls_total{phase=\"sweep\"} 2"));
+        assert!(metrics.contains("linkclustd_phase_calls_total{phase=\"index_build\"} 2"));
+        let stats = ok_json(&server, r#"{"op":"stats"}"#);
+        let builds = stats.get("phases").and_then(|p| p.get("index_build"));
+        assert_eq!(builds.and_then(|b| b.get("calls")).and_then(Json::as_index), Some(2));
 
         // A server over a loaded index skips the start-up clustering.
         let output = LinkClustering::new().run(&g).unwrap().output().clone();
@@ -1167,11 +1183,13 @@ mod tests {
         let config = ServerConfig { threads: 2, ..ServerConfig::default() };
         let server = Server::with_index(ServeGraph::Weighted(g), index, config).unwrap();
         assert_eq!(server.shared.recorder.report().phase_calls(Phase::Sort), 0);
+        assert_eq!(server.shared.recorder.report().phase_calls(Phase::IndexBuild), 0);
         let _ = ok_json(&server, r#"{"op":"recluster"}"#);
         assert_eq!(server.await_generation(2, 30_000), 2);
         let report = server.shared.recorder.report();
         assert_eq!(report.counter(Counter::PairsK1), k1);
         assert_eq!(report.phase_calls(Phase::Sort), 1);
+        assert_eq!(report.phase_calls(Phase::IndexBuild), 1);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Index/live equivalence: every query the serialized
 //! [`DendrogramIndex`] answers must be **bit-identical** to the answer
-//! computed from the live [`Dendrogram`] it froze — after a full
-//! write→read round-trip, on both graph backends, including
-//! [`best_cut`](DendrogramIndex::best_cut) tie-breaking. This is the
-//! contract that lets `linkclustd` serve a reloaded index
-//! interchangeably with a fresh clustering run.
+//! computed from the live sweep output it froze — after a full
+//! write→read round-trip, on both graph backends, under both edge
+//! orders, including [`best_cut`](DendrogramIndex::best_cut) and top-k
+//! tie-breaking. This is the contract that lets `linkclustd` serve a
+//! reloaded index interchangeably with a fresh clustering run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use linkclust::core::dendrogram::DensityCut;
 use linkclust::graph::generate::{barabasi_albert, gnm, lfr_like, WeightMode};
 use linkclust::serve::{DendrogramIndex, TopCommunity};
-use linkclust::{CsrGraph, EdgeId, GraphView, LinkClustering, WeightedGraph};
+use linkclust::{CsrGraph, EdgeId, EdgeOrder, GraphView, LinkClustering, WeightedGraph};
 use proptest::prelude::*;
 
 /// One workload per generator family of the scale ladder.
@@ -24,14 +24,17 @@ fn workloads() -> Vec<(&'static str, WeightedGraph)> {
     ]
 }
 
-/// Clusters `g`, freezes the run into an index, round-trips it through
-/// the serialized format, and returns the reloaded copy plus the live
-/// sweep output it must agree with.
-fn reloaded_index<G>(g: &G) -> (DendrogramIndex, linkclust::core::sweep::SweepOutput)
+/// Clusters `g` under `order`, freezes the run into an index,
+/// round-trips it through the serialized format, and returns the
+/// reloaded copy plus the live sweep output it must agree with.
+fn reloaded_index<G>(
+    g: &G,
+    order: EdgeOrder,
+) -> (DendrogramIndex, linkclust::core::sweep::SweepOutput)
 where
     G: GraphView + Clone + Send + Sync + 'static,
 {
-    let result = LinkClustering::new().threads(2).run(g).expect("valid config");
+    let result = LinkClustering::new().threads(2).edge_order(order).run(g).expect("valid config");
     let index = DendrogramIndex::build(g, result.output()).expect("pipeline output is coherent");
     let mut bytes = Vec::new();
     index.write(&mut bytes).expect("vec write cannot fail");
@@ -108,24 +111,28 @@ fn assert_cut_matches(name: &str, a: Option<DensityCut>, b: Option<DensityCut>) 
     }
 }
 
-/// The full equivalence matrix for one backend.
-fn check_backend<G>(name: &str, g: &G)
+/// The edge orders every equivalence check runs under: the slot of an
+/// edge is its id, or a seeded permutation of the ids.
+const ORDERS: [EdgeOrder; 2] = [EdgeOrder::Insertion, EdgeOrder::Shuffled { seed: 5 }];
+
+/// The full equivalence matrix for one backend and edge order.
+fn check_backend<G>(name: &str, g: &G, order: EdgeOrder)
 where
     G: GraphView + Clone + Send + Sync + 'static,
 {
-    let (index, output) = reloaded_index(g);
-    let dendrogram = output.dendrogram();
+    let (index, output) = reloaded_index(g, order);
+    let name = &format!("{name} {order:?}");
 
     // Partition-density profile and the density-optimal cut (ties
     // resolved identically: the strict-`>` fold over the profile).
-    let live_profile = dendrogram.density_profile(g);
+    let live_profile = output.density_profile(g);
     assert_eq!(index.profile().len(), live_profile.len(), "{name}: profile length");
     for (a, b) in index.profile().iter().zip(&live_profile) {
         assert_eq!(a.level, b.level, "{name}: profile level");
         assert_eq!(a.cluster_count, b.cluster_count, "{name}: profile cluster count");
         assert_eq!(a.density.to_bits(), b.density.to_bits(), "{name}: profile density");
     }
-    assert_cut_matches(name, index.best_cut(), dendrogram.best_density_cut(g));
+    assert_cut_matches(name, index.best_cut(), output.best_density_cut(g));
 
     for theta in probe_thetas(&output) {
         let live = output.edge_assignments_at_similarity(theta);
@@ -150,7 +157,13 @@ where
             );
         }
         assert_eq!(index.membership_of_vertex(g.vertex_count(), theta), None, "{name}: oob vertex");
-        for k in [0, 1, 3, usize::MAX] {
+        // Every community, and a k that takes one community of the
+        // second-largest edge count: it ends inside a tie group whenever
+        // that count is shared.
+        let all = live_top_communities(g, &live, usize::MAX);
+        let tie_cut =
+            all.iter().position(|c| c.edge_count < all[0].edge_count).map_or(0, |i| i + 1);
+        for k in [0, 1, 3, tie_cut, all.len(), usize::MAX] {
             assert_eq!(
                 index.top_communities(theta, k),
                 live_top_communities(g, &live, k),
@@ -163,14 +176,18 @@ where
 #[test]
 fn index_answers_match_live_on_the_adjacency_backend() {
     for (name, g) in workloads() {
-        check_backend(name, &g);
+        for order in ORDERS {
+            check_backend(name, &g, order);
+        }
     }
 }
 
 #[test]
 fn index_answers_match_live_on_the_csr_backend() {
     for (name, g) in workloads() {
-        check_backend(name, &CsrGraph::from_weighted(&g));
+        for order in ORDERS {
+            check_backend(name, &CsrGraph::from_weighted(&g), order);
+        }
     }
 }
 
@@ -179,8 +196,8 @@ fn index_answers_match_live_on_the_csr_backend() {
 #[test]
 fn serialized_bytes_are_identical_across_backends() {
     for (name, g) in workloads() {
-        let (from_adj, _) = reloaded_index(&g);
-        let (from_csr, _) = reloaded_index(&CsrGraph::from_weighted(&g));
+        let (from_adj, _) = reloaded_index(&g, EdgeOrder::Insertion);
+        let (from_csr, _) = reloaded_index(&CsrGraph::from_weighted(&g), EdgeOrder::Insertion);
         assert_eq!(from_adj, from_csr, "{name}: backends froze different indexes");
         let (mut a, mut b) = (Vec::new(), Vec::new());
         from_adj.write(&mut a).expect("vec write");
@@ -194,7 +211,7 @@ fn serialized_bytes_are_identical_across_backends() {
 #[test]
 fn truncated_index_bytes_are_rejected_not_panicked() {
     let g = gnm(40, 120, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 13);
-    let (index, _) = reloaded_index(&g);
+    let (index, _) = reloaded_index(&g, EdgeOrder::Insertion);
     let mut bytes = Vec::new();
     index.write(&mut bytes).expect("vec write");
     for len in 0..bytes.len() {
@@ -219,10 +236,10 @@ proptest! {
     ) {
         let m = (n - 1).min(n * (n - 1) / 2) + extra.min(n * (n - 1) / 2 - (n - 1));
         let g = gnm(n, m, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, seed);
-        let (index, output) = reloaded_index(&g);
+        let (index, output) = reloaded_index(&g, EdgeOrder::Insertion);
         let live = output.edge_assignments_at_similarity(theta);
         prop_assert_eq!(index.edge_labels_at_threshold(theta), live);
-        let live_best = output.dendrogram().best_density_cut(&g);
+        let live_best = output.best_density_cut(&g);
         assert_cut_matches("random", index.best_cut(), live_best);
     }
 }

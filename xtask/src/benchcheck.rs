@@ -270,7 +270,7 @@ pub(crate) fn check_serve_stats_document(text: &str) -> Result<StatsSummary, Str
         .ok_or("`swaps` must be a non-negative integer")?;
 
     let phases = doc.get("phases").ok_or("top-level object lacks a `phases` object")?;
-    for phase in ["serve_query", "serve_admit", "serve_swap"] {
+    for phase in ["serve_query", "serve_admit", "index_build", "serve_swap"] {
         let entry = phases.get(phase).ok_or(format!("`phases` lacks {phase:?}"))?;
         for key in ["nanos", "calls"] {
             entry
@@ -397,6 +397,7 @@ mod tests {
               \"trace_events_dropped\":0,\
               \"phases\":{{\"serve_query\":{{\"nanos\":100,\"calls\":72}},\
               \"serve_admit\":{{\"nanos\":50,\"calls\":1}},\
+              \"index_build\":{{\"nanos\":30,\"calls\":2}},\
               \"serve_swap\":{{\"nanos\":20,\"calls\":1}}}},\
               \"runtime\":{{\"ticks\":3,\"gauges\":{{{}}}}}}}",
             kinds.join(","),
@@ -444,6 +445,7 @@ mod tests {
             ),
             ("\"samples\":3}}}}", "\"samples\":0}}}}", "no samples"),
             ("\"serve_swap\":{\"nanos\":20,\"calls\":1}", "\"serve_swap\":{\"nanos\":20}", "calls"),
+            ("\"index_build\":{\"nanos\":30,\"calls\":2},", "", "index_build"),
             (
                 "\"best\":{\"count\":12,\"p50_ns\":9000,\"p90_ns\":21000,\
                  \"p99_ns\":45000,\"mean_ns\":14000.5}",

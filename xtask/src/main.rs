@@ -631,13 +631,16 @@ fn scrape_metrics(addr: &str, artifact: &Path) -> Result<metricscheck::Expositio
         }
     }
     // The start-up clustering and the recluster both report into the
-    // daemon's telemetry, so the sweep phase has been recorded.
-    let sweeps = summary.labeled_value("linkclustd_phase_calls_total", "phase", "sweep");
-    if !sweeps.is_some_and(|calls| calls >= 1.0) {
-        return Err(format!(
-            "linkclustd_phase_calls_total{{phase=\"sweep\"}} is {sweeps:?}; the daemon's \
-             clusterings left no sweep in its telemetry"
-        ));
+    // daemon's telemetry, so the sweep phase and the index build that
+    // follows each clustering have been recorded.
+    for (phase, layer) in [("sweep", "sweep"), ("index_build", "index build")] {
+        let calls = summary.labeled_value("linkclustd_phase_calls_total", "phase", phase);
+        if !calls.is_some_and(|calls| calls >= 1.0) {
+            return Err(format!(
+                "linkclustd_phase_calls_total{{phase=\"{phase}\"}} is {calls:?}; the daemon's \
+                 clusterings left no {layer} in its telemetry"
+            ));
+        }
     }
     Ok(summary)
 }
