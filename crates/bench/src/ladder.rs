@@ -230,10 +230,12 @@ pub fn build_workload(spec: RungSpec) -> (WeightedGraph, Option<PlantedPartition
 pub struct PhaseSplit {
     /// Initialization: passes 1 and 2.
     pub init_ms: f64,
-    /// Sorting the similarity list.
+    /// Sorting the similarity list: the Filter-Kruskal pass's
+    /// partitioning, filtering and leaf sorts, which `sweep_ms` already
+    /// contains.
     pub sort_ms: f64,
     /// The sweep (outer span — it contains the exact sweep's set-up
-    /// sub-phase).
+    /// sub-phase and its `Sort` record).
     pub sweep_ms: f64,
 }
 

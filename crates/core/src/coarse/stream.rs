@@ -156,8 +156,7 @@ impl<'a, G: GraphView + ?Sized> MergeStream<'a, G> {
         let entries = self.sorted.entries();
         while self.read < q && !self.kruskal.is_complete() {
             let entry = &entries[self.read];
-            self.intersected +=
-                self.kruskal.offer_entry(self.g, self.sorted, &self.slot_of_edge, entry);
+            self.intersected += self.kruskal.offer_entry(self.g, &self.slot_of_edge, entry);
             let index = u32::try_from(self.read).expect("L has fewer than 2^32 entries");
             self.merge_entry.resize(self.kruskal.merges().len(), index);
             self.read += 1;

@@ -28,7 +28,7 @@ use linkclust_graph::{EdgeId, VertexId, WeightedGraph};
 ///     (2, 3, 1.0), (3, 4, 1.0), (2, 4, 1.0),
 /// ])?.build();
 /// let output = sweep(&g, &compute_similarities(&g).into_sorted(), SweepConfig::default());
-/// let cut = output.dendrogram().best_density_cut(&g).unwrap();
+/// let cut = output.best_density_cut(&g).unwrap();
 /// let labels = output.edge_assignments_at_level(cut.level);
 /// let comms = LinkCommunities::from_edge_labels(&g, &labels);
 ///

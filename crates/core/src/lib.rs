@@ -18,7 +18,9 @@
 //!   the chain array `C`. Total cost O(|V| + K₁ log K₁ + √K₂·|E|) time
 //!   and O(K₂ + |E|) space (Theorem 2).
 //!   [`kruskal_sweep_with`](sweep::kruskal_sweep_with) runs Phase II as
-//!   one Kruskal pass over a union-find and emits the same dendrogram.
+//!   one Kruskal pass over a union-find and emits the same dendrogram;
+//!   [`filter_kruskal_sweep`](sweep::filter_kruskal_sweep) makes that
+//!   pass over the unsorted list and sorts only the part it reads.
 //! * **Modeling** ([`coarse`], [`model`]) — coarse-grained dendrograms:
 //!   the sorted list is processed in adaptively sized chunks whose merge
 //!   rate between consecutive levels is bounded by γ, driven by a
@@ -31,7 +33,7 @@
 //! This crate holds the algorithms, not an end-to-end facade. The
 //! companion `linkclust-parallel` crate holds the multi-core versions of
 //! both phases (§VI) and the one clustering facade, `LinkClustering`: it
-//! runs Phase I, the sort and a sweep at any thread count, with optional
+//! runs Phase I and a sweep at any thread count, with optional
 //! telemetry and tracing.
 //!
 //! # Quickstart
@@ -52,7 +54,7 @@
 //! ])?.build();
 //! let sorted = compute_similarities(&g).into_sorted();
 //! let output = sweep(&g, &sorted, SweepConfig::default());
-//! let cut = output.dendrogram().best_density_cut(&g).unwrap();
+//! let cut = output.best_density_cut(&g).unwrap();
 //! assert_eq!(cut.cluster_count, 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -113,6 +113,14 @@ impl SimilarityEntry {
     pub fn first_wedge(&self) -> Wedge {
         self.first
     }
+
+    /// The order of `L` in Algorithm 2: non-increasing score under
+    /// [`f64::total_cmp`], ties broken by ascending vertex pair. Pairs are
+    /// unique in a list, so no two of its entries compare equal.
+    #[inline]
+    pub(crate) fn list_order(&self, other: &Self) -> Ordering {
+        other.score.total_cmp(&self.score).then_with(|| self.pair.cmp(&other.pair))
+    }
 }
 
 /// The wedges of one entry in ascending order of the common neighbor,
@@ -195,6 +203,19 @@ impl PairSimilarities {
         &self.entries
     }
 
+    /// The entries, to reorder in place. The list counts as unsorted
+    /// until [`mark_sorted`](Self::mark_sorted).
+    pub(crate) fn entries_mut(&mut self) -> &mut [SimilarityEntry] {
+        self.sorted = false;
+        &mut self.entries
+    }
+
+    /// Records that the entries are in list order.
+    pub(crate) fn mark_sorted(&mut self) {
+        debug_assert!(self.entries.windows(2).all(|w| w[0].list_order(&w[1]) == Ordering::Less));
+        self.sorted = true;
+    }
+
     /// Checks that `g` is the graph this list was computed over, as far
     /// as its vertex and edge counts tell.
     ///
@@ -248,6 +269,16 @@ impl PairSimilarities {
         entry: &SimilarityEntry,
     ) -> Wedges<'g> {
         self.check_graph(g);
+        Self::wedges_in(g, entry)
+    }
+
+    /// [`wedges`](Self::wedges) for a caller that has already checked
+    /// `g` against the list ([`check_graph`](Self::check_graph)).
+    #[inline]
+    pub(crate) fn wedges_in<'g, G: GraphView + ?Sized>(
+        g: &'g G,
+        entry: &SimilarityEntry,
+    ) -> Wedges<'g> {
         let (vi, vj) = (entry.pair.first(), entry.pair.second());
         if cfg!(debug_assertions) {
             let (k, e_ik, e_jk) = entry.first;
@@ -301,9 +332,7 @@ impl PairSimilarities {
     #[must_use]
     pub fn into_sorted(mut self) -> Self {
         if !self.sorted {
-            self.entries.sort_unstable_by(|a, b| {
-                b.score.total_cmp(&a.score).then_with(|| a.pair.cmp(&b.pair))
-            });
+            self.entries.sort_unstable_by(SimilarityEntry::list_order);
             self.sorted = true;
         }
         self

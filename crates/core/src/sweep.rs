@@ -15,19 +15,24 @@
 //!   on the chain array [`ClusterArray`]. They are the oracle every
 //!   exact engine is tested against, and what the Fig. 2 and Fig. 4
 //!   experiments measure.
-//! - [`kruskal_sweep_with`] is the production serial Phase II. Single
+//! - [`kruskal_sweep_with`] is the Kruskal pass over a sorted `L`. Single
 //!   linkage is Kruskal's algorithm on the stream of union operations,
 //!   so it offers the same operations, in the same order, to a
 //!   min-tracking union-find ([`KruskalMerges`]) and emits the same
 //!   merge records, scores included, bit for bit — without the chain
-//!   rewrites behind Theorem 2's `√K₂·|E|` term. It is the exact sweep
-//!   at every thread count, and the MST baseline feeds the same builder.
+//!   rewrites behind Theorem 2's `√K₂·|E|` term. The coarse merge
+//!   stream runs it, and the MST baseline feeds the same builder.
+//! - [`filter_kruskal_sweep`] is the same pass over the *unsorted* list
+//!   Phase I produces (Filter-Kruskal; Osipov, Sanders and Singler,
+//!   2009), the exact sweep of the facade's `run` at every thread count.
+//!   It sorts only the ranges it sweeps and drops, unsorted, the
+//!   one-wedge entries whose two edges already share a cluster.
 //!
 //! **The stop rule.** Every union operation joins two edges that share
 //! a vertex, so the merge forest over the `m` edges is complete after
 //! `m − c` merges, where `c` counts the components of `G` that have an
 //! edge ([`edge_component_count`]). No later operation can join two
-//! clusters. [`kruskal_sweep_with`] therefore stops at the first entry
+//! clusters. Both Kruskal passes therefore stop at the first entry
 //! boundary after the forest is complete; on a dense word-association
 //! graph that is a few percent of `L`. Algorithm 2 keeps sweeping the
 //! whole list, as the paper states it.
@@ -36,6 +41,9 @@
 //! the pair list is processed in fixed-size chunks of incident edge pairs,
 //! all merges in a chunk share a level, and per-level statistics (writes
 //! to `C`, surviving clusters) are traced.
+
+use std::cmp::Ordering;
+use std::time::Instant;
 
 use linkclust_graph::algo::edge_component_count;
 use linkclust_graph::GraphView;
@@ -439,19 +447,34 @@ impl KruskalMerges {
 
     /// Offers the union operations of `entry`'s wedges, in the order
     /// Algorithm 2 performs them, each generated by the entry's score.
-    /// Returns the entry's share of [`Counter::IntersectedDegrees`].
+    /// Returns the entry's share of [`Counter::IntersectedDegrees`]. The
+    /// caller has checked `g` against the entry's list.
     #[inline]
     pub(crate) fn offer_entry<G: GraphView + ?Sized>(
         &mut self,
         g: &G,
-        sorted: &PairSimilarities,
         slot_of_edge: &[u32],
         entry: &SimilarityEntry,
     ) -> u64 {
-        for (_, e1, e2) in sorted.wedges(g, entry) {
+        for (_, e1, e2) in PairSimilarities::wedges_in(g, entry) {
             self.offer(slot_of_edge[e1.index()], slot_of_edge[e2.index()], entry.score);
         }
         intersected_degrees(g, entry)
+    }
+
+    /// `true` if sweeping `entry` can make no merge: it has one wedge,
+    /// and that wedge's two edges are already in one cluster. Clusters
+    /// only grow, so the entry's union operation will join a set to
+    /// itself wherever the entry falls in the sweep order.
+    #[inline]
+    fn is_redundant(&mut self, slot_of_edge: &[u32], entry: &SimilarityEntry) -> bool {
+        if entry.pair_count() > 1 {
+            return false;
+        }
+        let (_, e1, e2) = entry.first_wedge();
+        // cast: u32 slots to indices, lossless on 32- and 64-bit.
+        let (s1, s2) = (slot_of_edge[e1.index()] as usize, slot_of_edge[e2.index()] as usize);
+        self.clusters.connected(s1, s2)
     }
 
     /// The merges in the order they happened, and the score of each.
@@ -461,11 +484,14 @@ impl KruskalMerges {
     }
 }
 
-/// The production serial sweep: [`sweep_with`]'s contract and output,
-/// computed by one Kruskal pass ([`KruskalMerges`]) instead of the chain
-/// array. It reads each entry's wedges in the order Algorithm 2 performs
-/// their union operations, so the dendrogram, the merge scores and the
-/// slot permutation equal [`sweep_with`]'s bit for bit.
+/// [`sweep_with`]'s contract and output, computed by one Kruskal pass
+/// ([`KruskalMerges`]) over the sorted list instead of the chain array.
+/// It reads each entry's wedges in the order Algorithm 2 performs their
+/// union operations, so the dendrogram, the merge scores and the slot
+/// permutation equal [`sweep_with`]'s bit for bit. The facade's `run`
+/// makes the same pass over the unsorted list
+/// ([`filter_kruskal_sweep`]); this one is its oracle, and the pass the
+/// coarse merge stream runs.
 ///
 /// The pass stops at the first entry boundary after the forest is
 /// complete, at `m − c` merges (the module's stop rule); `c` is counted
@@ -510,33 +536,361 @@ pub fn kruskal_sweep_with<G: GraphView + ?Sized>(
     assert!(sorted.is_sorted(), "sweep requires a sorted pair list; call into_sorted()");
     sorted.check_graph(g);
     let span = telemetry.span(Phase::Sweep);
-    let setup_span = telemetry.span(Phase::SweepSetup);
-    let m = g.edge_count();
-    let slot_of_edge = config.edge_order.permutation(m);
-    let mut kruskal = KruskalMerges::with_target(m, m - edge_component_count(g));
-    setup_span.finish();
-    let mut pairs_processed = 0u64;
-    let mut intersected = 0u64;
-    for entry in sorted.entries() {
-        if kruskal.is_complete() {
-            break;
-        }
-        if let Some(theta) = config.min_similarity {
-            if entry.score < theta {
-                break;
-            }
-        }
-        intersected += kruskal.offer_entry(g, sorted, &slot_of_edge, entry);
-        pairs_processed += entry.pair_count() as u64;
-    }
+    let (slot_of_edge, mut kruskal) = sweep_setup(g, config.edge_order, telemetry);
+    let mut tally = SweepTally::default();
+    let entries = sorted.entries();
+    sweep_in_order(g, entries, &slot_of_edge, &mut kruskal, config.min_similarity, &mut tally);
     span.finish();
+    finish_sweep(kruskal, slot_of_edge, tally, telemetry)
+}
+
+/// The set-up of an exact Kruskal sweep, under a [`Phase::SweepSetup`]
+/// span: the slot permutation, and a builder whose target is the
+/// complete forest's `m − c` merges.
+fn sweep_setup<G: GraphView + ?Sized>(
+    g: &G,
+    edge_order: EdgeOrder,
+    telemetry: &Telemetry,
+) -> (Vec<u32>, KruskalMerges) {
+    let _span = telemetry.span(Phase::SweepSetup);
+    let m = g.edge_count();
+    (edge_order.permutation(m), KruskalMerges::with_target(m, m - edge_component_count(g)))
+}
+
+/// What an exact sweep read: the wedges of the entries up to where it
+/// stopped ([`Counter::PairsProcessed`]) and `Σ (dᵢ + dⱼ)` over the
+/// entries it intersected ([`Counter::IntersectedDegrees`]).
+#[derive(Clone, Copy, Default)]
+struct SweepTally {
+    pairs: u64,
+    intersected: u64,
+}
+
+/// The loop of both Kruskal passes: offers the wedges of `entries`, in
+/// list order, to `kruskal`, and stops before the first entry that finds
+/// the forest complete or scores below `min_similarity` (the module's
+/// stop rule). Returns the number of entries it swept.
+fn sweep_in_order<G: GraphView + ?Sized>(
+    g: &G,
+    entries: &[SimilarityEntry],
+    slot_of_edge: &[u32],
+    kruskal: &mut KruskalMerges,
+    min_similarity: Option<f64>,
+    tally: &mut SweepTally,
+) -> usize {
+    for (swept, entry) in entries.iter().enumerate() {
+        if kruskal.is_complete() || min_similarity.is_some_and(|theta| entry.score < theta) {
+            return swept;
+        }
+        tally.intersected += kruskal.offer_entry(g, slot_of_edge, entry);
+        tally.pairs += entry.pair_count() as u64;
+    }
+    entries.len()
+}
+
+/// Records an exact sweep's counters and assembles its output.
+fn finish_sweep(
+    kruskal: KruskalMerges,
+    slot_of_edge: Vec<u32>,
+    tally: SweepTally,
+    telemetry: &Telemetry,
+) -> SweepOutput {
     let (merges, scores) = kruskal.into_parts();
     telemetry.add(Counter::MergesApplied, merges.len() as u64);
-    telemetry.add(Counter::PairsProcessed, pairs_processed);
-    telemetry.add(Counter::IntersectedDegrees, intersected);
-    let dendrogram = Dendrogram::from_merges(m, merges);
+    telemetry.add(Counter::PairsProcessed, tally.pairs);
+    telemetry.add(Counter::IntersectedDegrees, tally.intersected);
+    let dendrogram = Dendrogram::from_merges(slot_of_edge.len(), merges);
     crate::invariants::debug_check_dendrogram(&dendrogram);
     SweepOutput::with_scores(dendrogram, slot_of_edge, scores)
+}
+
+/// Ranges of `L` of at most this many entries are sorted and swept
+/// whole by [`filter_kruskal_sweep`]; longer ones are partitioned.
+const LEAF_ENTRIES: usize = 8192;
+
+/// Entries sampled, evenly spaced, from a range to pick its pivot: the
+/// median of the sample.
+const PIVOT_SAMPLE: usize = 63;
+
+/// The depth past which [`filter_kruskal_sweep`] sorts a range outright,
+/// whatever its length: `2·⌈log₂ K₁⌉`. It keeps the worst case at
+/// O(K₁ log K₁) and the recursion shallow on any input.
+fn depth_limit(k1: usize) -> usize {
+    // cast: a bit count, at most 64.
+    2 * k1.next_power_of_two().trailing_zeros() as usize
+}
+
+/// The exact sweep over the unsorted list Phase I produces: Kruskal's
+/// algorithm as Filter-Kruskal (Osipov, Sanders and Singler, 2009). It
+/// equals [`kruskal_sweep_with`] over `sims.into_sorted()` — the
+/// dendrogram, the merge scores and the slot permutation bit for bit,
+/// and the merge, processed-pair and intersected-degree counters — but
+/// sorts only the ranges of `L` it sweeps.
+///
+/// - **Partition.** A range of more than 8,192 entries is partitioned in
+///   place around the median of 63 evenly spaced entries under the list
+///   order (score descending by [`f64::total_cmp`], then pair
+///   ascending). The heavy side, the entries ordered before the pivot,
+///   is processed first.
+/// - **Filter.** Unless the sweep has stopped, the light side is then
+///   filtered: every one-wedge entry whose stored wedge's two edges
+///   already share a cluster goes to its tail, unsorted, and the rest is
+///   processed. Its union operation could only join a set to itself.
+///   An entry of more wedges is never filtered, so no neighbor slab is
+///   intersected outside the sweep.
+/// - **Leaves.** A range of at most 8,192 entries, or one past a depth of
+///   `2·⌈log₂ K₁⌉`, is sorted and swept by [`kruskal_sweep_with`]'s loop,
+///   which stops once the forest is complete or below
+///   [`SweepConfig::min_similarity`].
+///
+/// The pass offers the same union operations in the same order as the
+/// sorted sweep, less some that join a set to itself, and
+/// [`KruskalMerges`] names a set by its minimum slot; so every merge,
+/// level and score is the same. It leaves every entry in `sims`: the
+/// ranges it swept, in list order, then the rest. The list is marked
+/// sorted only if that covers all of it.
+///
+/// Telemetry: one [`Phase::Sweep`] span, with the set-up's
+/// [`Phase::SweepSetup`] span and one [`Phase::Sort`] record of the time
+/// spent partitioning, filtering and sorting leaves nested inside (the
+/// clock is read only when telemetry is on).
+/// [`Counter::EntriesSorted`] and [`Counter::EntriesFiltered`] count the
+/// entries the pass sorted and filtered. [`Counter::PairsProcessed`] is
+/// W\*: the swept wedges plus the filtered entries ordered before the
+/// entry that completes the forest (before the first entry below the
+/// threshold if it never completes), counted in one pass over the unsorted
+/// rest when telemetry is on.
+///
+/// # Panics
+///
+/// Panics if `g`'s vertex or edge count differs from the graph the list
+/// was computed over. Debug builds also panic on an entry whose stored
+/// first wedge does not lie in `g`.
+///
+/// # Examples
+///
+/// ```
+/// use linkclust_graph::generate::{gnm, WeightMode};
+/// use linkclust_core::init::compute_similarities;
+/// use linkclust_core::sweep::{filter_kruskal_sweep, kruskal_sweep_with, SweepConfig};
+/// use linkclust_core::telemetry::Telemetry;
+///
+/// let g = gnm(60, 240, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 1);
+/// let off = Telemetry::disabled();
+/// let mut sims = compute_similarities(&g);
+/// let out = filter_kruskal_sweep(&g, &mut sims, SweepConfig::default(), &off);
+/// let sorted = sims.clone().into_sorted();
+/// assert_eq!(out, kruskal_sweep_with(&g, &sorted, SweepConfig::default(), &off));
+/// assert_eq!(sims.len(), sorted.len()); // every entry stays in the list
+/// ```
+pub fn filter_kruskal_sweep<G: GraphView + ?Sized>(
+    g: &G,
+    sims: &mut PairSimilarities,
+    config: SweepConfig,
+    telemetry: &Telemetry,
+) -> SweepOutput {
+    filter_kruskal(g, sims, config, telemetry, LEAF_ENTRIES).0
+}
+
+/// How much of `L` one Filter-Kruskal pass touched.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct PassWork {
+    /// Entries sorted, in the leaves.
+    pub(crate) sorted: u64,
+    /// Entries filtered out, unsorted.
+    pub(crate) filtered: u64,
+    /// The deepest range the pass reached.
+    pub(crate) deepest: usize,
+}
+
+/// [`filter_kruskal_sweep`] with ranges of up to `leaf_entries` entries
+/// (at least 1) as its leaves, and the work it did.
+pub(crate) fn filter_kruskal<G: GraphView + ?Sized>(
+    g: &G,
+    sims: &mut PairSimilarities,
+    config: SweepConfig,
+    telemetry: &Telemetry,
+    leaf_entries: usize,
+) -> (SweepOutput, PassWork) {
+    sims.check_graph(g);
+    let span = telemetry.span(Phase::Sweep);
+    let (slot_of_edge, kruskal) = sweep_setup(g, config.edge_order, telemetry);
+    let entries = sims.entries_mut();
+    let mut pass = FilterKruskal {
+        g,
+        slot_of_edge: &slot_of_edge,
+        kruskal,
+        min_similarity: config.min_similarity,
+        leaf_entries: leaf_entries.max(1),
+        depth_limit: depth_limit(entries.len()),
+        sorted: 0,
+        swept: 0,
+        below_threshold: false,
+        tally: SweepTally::default(),
+        work: PassWork::default(),
+        sort_nanos: telemetry.is_enabled().then_some(0),
+    };
+    pass.process(entries, entries.len(), 0);
+    if let Some(nanos) = pass.sort_nanos {
+        telemetry.record_phase_nanos(Phase::Sort, nanos);
+        // W* counts the filtered entries too; only a report reads it.
+        pass.tally.pairs += pass.filtered_before_stop(entries);
+    }
+    let FilterKruskal { kruskal, tally, mut work, sorted, .. } = pass;
+    work.sorted = sorted as u64;
+    if sorted == entries.len() {
+        sims.mark_sorted();
+    }
+    span.finish();
+    telemetry.add(Counter::EntriesSorted, work.sorted);
+    telemetry.add(Counter::EntriesFiltered, work.filtered);
+    (finish_sweep(kruskal, slot_of_edge, tally, telemetry), work)
+}
+
+/// One Filter-Kruskal pass over `L`'s entries, which it reorders in
+/// place: the sorted prefix `..sorted` (every range swept, in list
+/// order), then the entries filtered out and the ranges never reached.
+struct FilterKruskal<'a, G: ?Sized> {
+    g: &'a G,
+    slot_of_edge: &'a [u32],
+    kruskal: KruskalMerges,
+    min_similarity: Option<f64>,
+    leaf_entries: usize,
+    depth_limit: usize,
+    /// The end of the sorted prefix.
+    sorted: usize,
+    /// The end of the entries swept, within the sorted prefix.
+    swept: usize,
+    /// `true` once an entry scored below the threshold.
+    below_threshold: bool,
+    tally: SweepTally,
+    work: PassWork,
+    /// Nanoseconds spent partitioning, filtering and sorting leaves;
+    /// `None` when telemetry is off, so the clock is never read.
+    sort_nanos: Option<u64>,
+}
+
+impl<G: GraphView + ?Sized> FilterKruskal<'_, G> {
+    fn is_stopped(&self) -> bool {
+        self.below_threshold || self.kruskal.is_complete()
+    }
+
+    /// Processes the range `self.sorted..end` of `entries` at `depth`:
+    /// sweeps its entries in list order, less the ones filtered out, until
+    /// the sweep stops.
+    fn process(&mut self, entries: &mut [SimilarityEntry], end: usize, depth: usize) {
+        self.work.deepest = self.work.deepest.max(depth);
+        let start = self.sorted;
+        if end - start <= self.leaf_entries || depth >= self.depth_limit {
+            self.sweep_leaf(entries, end);
+            return;
+        }
+        let clock = self.start_clock();
+        let mid = start + partition(&mut entries[start..end]);
+        self.stop_clock(clock);
+        self.process(entries, mid, depth + 1);
+        if self.is_stopped() {
+            return;
+        }
+        let clock = self.start_clock();
+        let kept = self.filter(entries, mid, end);
+        self.stop_clock(clock);
+        self.process(entries, kept, depth + 1);
+    }
+
+    /// Sorts `self.sorted..end` and sweeps it.
+    fn sweep_leaf(&mut self, entries: &mut [SimilarityEntry], end: usize) {
+        let leaf = &mut entries[self.sorted..end];
+        let clock = self.start_clock();
+        leaf.sort_unstable_by(SimilarityEntry::list_order);
+        self.stop_clock(clock);
+        let swept = sweep_in_order(
+            self.g,
+            leaf,
+            self.slot_of_edge,
+            &mut self.kruskal,
+            self.min_similarity,
+            &mut self.tally,
+        );
+        self.below_threshold = swept < leaf.len() && !self.kruskal.is_complete();
+        self.swept = self.sorted + swept;
+        self.sorted = end;
+    }
+
+    /// Filters the light side `from..end`: moves the entries that may
+    /// still merge to `self.sorted..`, over the entries filtered out
+    /// before them (`self.sorted..from`), and returns the end of the
+    /// ones kept.
+    fn filter(&mut self, entries: &mut [SimilarityEntry], from: usize, end: usize) -> usize {
+        let mut kept = self.sorted;
+        for i in from..end {
+            if !self.kruskal.is_redundant(self.slot_of_edge, &entries[i]) {
+                entries.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.work.filtered += (end - from - (kept - self.sorted)) as u64;
+        kept
+    }
+
+    /// The filtered entries ordered before where the sweep stopped: before
+    /// the entry that completed the forest, or, if it never completed,
+    /// those at or above the threshold. Every entry past the sorted prefix
+    /// that is not filtered lies beyond that point, so one compare pass
+    /// over the rest counts them. Each has one wedge.
+    fn filtered_before_stop(&self, entries: &[SimilarityEntry]) -> u64 {
+        let rest = &entries[self.sorted..];
+        let count = if self.kruskal.is_complete() {
+            match self.swept.checked_sub(1) {
+                Some(last) => {
+                    let completing = &entries[last];
+                    rest.iter().filter(|e| e.list_order(completing) == Ordering::Less).count()
+                }
+                None => 0,
+            }
+        } else {
+            let live = |e: &&SimilarityEntry| !self.min_similarity.is_some_and(|t| e.score < t);
+            rest.iter().filter(live).count()
+        };
+        count as u64
+    }
+
+    fn start_clock(&self) -> Option<Instant> {
+        self.sort_nanos.map(|_| Instant::now())
+    }
+
+    fn stop_clock(&mut self, clock: Option<Instant>) {
+        if let (Some(start), Some(nanos)) = (clock, self.sort_nanos.as_mut()) {
+            // cast: a duration of under 584 years in nanoseconds fits u64.
+            *nanos += start.elapsed().as_nanos() as u64;
+        }
+    }
+}
+
+/// Partitions `range` (at least two entries) in place around the median
+/// of [`PIVOT_SAMPLE`] evenly spaced entries, under the list order: the
+/// entries ordered before the pivot first. Returns their count, which is
+/// at least one and less than the range's length, since the sample holds
+/// distinct entries on both sides of its median.
+fn partition(range: &mut [SimilarityEntry]) -> usize {
+    let len = range.len();
+    let take = PIVOT_SAMPLE.min(len);
+    let mut sample = [range[0]; PIVOT_SAMPLE];
+    for (k, slot) in sample[..take].iter_mut().enumerate() {
+        *slot = range[k * len / take];
+    }
+    let (_, &mut pivot, _) =
+        sample[..take].select_nth_unstable_by(take / 2, SimilarityEntry::list_order);
+    // Lomuto's scheme without a branch on the comparison, which a
+    // median pivot makes a coin toss: `..before` holds the entries
+    // ordered before the pivot, and every step swaps unconditionally.
+    let mut before = 0;
+    for i in 0..len {
+        let is_before = range[i].list_order(&pivot) == Ordering::Less;
+        range.swap(before, i);
+        before += usize::from(is_before);
+    }
+    before
 }
 
 /// `d(vᵢ) + d(vⱼ)` if reading the wedges of `entry` intersects the two
@@ -642,6 +996,7 @@ mod tests {
     use super::*;
     use crate::init::compute_similarities;
     use crate::reference::{canonical_labels, single_linkage_at_threshold};
+    use crate::similarity::VertexPair;
     use linkclust_graph::generate::{complete, gnm, WeightMode};
     use linkclust_graph::{GraphBuilder, VertexId, WeightedGraph};
 
@@ -931,6 +1286,198 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    /// Leaf sizes of the Filter-Kruskal tests: every range partitioned
+    /// down to one entry, a few small leaves, and the shipped size.
+    const LEAF_SIZES: [usize; 6] = [1, 2, 3, 17, 64, LEAF_ENTRIES];
+
+    /// One graph of every generator family, plus a G(n, m) whose `L` is
+    /// longer than a leaf of the shipped size.
+    fn every_family() -> Vec<(&'static str, WeightedGraph)> {
+        use linkclust_graph::generate::{
+            barabasi_albert, erdos_renyi, k_regular, lfr_like, overlapping_planted,
+            overlapping_planted_with_mixing, path, planted_partition, ring, star, watts_strogatz,
+        };
+        let w = WeightMode::Uniform { lo: 0.2, hi: 2.0 };
+        vec![
+            ("complete", complete(16, w, 1)),
+            ("erdos_renyi", erdos_renyi(60, 0.1, w, 2)),
+            ("gnm", gnm(80, 300, w, 3)),
+            ("k_regular", k_regular(60, 6, w, 4)),
+            ("barabasi_albert", barabasi_albert(90, 3, w, 5)),
+            ("planted_partition", planted_partition(4, 12, 0.6, 0.05, 6).graph),
+            ("lfr_like", lfr_like(150, 8, 0.2, 7).graph),
+            ("overlapping_planted", overlapping_planted(4, 10, 2, 8).graph),
+            (
+                "overlapping_planted_with_mixing",
+                overlapping_planted_with_mixing(4, 10, 2, 0.3, 9).graph,
+            ),
+            ("ring", ring(40, w, 10)),
+            ("watts_strogatz", watts_strogatz(60, 6, 0.2, w, 11)),
+            ("path", path(30, w, 12)),
+            ("star", star(30, w, 13)),
+            ("gnm, K1 past one leaf", gnm(1500, 4000, w, 14)),
+        ]
+    }
+
+    /// Runs the Filter-Kruskal pass with leaves of `leaf` entries over
+    /// `g`'s unsorted list and checks it against [`kruskal_sweep_with`]
+    /// over the sorted list: the dendrogram, the merge-score bits, the
+    /// slot map and the sweep's counters, a list that keeps every entry
+    /// behind a sorted prefix, and counters that match the work done.
+    fn assert_pass_is_the_sorted_sweep(
+        what: &str,
+        g: &WeightedGraph,
+        config: SweepConfig,
+        leaf: usize,
+    ) -> PassWork {
+        use crate::telemetry::TelemetrySink;
+        let unsorted = compute_similarities(g);
+        let sorted = unsorted.clone().into_sorted();
+        let (telemetry, recorder) = TelemetrySink::Stats.build();
+        let oracle = kruskal_sweep_with(g, &sorted, config, &telemetry);
+        let oracle_report = recorder.expect("stats sink records").report();
+        let (telemetry, recorder) = TelemetrySink::Stats.build();
+        let mut sims = unsorted;
+        let (out, work) = filter_kruskal(g, &mut sims, config, &telemetry, leaf);
+        let report = recorder.expect("stats sink records").report();
+        assert_eq!(out.dendrogram(), oracle.dendrogram(), "{what}");
+        assert_eq!(score_bits(&out), score_bits(&oracle), "{what}");
+        assert_eq!(out.slot_of_edge(), oracle.slot_of_edge(), "{what}");
+        for counter in
+            [Counter::MergesApplied, Counter::PairsProcessed, Counter::IntersectedDegrees]
+        {
+            assert_eq!(
+                report.counter(counter),
+                oracle_report.counter(counter),
+                "{what} {counter:?}"
+            );
+        }
+        assert_eq!(report.counter(Counter::EntriesSorted), work.sorted, "{what}");
+        assert_eq!(report.counter(Counter::EntriesFiltered), work.filtered, "{what}");
+        assert!(work.sorted + work.filtered <= sorted.len() as u64, "{what}");
+        for phase in [Phase::Sweep, Phase::SweepSetup, Phase::Sort] {
+            assert_eq!(report.phase_calls(phase), 1, "{what} {phase:?}");
+        }
+        // cast: a count of entries of `L`, which is in memory.
+        let prefix = &sims.entries()[..work.sorted as usize];
+        assert!(prefix.windows(2).all(|w| w[0].list_order(&w[1]) == Ordering::Less), "{what}");
+        assert_eq!(sims.is_sorted(), work.sorted == sorted.len() as u64, "{what}");
+        assert_eq!(sims.into_sorted(), sorted, "{what}: the pass keeps every entry");
+        work
+    }
+
+    #[test]
+    fn filter_kruskal_is_the_sorted_sweep_on_every_family() {
+        let orders = [EdgeOrder::Insertion, EdgeOrder::Shuffled { seed: 3 }];
+        let mut filtered = 0;
+        for (name, g) in every_family() {
+            let sims = compute_similarities(&g).into_sorted();
+            let full =
+                kruskal_sweep_with(&g, &sims, SweepConfig::default(), &Telemetry::disabled());
+            let scores = full.merge_scores();
+            let median = scores.get(scores.len() / 2).copied();
+            for edge_order in orders {
+                for min_similarity in [None, median] {
+                    let config = SweepConfig { edge_order, min_similarity };
+                    for leaf in LEAF_SIZES {
+                        let what = format!("{name} {config:?} leaf {leaf}");
+                        let work = assert_pass_is_the_sorted_sweep(&what, &g, config, leaf);
+                        if leaf >= sims.len() {
+                            assert_eq!(work.sorted, sims.len() as u64, "{what}: one leaf");
+                            assert_eq!(work.deepest, 0, "{what}");
+                        } else {
+                            assert!(work.deepest > 0, "{what}: a partition");
+                        }
+                        filtered += work.filtered;
+                    }
+                }
+            }
+        }
+        assert!(filtered > 0, "the filter dropped entries");
+    }
+
+    /// Disjoint 4-cycles with random weights. Every entry of `L` (a
+    /// cycle's diagonal) has two wedges, so the pass filters nothing; and
+    /// each cycle needs both of its entries for its third merge, so the
+    /// forest completes only at the last entry of `L`.
+    fn four_cycles(count: usize) -> WeightedGraph {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(count as u64);
+        let mut b = GraphBuilder::with_vertices(4 * count);
+        for c in 0..count {
+            let v = |i: usize| VertexId::new(4 * c + i % 4);
+            for i in 0..4 {
+                b.add_edge(v(i), v(i + 1), rng.gen_range(0.2..2.0)).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    /// `sorted` rearranged so that, in a pass that filters nothing and
+    /// never stops, every partition with leaves of `leaf` entries samples
+    /// the smallest keys of its range. It simulates the pass's partitions
+    /// on placeholders that are ranked as the sampler first reaches them:
+    /// an unranked one orders after every ranked one, as the entry it
+    /// stands for will.
+    fn sampled_smallest_first(sorted: &[SimilarityEntry], leaf: usize) -> Vec<SimilarityEntry> {
+        let n = sorted.len();
+        let placeholder = |at: usize| {
+            let first = sorted[0].first_wedge();
+            SimilarityEntry::new(
+                VertexPair::new(VertexId::new(0), VertexId::new(at + 1)),
+                0.0,
+                1,
+                first,
+            )
+        };
+        let mut list: Vec<SimilarityEntry> = (0..n).map(placeholder).collect();
+        let mut rank = vec![usize::MAX; n];
+        let mut next = 0;
+        let mut start = 0;
+        for _ in 0..depth_limit(n) {
+            let len = n - start;
+            if len <= leaf {
+                break;
+            }
+            let take = PIVOT_SAMPLE.min(len);
+            for k in 0..take {
+                let e = &mut list[start + k * len / take];
+                let at = e.pair.second().index() - 1;
+                if rank[at] == usize::MAX {
+                    rank[at] = next;
+                    e.score = (n - next) as f64;
+                    next += 1;
+                }
+            }
+            start += partition(&mut list[start..]);
+        }
+        for r in rank.iter_mut().filter(|r| **r == usize::MAX) {
+            *r = next;
+            next += 1;
+        }
+        rank.iter().map(|&r| sorted[r]).collect()
+    }
+
+    #[test]
+    fn filter_kruskal_reaches_the_depth_limit_and_stays_identical() {
+        let g = four_cycles(2048);
+        let mut sims = compute_similarities(&g);
+        let sorted = sims.clone().into_sorted();
+        let leaf = 16;
+        sims.entries_mut().copy_from_slice(&sampled_smallest_first(sorted.entries(), leaf));
+        let (telemetry, recorder) = crate::telemetry::TelemetrySink::Stats.build();
+        let (out, work) = filter_kruskal(&g, &mut sims, SweepConfig::default(), &telemetry, leaf);
+        let report = recorder.expect("stats sink records").report();
+        assert_eq!(work.deepest, depth_limit(sorted.len()), "the recursion was cut off");
+        assert_eq!(work, PassWork { sorted: 4096, filtered: 0, deepest: 24 });
+        let oracle =
+            kruskal_sweep_with(&g, &sorted, SweepConfig::default(), &Telemetry::disabled());
+        assert_eq!(out.dendrogram(), oracle.dendrogram());
+        assert_eq!(score_bits(&out), score_bits(&oracle));
+        assert_eq!(report.counter(Counter::PairsProcessed), sorted.incident_pair_count());
+        assert_eq!(sims, sorted);
     }
 
     #[test]

@@ -158,10 +158,11 @@ pub enum Counter {
     ListBytes = 2,
     /// Merges recorded into the dendrogram.
     MergesApplied = 3,
-    /// Incident edge pairs actually swept: ≤ K₂ under φ-termination, a
-    /// threshold, or the exact engines' stop once the merge forest is
-    /// complete (the pairs of every entry up to and including the one
-    /// that completes it).
+    /// Incident edge pairs up to where a sweep stopped: ≤ K₂ under
+    /// φ-termination, a threshold, or the exact engines' stop once the
+    /// merge forest is complete. For the exact engines this is W\*, the
+    /// pairs of every entry up to and including the one that completes
+    /// the forest, whether the sweep read the entry or filtered it out.
     PairsProcessed = 4,
     /// `Σ (dᵢ + dⱼ)` over the entries an exact sweep read by intersecting
     /// the neighbor slabs `N(vᵢ)` and `N(vⱼ)` (every entry with more than
@@ -202,14 +203,22 @@ pub enum Counter {
     ServeAdmissions = 19,
     /// Index swaps published after a completed recluster.
     ServeSwaps = 20,
+    /// Entries of `L` a run sorted: K₁ for a full sort, the entries of
+    /// the ranges it swept for the facade's Filter-Kruskal pass.
+    EntriesSorted = 21,
+    /// One-wedge entries the Filter-Kruskal pass dropped unsorted because
+    /// their two edges already shared a cluster.
+    EntriesFiltered = 22,
 }
 
 impl Counter {
     /// All counters, in display order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 23] = [
         Counter::PairsK1,
         Counter::IncidentPairsK2,
         Counter::ListBytes,
+        Counter::EntriesSorted,
+        Counter::EntriesFiltered,
         Counter::MergesApplied,
         Counter::PairsProcessed,
         Counter::IntersectedDegrees,
@@ -255,6 +264,8 @@ impl Counter {
             Counter::ServeCacheMisses => "serve_cache_misses",
             Counter::ServeAdmissions => "serve_admissions",
             Counter::ServeSwaps => "serve_swaps",
+            Counter::EntriesSorted => "entries_sorted",
+            Counter::EntriesFiltered => "entries_filtered",
         }
     }
 
@@ -266,7 +277,9 @@ impl Counter {
             Counter::IncidentPairsK2 => "Incident edge pairs (K2).",
             Counter::ListBytes => "Bytes of the similarity list L (32 per entry).",
             Counter::MergesApplied => "Merges recorded into the dendrogram.",
-            Counter::PairsProcessed => "Incident edge pairs actually swept.",
+            Counter::PairsProcessed => {
+                "Incident edge pairs up to where the sweep stopped (W*: read or filtered)."
+            }
             Counter::IntersectedDegrees => {
                 "Sum of d(i) + d(j) over the entries a sweep read by slab intersection."
             }
@@ -285,6 +298,10 @@ impl Counter {
             Counter::ServeCacheMisses => "Serve queries computed from the index.",
             Counter::ServeAdmissions => "Recluster jobs admitted to the serve worker queue.",
             Counter::ServeSwaps => "Index swaps published after a completed recluster.",
+            Counter::EntriesSorted => "Entries of L sorted (K1 for a full sort).",
+            Counter::EntriesFiltered => {
+                "One-wedge entries of L dropped unsorted: their edges already shared a cluster."
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Classic disjoint-set union-find (path compression + union by rank).
+//! Classic disjoint-set union-find (path halving + union by rank).
 //!
 //! [`UnionFind`] carries the Kruskal pass of
 //! [`sweep::KruskalMerges`](crate::sweep::KruskalMerges) — the exact
@@ -55,19 +55,20 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
-    /// The representative of `i`'s set (with path compression).
+    /// The representative of `i`'s set, halving the path to it: each
+    /// element on the way is pointed at its grandparent, in one pass.
     pub fn find(&mut self, i: usize) -> u32 {
-        let mut root = i;
-        while self.parent[root] as usize != root {
-            root = self.parent[root] as usize;
+        let mut x = i;
+        loop {
+            // cast: u32 parents to indices, lossless on 32- and 64-bit.
+            let parent = self.parent[x] as usize;
+            if parent == x {
+                return x as u32;
+            }
+            let grandparent = self.parent[parent];
+            self.parent[x] = grandparent;
+            x = grandparent as usize;
         }
-        let mut cur = i;
-        while cur != root {
-            let next = self.parent[cur] as usize;
-            self.parent[cur] = root as u32;
-            cur = next;
-        }
-        root as u32
     }
 
     /// The smallest element in `i`'s set — the paper's cluster id.

@@ -2,13 +2,22 @@
 //! count.
 //!
 //! A run is Phase I ([`compute_similarities_on`], one row range of
-//! `A·A` per pool thread), the sort of `L`, and then one Kruskal pass
-//! over `L`: either the exact fine-grained sweep,
-//! [`kruskal_sweep_with`], which gives Algorithm 2's dendrogram bit for
-//! bit, or the coarse sweep of §V read off the same merge stream,
-//! [`stream_coarse_sweep`], which gives the chunk pipeline's levels and
-//! partitions. Only Phase I uses the threads, and the facade itself never
-//! branches on the thread count. The §VI-B chunk pipeline
+//! `A·A` per pool thread) and then one Kruskal pass over `L`:
+//!
+//! - [`run`](LinkClustering::run) makes the exact fine-grained sweep as
+//!   a Filter-Kruskal pass over the unsorted list,
+//!   [`filter_kruskal_sweep`]. It sorts only the ranges of `L` it sweeps
+//!   and gives Algorithm 2's dendrogram bit for bit; the result sorts the
+//!   rest of `L` only if [`ClusteringResult::similarities`] is asked for.
+//! - [`run_coarse`](LinkClustering::run_coarse) sorts all of `L` and reads
+//!   the coarse sweep of §V off the exact merge stream,
+//!   [`stream_coarse_sweep`], which gives the chunk pipeline's levels and
+//!   partitions: its chunks need the sorted position of every entry they
+//!   read. [`similarities`](LinkClustering::similarities) sorts all of
+//!   `L` too.
+//!
+//! Only Phase I uses the threads, and the facade itself never branches
+//! on the thread count. The §VI-B chunk pipeline
 //! (`ParallelChunkProcessor`) stays the paper's algorithm and the
 //! coarse trajectory's oracle; the facade does not run it.
 //!
@@ -17,10 +26,11 @@
 //! `GraphView + Sync` — no `Clone`, no `'static`, no copy.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use linkclust_core::coarse::{stream_coarse_sweep, CoarseConfig, CoarseResult};
-use linkclust_core::sweep::{kruskal_sweep_with, EdgeOrder, SweepConfig, SweepOutput};
+use linkclust_core::dendrogram::DensityCut;
+use linkclust_core::sweep::{filter_kruskal_sweep, EdgeOrder, SweepConfig, SweepOutput};
 use linkclust_core::telemetry::{
     Counter, Recorder, RunRecorder, RunReport, Telemetry, TelemetrySink, TraceCollector,
 };
@@ -241,16 +251,21 @@ impl LinkClustering {
     }
 
     /// Runs both phases on `g`: initialization on the configured
-    /// threads, the serial sort, and the fine-grained sweep, one Kruskal
-    /// pass ([`kruskal_sweep_with`]) that gives Algorithm 2's dendrogram
-    /// bit for bit at every thread count. Generic over the graph backend;
-    /// adjacency-list and CSR inputs produce bit-identical dendrograms.
+    /// threads, then the fine-grained sweep as one Filter-Kruskal pass
+    /// over the unsorted list ([`filter_kruskal_sweep`]), which gives
+    /// Algorithm 2's dendrogram bit for bit at every thread count. Generic
+    /// over the graph backend; adjacency-list and CSR inputs produce
+    /// bit-identical dendrograms.
     ///
     /// The sweep stops once the merge forest is complete: at `m − c`
     /// merges, where `c` counts the components of `g` that have an edge.
     /// No later entry of `L` can join two clusters, so the dendrogram is
-    /// unchanged; on dense graphs most of `L` is never read. The report's
-    /// `PairsProcessed` counts the pairs swept up to that point.
+    /// unchanged; on dense graphs most of `L` is never read. The pass
+    /// sorts only the ranges of `L` it sweeps, and drops unsorted the
+    /// one-wedge entries whose two edges already share a cluster. The
+    /// report's `PairsProcessed` counts the pairs up to the stop, its
+    /// `Sort` phase the partitioning, filtering and leaf sorts inside the
+    /// `Sweep` span.
     pub fn run<G>(&self, g: &G) -> Result<ClusteringResult, ConfigError>
     where
         G: GraphView + Sync + ?Sized,
@@ -259,10 +274,14 @@ impl LinkClustering {
         let collector = self.active_collector();
         let (telemetry, recorder) = self.run_telemetry(collector.as_ref());
         let pool = WorkerPool::new(self.threads).with_telemetry(telemetry.clone());
-        let sims = Self::sorted_similarities(&pool, g, &telemetry);
-        let output = kruskal_sweep_with(g, &sims, self.sweep_config(), &telemetry);
+        let mut sims = compute_similarities_on(&pool, g, &telemetry);
+        let output = filter_kruskal_sweep(g, &mut sims, self.sweep_config(), &telemetry);
         self.finish_trace(collector.as_ref(), &telemetry)?;
-        Ok(ClusteringResult { similarities: sims, output, report: recorder.map(|r| r.report()) })
+        Ok(ClusteringResult {
+            similarities: SortedOnRequest::new(sims),
+            output,
+            report: recorder.map(|r| r.report()),
+        })
     }
 
     /// Runs Phase I on the configured threads, the sort, and the
@@ -301,22 +320,63 @@ impl LinkClustering {
     }
 }
 
-/// The outcome of [`LinkClustering::run`]: the sorted similarity list,
-/// the sweep output, and (for stats-collecting runs) the telemetry
-/// report.
+/// The outcome of [`LinkClustering::run`]: the similarity list, the
+/// sweep output, and (for stats-collecting runs) the telemetry report.
+///
+/// Equality and clones compare and copy the list as the sweep left it,
+/// so neither depends on whether [`similarities`](Self::similarities)
+/// was called.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ClusteringResult {
-    similarities: PairSimilarities,
+    similarities: SortedOnRequest,
     output: SweepOutput,
     report: Option<RunReport>,
 }
 
+/// `L` as the Filter-Kruskal pass left it — every entry: the ranges it
+/// swept, in list order, then the rest — and its sorted copy, made on
+/// first request unless the pass sorted the whole list.
+#[derive(Debug)]
+struct SortedOnRequest {
+    list: PairSimilarities,
+    sorted: OnceLock<PairSimilarities>,
+}
+
+impl SortedOnRequest {
+    fn new(list: PairSimilarities) -> Self {
+        SortedOnRequest { list, sorted: OnceLock::new() }
+    }
+
+    fn get(&self) -> &PairSimilarities {
+        if self.list.is_sorted() {
+            &self.list
+        } else {
+            self.sorted.get_or_init(|| self.list.clone().into_sorted())
+        }
+    }
+}
+
+impl Clone for SortedOnRequest {
+    fn clone(&self) -> Self {
+        SortedOnRequest::new(self.list.clone())
+    }
+}
+
+impl PartialEq for SortedOnRequest {
+    fn eq(&self, other: &Self) -> bool {
+        self.list == other.list
+    }
+}
+
 impl ClusteringResult {
-    /// The sorted pair-similarity list `L` (exposed so callers can reuse
-    /// the expensive Phase-I output — C-INTERMEDIATE).
+    /// The pair-similarity list `L` in Algorithm 2's order (exposed so
+    /// callers can reuse the expensive Phase-I output —
+    /// C-INTERMEDIATE). The sweep sorts only the part of `L` it reads,
+    /// so the first call sorts a copy of the list; later calls return
+    /// that copy.
     #[must_use]
     pub fn similarities(&self) -> &PairSimilarities {
-        &self.similarities
+        self.similarities.get()
     }
 
     /// The sweep output (dendrogram + slot permutation).
@@ -348,6 +408,47 @@ impl ClusteringResult {
     #[must_use]
     pub fn edge_assignments(&self) -> Vec<u32> {
         self.output.edge_assignments()
+    }
+
+    /// The partition-density profile of the dendrogram over `g`, with
+    /// each slot read as the edge the run's edge order put in it
+    /// ([`SweepOutput::density_profile`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` does not have the run's edge count.
+    #[must_use]
+    pub fn density_profile<G: GraphView + ?Sized>(&self, g: &G) -> Vec<DensityCut> {
+        self.output.density_profile(g)
+    }
+
+    /// The density-optimal cut of the run over `g`, under every
+    /// [`EdgeOrder`] ([`SweepOutput::best_density_cut`]). `None` for an
+    /// edgeless graph.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use linkclust_graph::generate::{gnm, WeightMode};
+    /// use linkclust_core::sweep::EdgeOrder;
+    /// use linkclust_parallel::LinkClustering;
+    ///
+    /// let g = gnm(60, 240, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 3);
+    /// let inserted = LinkClustering::new().run(&g)?.best_density_cut(&g);
+    /// let shuffled = LinkClustering::new()
+    ///     .edge_order(EdgeOrder::Shuffled { seed: 5 })
+    ///     .run(&g)?
+    ///     .best_density_cut(&g);
+    /// assert_eq!(inserted, shuffled);
+    /// # Ok::<(), linkclust_core::ConfigError>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` does not have the run's edge count.
+    #[must_use]
+    pub fn best_density_cut<G: GraphView + ?Sized>(&self, g: &G) -> Option<DensityCut> {
+        self.output.best_density_cut(g)
     }
 }
 

@@ -2,11 +2,15 @@
 //! two-thread layer timings import.
 //!
 //! The exact fine-grained sweep is one Kruskal pass at every thread
-//! count ([`kruskal_sweep_with`]): it stops once the merge forest is
-//! complete, which on dense graphs is a few percent of `L`, so a
-//! parallel pre-filter of `L` has too little left to save (DESIGN.md,
-//! "One exact sweep"). The paper's parallel sweep (§VI-B) is the coarse
-//! chunk pipeline of [`crate::sweep`].
+//! count: it stops once the merge forest is complete, which on dense
+//! graphs is a few percent of `L`, so a parallel pre-filter of `L` has
+//! too little left to save (DESIGN.md, "One exact sweep").
+//! [`LinkClustering::run`](crate::LinkClustering::run) makes it over the
+//! unsorted list
+//! ([`filter_kruskal_sweep`](linkclust_core::sweep::filter_kruskal_sweep));
+//! this shim runs [`kruskal_sweep_with`], the same pass over a sorted
+//! list, with the same output. The paper's parallel sweep (§VI-B) is the
+//! coarse chunk pipeline of [`crate::sweep`].
 
 use linkclust_core::sweep::{kruskal_sweep_with, SweepConfig, SweepOutput};
 use linkclust_core::telemetry::Telemetry;
@@ -15,10 +19,10 @@ use linkclust_graph::GraphView;
 
 use crate::pool::WorkerPool;
 
-/// [`kruskal_sweep_with`], the sweep
-/// [`LinkClustering::run`](crate::LinkClustering::run) runs at every
-/// thread count. The pool is accepted for perfbench's call site and is
-/// not used.
+/// [`kruskal_sweep_with`], the Kruskal pass over a sorted list whose
+/// output [`LinkClustering::run`](crate::LinkClustering::run)'s sweep
+/// equals at every thread count. The pool is accepted for perfbench's
+/// call site and is not used.
 ///
 /// # Panics
 ///

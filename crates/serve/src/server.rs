@@ -764,10 +764,12 @@ impl Server {
     /// hit rate, admission/swap counts, the serve-phase telemetry
     /// totals (each `serve_admit` span holds its clustering and the
     /// `index_build` that follows it; start-up builds an index outside
-    /// any admission), trace-drop count, and the runtime-gauge rings. One
-    /// sample is pushed first, so no ring is empty or staler than the
-    /// request, but it is not a tick: `runtime.ticks` counts only the
-    /// ticker's samples ([`sample_runtime`](Self::sample_runtime)).
+    /// any admission), the clusterings' `pairs_k1`, `entries_sorted` and
+    /// `entries_filtered` counters, trace-drop count, and the
+    /// runtime-gauge rings. One sample is pushed first, so no ring is
+    /// empty or staler than the request, but it is not a tick:
+    /// `runtime.ticks` counts only the ticker's samples
+    /// ([`sample_runtime`](Self::sample_runtime)).
     /// Schema `linkclust-serve-stats/v2`.
     ///
     /// # Panics
@@ -840,6 +842,15 @@ impl Server {
             out.push_str(",\"calls\":");
             out.push_str(&report.phase_calls(*phase).to_string());
             out.push('}');
+        }
+        out.push_str("},\"counters\":{");
+        for (i, counter) in STATS_COUNTERS.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_escaped(&mut out, counter.name());
+            out.push(':');
+            out.push_str(&report.counter(*counter).to_string());
         }
         out.push_str("},\"runtime\":{\"ticks\":");
         {
@@ -989,6 +1000,11 @@ fn write_cut(out: &mut String, level: u32, clusters: usize, density: f64) {
     json::write_f64(out, density);
     out.push('}');
 }
+
+/// The counters the stats document carries, summed over the server's
+/// clusterings: K₁, and how much of `L` the sweeps sorted and filtered.
+const STATS_COUNTERS: [Counter; 3] =
+    [Counter::PairsK1, Counter::EntriesSorted, Counter::EntriesFiltered];
 
 /// How long either `linkclustd` listener waits on one connection's read
 /// or write before closing it. The query socket serves one connection at
@@ -1176,6 +1192,13 @@ mod tests {
         let stats = ok_json(&server, r#"{"op":"stats"}"#);
         let builds = stats.get("phases").and_then(|p| p.get("index_build"));
         assert_eq!(builds.and_then(|b| b.get("calls")).and_then(Json::as_index), Some(2));
+        // Each run's `L` fits one Filter-Kruskal leaf: sorted whole,
+        // nothing filtered.
+        let counter =
+            |name: &str| stats.get("counters").and_then(|c| c.get(name)).and_then(Json::as_index);
+        assert_eq!(counter("pairs_k1"), Some(2 * k1));
+        assert_eq!(counter("entries_sorted"), Some(2 * k1));
+        assert_eq!(counter("entries_filtered"), Some(0));
 
         // A server over a loaded index skips the start-up clustering.
         let output = LinkClustering::new().run(&g).unwrap().output().clone();

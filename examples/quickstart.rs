@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  level {:>2}: {} + {} -> {}", m.level, m.left, m.right, m.into);
     }
 
-    let cut = result.dendrogram().best_density_cut(&g).expect("graph has edges");
+    let cut = result.best_density_cut(&g).expect("graph has edges");
     println!(
         "\nbest cut: level {} with partition density {:.3} ({} link communities)",
         cut.level, cut.density, cut.cluster_count

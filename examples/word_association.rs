@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Link clustering + density-optimal cut.
     let result = LinkClustering::new().run(g).unwrap();
-    let cut = result.dendrogram().best_density_cut(g).expect("non-empty graph");
+    let cut = result.best_density_cut(g).expect("non-empty graph");
     println!(
         "best cut: {} link communities at level {} (partition density {:.3})",
         cut.cluster_count, cut.level, cut.density

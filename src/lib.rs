@@ -46,7 +46,7 @@
 //! ])?.build();
 //!
 //! let result = LinkClustering::new().run(&g)?;
-//! let cut = result.dendrogram().best_density_cut(&g).unwrap();
+//! let cut = result.best_density_cut(&g).unwrap();
 //! let labels = result.output().edge_assignments_at_level(cut.level);
 //!
 //! // The two triangles come out as two link communities.

@@ -244,6 +244,30 @@ fn shuffled_order_best_cut_reads_the_slot_map() {
     }
 }
 
+/// The facade's result reads the slot map too: a shuffled run's best
+/// cut is the insertion run's level, cluster count and density bits.
+#[test]
+fn facade_best_cut_holds_under_a_shuffled_order() {
+    for seed in 0..5 {
+        let g = lfr_like(300, 8, 0.2, seed).graph;
+        let inserted = LinkClustering::new().run(&g).expect("default config");
+        let shuffled = LinkClustering::new()
+            .edge_order(EdgeOrder::Shuffled { seed: 11 + seed })
+            .run(&g)
+            .expect("default config");
+        let a = inserted.best_density_cut(&g).expect("graph has edges");
+        let b = shuffled.best_density_cut(&g).expect("graph has edges");
+        let what = format!("lfr_like seed {seed}");
+        assert_eq!((a.level, a.cluster_count), (b.level, b.cluster_count), "{what}");
+        assert_eq!(a.density.to_bits(), b.density.to_bits(), "{what}");
+        assert_profiles_identical(
+            &what,
+            &shuffled.density_profile(&g),
+            &inserted.density_profile(&g),
+        );
+    }
+}
+
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (4usize..22, 0u64..400).prop_map(|(n, seed)| {
         let m = n * (n - 1) / 3;

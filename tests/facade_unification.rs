@@ -188,12 +188,53 @@ fn list_bytes_and_intersected_degrees_follow_their_formulas() {
             let report = r.report().expect("stats(true) attaches a report");
             let sims = r.similarities();
             assert_eq!(report.counter(Counter::ListBytes), 32 * sims.len() as u64, "{name}");
+            // Each `L` here fits one leaf of the Filter-Kruskal pass, so
+            // the pass sorts all of it and filters nothing.
+            assert_eq!(report.counter(Counter::EntriesSorted), sims.len() as u64, "{name}");
+            assert_eq!(report.counter(Counter::EntriesFiltered), 0, "{name}");
             // The sweep read a whole prefix of `L`: `PairsProcessed` wedges.
             let processed = report.counter(Counter::PairsProcessed);
             let (expected, left) = intersected_over_prefix(&g, sims, processed);
             assert_eq!(left, 0, "{name} t={threads}: the sweep stops at an entry boundary");
             assert_eq!(report.counter(Counter::IntersectedDegrees), expected, "{name} t={threads}");
         }
+    }
+}
+
+/// The Filter-Kruskal pass sorts only the ranges of `L` it sweeps, and
+/// records that work as one `Sort` phase inside its `Sweep` span: the
+/// entries it sorted and filtered never outnumber K₁, and on a list
+/// longer than one leaf it leaves some unsorted. The result still hands
+/// out `L` sorted, and neither equality nor a clone depends on whether
+/// it was asked for.
+#[test]
+fn run_sorts_only_what_it_reads_and_results_compare_alike() {
+    let g = gnm(1500, 4000, WeightMode::Uniform { lo: 0.2, hi: 2.0 }, 14);
+    let sorted = compute_similarities(&g).into_sorted();
+    for threads in [1usize, 2] {
+        let facade = LinkClustering::new().threads(threads);
+        let stats = facade.clone().stats(true).run(&g).unwrap();
+        let report = stats.report().expect("stats(true) attaches a report");
+        let k1 = report.counter(Counter::PairsK1);
+        let entries_sorted = report.counter(Counter::EntriesSorted);
+        let filtered = report.counter(Counter::EntriesFiltered);
+        assert_eq!(k1, sorted.len() as u64);
+        assert!(entries_sorted + filtered <= k1, "threads {threads}");
+        assert!(entries_sorted < k1, "threads {threads}: L is longer than one leaf");
+        assert!(filtered > 0, "threads {threads}: one-wedge entries were filtered");
+        assert_eq!(report.phase_calls(Phase::Sort), 1, "threads {threads}");
+        assert!(report.phase_nanos(Phase::Sort) <= report.phase_nanos(Phase::Sweep));
+
+        // Without stats, two runs carry no timings and compare equal.
+        let asked = facade.run(&g).unwrap();
+        let unasked = facade.run(&g).unwrap();
+        let copy = unasked.clone();
+        assert_eq!(asked.similarities(), &sorted, "threads {threads}");
+        assert!(asked.similarities().is_sorted());
+        assert_eq!(asked, unasked, "threads {threads}");
+        assert_eq!(unasked, asked, "threads {threads}");
+        assert_eq!(asked.clone(), copy, "threads {threads}");
+        assert_eq!(copy.similarities(), &sorted, "threads {threads}");
     }
 }
 
@@ -249,6 +290,11 @@ fn coarse_report_counters_match_dendrogram() {
         let report = r.report().expect("report attached");
         assert_coarse_counters_match(report, &r, &format!("facade t={threads}"));
         assert_eq!(report.counter(Counter::ChunksProcessed), 0, "threads {threads}");
+        // The coarse run sorts all of `L`: its chunks read sorted
+        // positions.
+        let k1 = fine.similarities().len() as u64;
+        assert_eq!(report.counter(Counter::EntriesSorted), k1, "threads {threads}");
+        assert_eq!(report.counter(Counter::EntriesFiltered), 0, "threads {threads}");
         assert_eq!(report.phase_calls(Phase::SweepSetup), 1, "threads {threads}");
         let attempted = r.epochs().iter().map(|e| e.pairs_end).max().unwrap_or(0);
         let (expected, _) =

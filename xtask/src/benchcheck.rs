@@ -200,7 +200,8 @@ const STATS_GAUGES: &[&str] = &[
 /// stats block `linkclustd` prints at shutdown (and serves for the
 /// `stats` op). Checks the v2 additions explicitly: `uptime_seconds`,
 /// `admit_failures`, `trace_events_dropped`, and the `runtime` block
-/// with every gauge ring.
+/// with every gauge ring; and the clusterings' `counters`, whose sorted
+/// and filtered entries never outnumber `pairs_k1`.
 pub(crate) fn check_serve_stats_document(text: &str) -> Result<StatsSummary, String> {
     let doc = parse(text)?;
     match doc.get("schema").and_then(Json::as_str) {
@@ -278,6 +279,21 @@ pub(crate) fn check_serve_stats_document(text: &str) -> Result<StatsSummary, Str
                 .and_then(Json::as_index)
                 .ok_or(format!("phase {phase:?} lacks a non-negative integer `{key}`"))?;
         }
+    }
+
+    let counters = doc.get("counters").ok_or("top-level object lacks a `counters` object")?;
+    let counter = |name: &str| {
+        counters
+            .get(name)
+            .and_then(Json::as_index)
+            .ok_or(format!("`counters.{name}` must be a non-negative integer"))
+    };
+    let (k1, sorted, filtered) =
+        (counter("pairs_k1")?, counter("entries_sorted")?, counter("entries_filtered")?);
+    if sorted + filtered > k1 {
+        return Err(format!(
+            "the sweeps sorted {sorted} and filtered {filtered} entries of an L of {k1}"
+        ));
     }
 
     let runtime = doc.get("runtime").ok_or("top-level object lacks a `runtime` object")?;
@@ -399,6 +415,8 @@ mod tests {
               \"serve_admit\":{{\"nanos\":50,\"calls\":1}},\
               \"index_build\":{{\"nanos\":30,\"calls\":2}},\
               \"serve_swap\":{{\"nanos\":20,\"calls\":1}}}},\
+              \"counters\":{{\"pairs_k1\":900,\"entries_sorted\":300,\
+              \"entries_filtered\":500}},\
               \"runtime\":{{\"ticks\":3,\"gauges\":{{{}}}}}}}",
             kinds.join(","),
             gauges.join(",")
@@ -446,6 +464,8 @@ mod tests {
             ("\"samples\":3}}}}", "\"samples\":0}}}}", "no samples"),
             ("\"serve_swap\":{\"nanos\":20,\"calls\":1}", "\"serve_swap\":{\"nanos\":20}", "calls"),
             ("\"index_build\":{\"nanos\":30,\"calls\":2},", "", "index_build"),
+            ("\"entries_filtered\":500", "\"filtered\":500", "entries_filtered"),
+            ("\"entries_sorted\":300", "\"entries_sorted\":401", "an L of 900"),
             (
                 "\"best\":{\"count\":12,\"p50_ns\":9000,\"p90_ns\":21000,\
                  \"p99_ns\":45000,\"mean_ns\":14000.5}",

@@ -243,24 +243,32 @@ fn run_bench_build(root: &Path) -> Result<(), String> {
     )
 }
 
-/// The spans a traced `--coarse --threads 4` run must contain: Phase I's
-/// rows, the sort, and the coarse epochs.
-const TRACE_SMOKE_SPANS: &[&str] = &["init_pass2", "sort", "coarse_epoch"];
+/// The spans the traced `--coarse --threads 4` run must contain: Phase
+/// I's rows, the sort, and the coarse epochs.
+const TRACE_SMOKE_COARSE_SPANS: &[&str] = &["init_pass2", "sort", "coarse_epoch"];
 
-/// Runs a tiny traced clustering through the real CLI and validates the
-/// Chrome trace artifact with the workspace's strict JSON parser (see
-/// [`tracecheck`]), then checks that it holds every span of
-/// [`TRACE_SMOKE_SPANS`]. The artifact is left at
-/// `target/trace-smoke/trace.json` so CI can upload it.
+/// The spans the traced fine `--threads 2` run must contain: Phase I's
+/// rows and the sweep. Its Filter-Kruskal pass sorts inside the sweep
+/// and reports that time as the `sort` phase of the run report only.
+const TRACE_SMOKE_FINE_SPANS: &[&str] = &["init_pass2", "sweep"];
+
+/// Runs two tiny traced clusterings through the real CLI — a coarse run
+/// and a fine run with `--stats-json` — and validates each Chrome trace
+/// artifact with the workspace's strict JSON parser (see
+/// [`tracecheck`]), then checks that it holds its run's spans
+/// ([`TRACE_SMOKE_COARSE_SPANS`], [`TRACE_SMOKE_FINE_SPANS`]), and that
+/// the fine run's report sorted no more entries than `L` has. The
+/// artifacts are left at `target/trace-smoke/trace.json` (coarse) and
+/// `target/trace-smoke/trace-fine.json` so CI can upload them.
 fn run_trace_smoke(root: &Path) -> Result<(), String> {
     let dir = root.join("target").join("trace-smoke");
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let edges = dir.join("edges.txt");
-    let trace = dir.join("trace.json");
     write_smoke_graph(root, &edges)?;
-
     let edges_arg = edges.to_string_lossy().into_owned();
-    let trace_arg = trace.to_string_lossy().into_owned();
+
+    let coarse = dir.join("trace.json");
+    let coarse_arg = coarse.to_string_lossy().into_owned();
     cargo_capture(
         root,
         &[
@@ -277,22 +285,64 @@ fn run_trace_smoke(root: &Path) -> Result<(), String> {
             "--threads",
             "4",
             "--trace",
-            &trace_arg,
+            &coarse_arg,
         ],
     )?;
+    check_smoke_trace(&coarse, TRACE_SMOKE_COARSE_SPANS)?;
 
-    let text = std::fs::read_to_string(&trace)
-        .map_err(|e| format!("traced run left no artifact at {}: {e}", trace.display()))?;
+    let fine = dir.join("trace-fine.json");
+    let fine_arg = fine.to_string_lossy().into_owned();
+    let stderr = cargo_stderr(
+        root,
+        &[
+            "run",
+            "--release",
+            "--quiet",
+            "-p",
+            "linkclust",
+            "--bin",
+            "linkclust",
+            "--",
+            &edges_arg,
+            "--threads",
+            "2",
+            "--trace",
+            &fine_arg,
+            "--stats-json",
+        ],
+    )?;
+    check_smoke_trace(&fine, TRACE_SMOKE_FINE_SPANS)?;
+    let report = stderr.lines().last().unwrap_or_default();
+    let report = json::parse(report)
+        .map_err(|e| format!("the fine run's last stderr line is not its JSON report: {e}"))?;
+    let counter = |name: &str| {
+        report
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_index)
+            .ok_or_else(|| format!("the fine run's report lacks the counter {name}"))
+    };
+    let (sorted, k1) = (counter("entries_sorted")?, counter("pairs_k1")?);
+    if sorted > k1 {
+        return Err(format!("the fine run sorted {sorted} entries of an L of {k1}"));
+    }
+    eprintln!("trace-smoke: the fine run sorted {sorted} of {k1} entries of L");
+    Ok(())
+}
+
+/// Validates the Chrome trace at `path` and requires `spans` in it.
+fn check_smoke_trace(path: &Path, spans: &[&str]) -> Result<(), String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("traced run left no artifact at {}: {e}", path.display()))?;
     let summary = tracecheck::check_chrome_trace(&text)
-        .map_err(|e| format!("{} is not a valid Chrome trace: {e}", trace.display()))?;
-    tracecheck::require_spans(&summary, TRACE_SMOKE_SPANS)
-        .map_err(|e| format!("{}: {e}", trace.display()))?;
+        .map_err(|e| format!("{} is not a valid Chrome trace: {e}", path.display()))?;
+    tracecheck::require_spans(&summary, spans).map_err(|e| format!("{}: {e}", path.display()))?;
     eprintln!(
         "trace-smoke: {} complete events across {} threads ({} dropped) in {}",
         summary.complete_events,
         summary.threads,
         summary.dropped,
-        trace.display()
+        path.display()
     );
     Ok(())
 }
@@ -334,6 +384,25 @@ fn cargo_capture(root: &Path, args: &[&str]) -> Result<Vec<u8>, String> {
         Ok(output.stdout)
     } else {
         Err(format!("`cargo {}` exited with {}", args.join(" "), output.status))
+    }
+}
+
+/// Runs `cargo <args>` at the workspace root and returns its stderr,
+/// where `linkclust` writes its report; stdout is discarded. Non-zero
+/// exits map to an error message.
+fn cargo_stderr(root: &Path, args: &[&str]) -> Result<String, String> {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let output = Command::new(cargo)
+        .current_dir(root)
+        .args(args)
+        .stdout(Stdio::null())
+        .output()
+        .map_err(|e| format!("failed to spawn cargo: {e}"))?;
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    if output.status.success() {
+        Ok(stderr)
+    } else {
+        Err(format!("`cargo {}` exited with {}: {stderr}", args.join(" "), output.status))
     }
 }
 
